@@ -4,6 +4,9 @@ Everything here is deterministic given the config: dataset collection
 seeds, correlator draws, bootstrap replicates and subsample draws all
 come from seeds named in the config file, so rerunning a command
 reproduces its outputs byte for byte.
+
+Both convergence studies reduce each curve to cell counts, cell values
+and the exact truth, and share one pooled-RMS helper.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from .noise import exact_g, twirl
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
-    _support_shades,
+    _PARITY_SIGNS,
+    _parity_counts,
+    _resample_means,
+    _shade_cells,
     estimate_correlator_independent_model,
     estimate_correlator_mitigated,
     estimate_correlator_unmitigated,
@@ -107,11 +113,13 @@ def comparison_rows(
     rows: list[dict[str, object]] = []
     for index, correlator in enumerate(correlators):
         seed = config.bootstrap_seed + 3 * index
+        g_hat = estimate_g(cal, correlator.pattern)
         mit = estimate_correlator_mitigated(
             tomo,
             cal,
             correlator,
             xi,
+            g_override=g_hat,
             bootstrap_resamples=config.bootstrap_resamples,
             bootstrap_seed=seed,
         )
@@ -143,7 +151,7 @@ def comparison_rows(
                 "unmitigated_se": unm.stderr,
                 "indep": ind.estimate,
                 "indep_se": ind.stderr,
-                "g_hat": estimate_g(cal, correlator.pattern),
+                "g_hat": g_hat,
             }
         )
     return rows
@@ -163,27 +171,35 @@ def subsample_grid(records: int, points: int, minimum: int) -> list[int]:
     return sizes
 
 
-def _subsample_rms(
-    per_record: np.ndarray,
-    truth: float,
+def _pooled_study(
+    curves: Sequence[tuple[int, np.ndarray, np.ndarray, float]],
     sizes: Sequence[int],
     resamples: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """RMS error of the subsample mean at each size.
+    group_column: str,
+) -> tuple[list[dict[str, object]], dict[int, float]]:
+    """RMS error of the subsample mean per group, with its log-log slope.
 
-    Each replicate draws `size` records with replacement, which at
-    size <= records/10 behaves like a fresh dataset of that size.
-    Returns squared errors of shape (len(sizes), resamples); callers
-    pool before taking the square root.
+    Each curve is (group, cell counts, cell values, truth).  A replicate
+    draws `size` records with replacement, which at size <= records/10
+    behaves like a fresh dataset; squared errors are pooled over a group's
+    curves and replicates before the square root.
     """
-    errors = np.empty((len(sizes), resamples))
-    records = per_record.size
-    for i, size in enumerate(sizes):
-        for b in range(resamples):
-            mean = per_record[rng.integers(0, records, size)].mean()
-            errors[i, b] = (mean - truth) ** 2
-    return errors
+    pooled: dict[int, list[list[np.ndarray]]] = {}
+    for group, counts, values, truth in curves:
+        errors = [
+            (_resample_means(counts, values, size, resamples, rng) - truth) ** 2
+            for size in sizes
+        ]
+        pooled.setdefault(group, []).append(errors)
+    rows: list[dict[str, object]] = []
+    slopes: dict[int, float] = {}
+    for group in sorted(pooled):
+        rms = np.sqrt(np.mean(pooled[group], axis=(0, 2)))  # (curves, sizes, resamples)
+        for size, value in zip(sizes, rms):
+            rows.append({"size": size, group_column: group, "rms": float(value)})
+        slopes[group] = fit_loglog_slope(sizes, rms)
+    return rows, slopes
 
 
 def _pick_wavevectors(
@@ -215,25 +231,11 @@ def g_rms_rows(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
     )
     sizes = subsample_grid(len(cal), config.grid_points, config.grid_min)
-
-    pooled: dict[int, list[np.ndarray]] = {w: [] for w in config.study_weights}
-    for w in wavevectors:
-        support = list(w.support())
-        parity = np.bitwise_xor.reduce(cal.outcomes[:, support], axis=1)
-        signs = 1.0 - 2.0 * parity.astype(np.float64)
-        truth = g_exact.component(w)
-        errors = _subsample_rms(signs, truth, sizes, config.bootstrap_resamples, rng)
-        pooled[len(support)].append(errors)
-
-    rows: list[dict[str, object]] = []
-    slopes: dict[int, float] = {}
-    for weight in config.study_weights:
-        stacked = np.stack(pooled[weight])  # (wavevectors, sizes, resamples)
-        rms = np.sqrt(stacked.mean(axis=(0, 2)))
-        for size, value in zip(sizes, rms):
-            rows.append({"size": size, "weight": weight, "rms": float(value)})
-        slopes[weight] = fit_loglog_slope(sizes, rms)
-    return rows, slopes
+    curves = [
+        (len(w.support()), _parity_counts(cal, w), _PARITY_SIGNS, g_exact.component(w))
+        for w in wavevectors
+    ]
+    return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "weight")
 
 
 def correlator_rms_rows(
@@ -244,41 +246,23 @@ def correlator_rms_rows(
 ) -> tuple[list[dict[str, object]], dict[int, float]]:
     """Convergence of the mitigated estimator with tomography size.
 
-    Per-record mitigated shades are fixed once (using ghat(v) from the
-    full calibration set); subsample means then isolate the statistical
+    Mitigated cell values are fixed once (using ghat(v) from the full
+    calibration set); subsample means then isolate the statistical
     error.  Pooled per correlator degree.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
     if correlators is None:
-        correlators = random_correlators(
-            config.n,
-            config.correlator_degrees,
-            config.correlators_per_degree_study,
-            config.correlator_seed,
-            config.build_directions(),
-        )
+        correlators = build_correlators(config, config.correlators_per_degree_study)
     rng = np.random.default_rng(config.study_seed + 1)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
-    degrees = sorted(set(c.degree for c in correlators))
-    pooled: dict[int, list[np.ndarray]] = {d: [] for d in degrees}
+    curves = []
     for correlator in correlators:
-        g_hat = estimate_g(cal, correlator.pattern)
-        shades = _support_shades(tomo, correlator, xi) / g_hat
-        truth = exact_expectation(state, correlator)
-        errors = _subsample_rms(shades, truth, sizes, config.bootstrap_resamples, rng)
-        pooled[correlator.degree].append(errors)
-
-    rows: list[dict[str, object]] = []
-    slopes: dict[int, float] = {}
-    for degree in degrees:
-        stacked = np.stack(pooled[degree])
-        rms = np.sqrt(stacked.mean(axis=(0, 2)))
-        for size, value in zip(sizes, rms):
-            rows.append({"size": size, "degree": degree, "rms": float(value)})
-        slopes[degree] = fit_loglog_slope(sizes, rms)
-    return rows, slopes
+        counts, raw = _shade_cells(tomo, correlator, xi)
+        shades = raw / estimate_g(cal, correlator.pattern)
+        curves.append((correlator.degree, counts, shades, exact_expectation(state, correlator)))
+    return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "degree")
 
 
 def fit_loglog_slope(sizes: Sequence[int], rms: Sequence[float]) -> float:
@@ -289,7 +273,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Collect both datasets, write them, and produce every result table.
 
     Returns a name -> path map of everything written under out_dir.
+    Both subsample grids are checked first, so an infeasible study writes nothing.
     """
+    for records in (config.calibration_shots, config.tomography_shots):
+        subsample_grid(records, config.grid_points, config.grid_min)
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "calibration": os.path.join(out_dir, "calibration.txt"),

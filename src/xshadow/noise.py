@@ -43,9 +43,6 @@ class NoiseModel:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
 
-    has_rows = False
-    has_sampler = False
-
     def transition_row(self, ideal: int) -> np.ndarray:
         """R(. | ideal) as a length-2^n probability vector over observed values."""
         raise CapabilityError(f"{type(self).__name__} cannot evaluate exact rows")
@@ -60,17 +57,9 @@ class NoiseModel:
                 f"exact rows need n <= {EXACT_TABLE_MAX_QUBITS}, got n={self.n}"
             )
 
-    def transition_matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix M[ideal, observed]; exact-mode sizes only."""
-        self._check_table_cap()
-        return np.stack([self.transition_row(s) for s in range(1 << self.n)])
-
 
 class IndependentFlipModel(NoiseModel):
     """Each qubit flips independently: 1->0 with rate p10, 0->1 with rate p01."""
-
-    has_rows = True
-    has_sampler = True
 
     def __init__(self, n: int, p10, p01):
         super().__init__(n)
@@ -103,9 +92,6 @@ class ChainCrosstalkModel(NoiseModel):
     base rate to min(1, rate + gamma); otherwise the base rate applies.
     gamma = 0 reduces exactly to IndependentFlipModel.
     """
-
-    has_rows = True
-    has_sampler = True
 
     def __init__(self, n: int, p10, p01, gamma: float):
         super().__init__(n)
@@ -212,8 +198,6 @@ def twirl(model: NoiseModel) -> TwirledNoise:
     Uses the identity Rbar(s | 0) = 2^-n sum_t R(s XOR t | t), evaluated
     exactly from the model's rows (exact-mode sizes only).
     """
-    if not model.has_rows:
-        raise CapabilityError("twirl requires a model with exact rows")
     model._check_table_cap()
     size = 1 << model.n
     idx = np.arange(size)

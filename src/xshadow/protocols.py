@@ -14,6 +14,12 @@ vectorized estimation; record accessors return the usual value types.
 All functions draw from a caller-supplied seed through a fresh numpy
 Generator, with the draw order documented per function, so datasets are
 reproducible bit-for-bit.
+
+Estimation works on count tables: every estimator averages a product of
+per-qubit weights w_q[setting, bit] over the support, so only the record
+count of each (setting, bit) cell of the support enters (for ghat(w),
+of its two parity cells).  Bootstrap and subsample draws are multinomial
+over the cells, exactly the law of drawing records with replacement.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitspace import BitString
-from .exceptions import SingularNoiseError, UnmitigatableComponentError
+from .exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from .noise import NoiseModel
 from .qsim import (
     Correlator,
@@ -38,6 +44,12 @@ from .qsim import (
 from .shadows import G_FLOOR, XiTable
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
+
+# value of each parity cell (-1)^bit, bit 0 first
+_PARITY_SIGNS = np.array([1.0, -1.0])
+
+# multinomial cell counts held at once by one resampling block (8 MiB)
+_DRAW_BLOCK = 1 << 20
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -137,17 +149,19 @@ def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationData
     return CalibrationDataset(model.n, observed ^ t, seed=seed)
 
 
+def _parity_counts(data: CalibrationDataset, w: BitString) -> np.ndarray:
+    """Record counts of the two parity cells of w, (+1, -1) in that order."""
+    parity = np.bitwise_xor.reduce(data.outcomes[:, list(w.support())], axis=1)
+    return np.bincount(parity, minlength=2)
+
+
 def estimate_g(data: CalibrationDataset, w: BitString) -> float:
     """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over records."""
     if w.n != data.n:
         raise ValueError(f"pattern has {w.n} bits, dataset has {data.n}")
     if len(data) == 0:
         raise ValueError("empty calibration dataset")
-    support = list(w.support())
-    parity = np.bitwise_xor.reduce(data.outcomes[:, support], axis=1) if support else None
-    if parity is None:
-        return 1.0
-    return float(np.mean(1.0 - 2.0 * parity.astype(np.float64)))
+    return float(_parity_counts(data, w) @ _PARITY_SIGNS / len(data))
 
 
 def run_tomography(
@@ -207,33 +221,70 @@ def run_tomography(
     return TomographyDataset(n, directions, settings, observed ^ masks, seed=seed)
 
 
-def _support_shades(data: TomographyDataset, correlator: Correlator, xi: XiTable) -> np.ndarray:
-    """Per-record unmitigated shade (-1)^(v.s) prod_i overlap(nu_i, mu_i)."""
+def _shade_cells(
+    data: TomographyDataset, correlator: Correlator, xi: XiTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin records on the correlator's support and weigh each cell.
+
+    A record's cell is its (setting, bit) pair on every support qubit,
+    coded in mixed radix with digit 2*setting + bit per qubit, base 2k.
+    Returns each observed cell's record count and unmitigated shade, the
+    product of (-1)^bit * overlap(nu, mu) over the support.
+    """
     if correlator.n != data.n:
         raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
     if len(data) == 0:
         raise ValueError("empty tomography dataset")
-    values = np.ones(len(data))
-    parity = np.zeros(len(data), dtype=np.uint8)
-    for qubit in correlator.pattern.support():
-        overlaps = np.array(
-            [xi.half_overlap(d.label, correlator.observables[qubit]) for d in data.directions]
-        )
-        values *= overlaps[data.setting_indices[:, qubit]]
-        parity ^= data.outcomes[:, qubit]
-    return values * (1.0 - 2.0 * parity.astype(np.float64))
+    support = correlator.pattern.support()
+    base = 2 * len(data.directions)
+    if base ** len(support) > 1 << 63:
+        raise CapabilityError(f"{base}^{len(support)} support cells overflow the int64 code")
+    codes = np.zeros(len(data), dtype=np.int64)
+    for j, qubit in enumerate(support):
+        digit = 2 * data.setting_indices[:, qubit].astype(np.int64) + data.outcomes[:, qubit]
+        codes += digit * base**j
+    cells, counts = np.unique(codes, return_counts=True)
+    shades = np.ones(len(cells))
+    for j, qubit in enumerate(support):
+        mu = correlator.observables[qubit]
+        overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+        shades *= np.outer(overlaps, _PARITY_SIGNS).ravel()[cells // base**j % base]
+    return counts, shades
 
 
-def _bootstrap_stderr(
-    shades: np.ndarray, resamples: int, rng: np.random.Generator
-) -> float:
+def _resample_means(
+    counts: np.ndarray,
+    values: np.ndarray,
+    size: int,
+    resamples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Means of `resamples` draws of `size` records with replacement.
+
+    A draw is a multinomial over cells weighted by their record counts,
+    exactly the law of drawing the records themselves.  Blocks of at most
+    _DRAW_BLOCK cell counts bound memory; numpy draws the rows of one call
+    in sequence, so blocking leaves the stream as is.
+    """
     if resamples < 2:
         raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
-    size = shades.size
-    means = np.empty(resamples)
-    for b in range(resamples):
-        means[b] = shades[rng.integers(0, size, size)].mean()
-    return float(np.std(means, ddof=1))
+    probabilities = counts / counts.sum()
+    block = max(1, _DRAW_BLOCK // len(counts))
+    draws = [
+        rng.multinomial(size, probabilities, min(block, resamples - start)) @ values
+        for start in range(0, resamples, block)
+    ]
+    return np.concatenate(draws) / size
+
+
+def _bootstrap_report(
+    counts: np.ndarray, values: np.ndarray, means: np.ndarray
+) -> EstimateReport:
+    """Count-weighted mean of the cell values, with the bootstrap means' sd."""
+    records = int(counts.sum())
+    return EstimateReport(
+        float(counts @ values / records), float(np.std(means, ddof=1)), len(means), records
+    )
 
 
 def estimate_correlator_mitigated(
@@ -253,9 +304,10 @@ def estimate_correlator_mitigated(
     Averages the mitigated shade over records, dividing by ghat(v) taken
     from the calibration dataset (used as-is even when negative; only the
     absolute floor trips an error).  The default stderr treats ghat(v) as
-    fixed; joint_bootstrap=True resamples both datasets per bootstrap
-    replicate, which folds the calibration uncertainty into the stderr.
-    g_override substitutes a known exact component for ghat(v).
+    fixed; joint_bootstrap=True also redraws ghat(v) per bootstrap
+    replicate, over its two parity cells, which folds the calibration
+    uncertainty into the stderr.  g_override substitutes a known exact
+    component for ghat(v).
     """
     if cal.n != data.n:
         raise ValueError(f"calibration is on {cal.n} qubits, tomography on {data.n}")
@@ -267,30 +319,19 @@ def estimate_correlator_mitigated(
         raise UnmitigatableComponentError(
             f"|ghat(v)| = {abs(g_hat)} below floor {g_floor} for v={correlator.pattern}"
         )
-    raw = _support_shades(data, correlator, xi)
+    counts, raw = _shade_cells(data, correlator, xi)
     shades = raw / g_hat
     rng = np.random.default_rng(bootstrap_seed)
-    if not joint_bootstrap:
-        stderr = _bootstrap_stderr(shades, bootstrap_resamples, rng)
-    else:
-        support = list(correlator.pattern.support())
-        if support:
-            cal_parity = np.bitwise_xor.reduce(cal.outcomes[:, support], axis=1)
-            cal_signs = 1.0 - 2.0 * cal_parity.astype(np.float64)
-        else:
-            cal_signs = np.ones(len(cal))
-        if bootstrap_resamples < 2:
-            raise ValueError(f"need >= 2 bootstrap resamples, got {bootstrap_resamples}")
-        means = np.empty(bootstrap_resamples)
-        for b in range(bootstrap_resamples):
-            g_b = cal_signs[rng.integers(0, cal_signs.size, cal_signs.size)].mean()
-            if abs(g_b) < g_floor:
-                raise UnmitigatableComponentError(
-                    f"a bootstrap replicate of ghat(v) hit the floor {g_floor}"
-                )
-            means[b] = raw[rng.integers(0, raw.size, raw.size)].mean() / g_b
-        stderr = float(np.std(means, ddof=1))
-    return EstimateReport(float(shades.mean()), stderr, bootstrap_resamples, len(data))
+    means = _resample_means(counts, shades, len(data), bootstrap_resamples, rng)
+    if joint_bootstrap:
+        parity = _parity_counts(cal, correlator.pattern)
+        g_means = _resample_means(parity, _PARITY_SIGNS, len(cal), bootstrap_resamples, rng)
+        if np.any(np.abs(g_means) < g_floor):
+            raise UnmitigatableComponentError(
+                f"a bootstrap replicate of ghat(v) hit the floor {g_floor}"
+            )
+        means *= g_hat / g_means
+    return _bootstrap_report(counts, shades, means)
 
 
 def estimate_correlator_unmitigated(
@@ -302,10 +343,10 @@ def estimate_correlator_unmitigated(
     bootstrap_seed: int = 0,
 ) -> EstimateReport:
     """Plain shade average with no noise correction (the biased baseline)."""
-    shades = _support_shades(data, correlator, xi)
+    counts, shades = _shade_cells(data, correlator, xi)
     rng = np.random.default_rng(bootstrap_seed)
-    stderr = _bootstrap_stderr(shades, bootstrap_resamples, rng)
-    return EstimateReport(float(shades.mean()), stderr, bootstrap_resamples, len(data))
+    means = _resample_means(counts, shades, len(data), bootstrap_resamples, rng)
+    return _bootstrap_report(counts, shades, means)
 
 
 def estimate_correlator_independent_model(
@@ -322,39 +363,26 @@ def estimate_correlator_independent_model(
 
     Each support qubit's pair of outcome weights (+overlap, -overlap) is
     corrected by the inverse of that qubit's assumed 2x2 transition
-    matrix.  Because the recorded data went through the XOR-twirl, the
-    assumed matrix is twirled first (its two flip rates average), which
-    keeps the method exact when the true noise is an independent-flip
-    channel with the assumed rates.  Crosstalk in the true channel leaves
-    residual bias, which is the point of carrying this estimator.
+    matrix, twirled first (its two flip rates average to p) because the
+    data went through the XOR-twirl.  The pair is an eigenvector of the
+    twirled matrix with eigenvalue 1 - 2p, so the shade is divided by the
+    product of these, the model's g(v).  Exact when the true noise is
+    independent flips at the assumed rates; crosstalk leaves residual
+    bias, which is the point of carrying this estimator.
     """
-    if correlator.n != data.n:
-        raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
-    if len(data) == 0:
-        raise ValueError("empty tomography dataset")
-    p10 = np.broadcast_to(np.asarray(p10, dtype=float), (data.n,))
-    p01 = np.broadcast_to(np.asarray(p01, dtype=float), (data.n,))
-    values = np.ones(len(data))
-    for qubit in correlator.pattern.support():
-        p_twirled = 0.5 * (p10[qubit] + p01[qubit])
-        matrix = np.array(
-            [[1.0 - p_twirled, p_twirled], [p_twirled, 1.0 - p_twirled]]
+    rates = 0.5 * (np.asarray(p10, dtype=float) + np.asarray(p01, dtype=float))
+    support = list(correlator.pattern.support())
+    eigenvalues = 1.0 - 2.0 * np.broadcast_to(rates, (correlator.n,))[support]
+    singular = [q for q, e in zip(support, eigenvalues) if abs(e) < 1e-12]
+    if singular:
+        raise SingularNoiseError(
+            f"assumed transition matrix of qubit {singular[0]} is singular"
         )
-        if abs(np.linalg.det(matrix)) < 1e-12:
-            raise SingularNoiseError(
-                f"assumed transition matrix of qubit {qubit} is singular"
-            )
-        inverse = np.linalg.inv(matrix)
-        overlaps = np.array(
-            [xi.half_overlap(d.label, correlator.observables[qubit]) for d in data.directions]
-        )
-        # weight pair per direction: corrected[s] = (M^-1 @ (ov, -ov))[s]
-        corrected = np.stack([inverse @ np.array([ov, -ov]) for ov in overlaps])
-        bit = data.outcomes[:, qubit]
-        values *= corrected[data.setting_indices[:, qubit], bit]
+    counts, raw = _shade_cells(data, correlator, xi)
+    values = raw / np.prod(eigenvalues)
     rng = np.random.default_rng(bootstrap_seed)
-    stderr = _bootstrap_stderr(values, bootstrap_resamples, rng)
-    return EstimateReport(float(values.mean()), stderr, bootstrap_resamples, len(data))
+    means = _resample_means(counts, values, len(data), bootstrap_resamples, rng)
+    return _bootstrap_report(counts, values, means)
 
 
 def median_of_means(values, groups: int) -> float:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import support_shades
 
 from xshadow.bitspace import BitString
 from xshadow.cli import main as cli_main
@@ -24,7 +25,6 @@ from xshadow.noise import (
     twirl,
 )
 from xshadow.protocols import (
-    _support_shades,
     calibration_sample_bound,
     estimate_correlator_independent_model,
     estimate_correlator_mitigated,
@@ -420,7 +420,7 @@ class TestEstimatorConvergence:
         curves = []
         for correlator in correlators:
             g_hat = estimate_g(big_cal, correlator.pattern)
-            shades = _support_shades(big_tomo, correlator, pauli_xi) / g_hat
+            shades = support_shades(big_tomo, correlator, pauli_xi) / g_hat
             truth = exact_expectation(big_state, correlator)
             errors = np.empty((len(sizes), resamples))
             for i, size in enumerate(sizes):

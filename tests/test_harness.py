@@ -328,6 +328,15 @@ class TestExperiments:
             assert -0.75 < slope < -0.25
 
 
+    def test_run_experiment_reruns_are_byte_identical(self, small_config, tmp_path):
+        first = run_experiment(small_config, str(tmp_path / "a"))
+        second = run_experiment(small_config, str(tmp_path / "b"))
+        assert len(first) == 6
+        for name, path in first.items():
+            with open(path, "rb") as a, open(second[name], "rb") as b:
+                assert a.read() == b.read(), name
+
+
 class TestCli:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -457,3 +466,17 @@ class TestCli:
         assert result.output.count("wrote ") == 6
         report = read_csv(str(tmp_path / "exp" / "report.csv"))
         assert len(report) == 2
+
+    def test_experiment_with_infeasible_grid_writes_nothing(self, tmp_path):
+        # 5000 calibration records give subsample sizes up to 500, below grid_min 1000
+        path = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 2\ndepth: 4\n"
+            "noise:\n  model: independent\n  p10: 0.07\n  p01: 0.05\n"
+            "calibration_shots: 5000\ntomography_shots: 20000\n",
+        )
+        out = tmp_path / "exp"
+        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "too small for subsampling" in result.output
+        assert not out.exists() or not any(out.iterdir())

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from oracles import independent_model_values, support_shades
 
+from xshadow import protocols
 from xshadow.bitspace import BitString
-from xshadow.exceptions import UnmitigatableComponentError
+from xshadow.exceptions import (
+    CapabilityError,
+    SingularNoiseError,
+    UnmitigatableComponentError,
+)
 from xshadow.noise import (
     crosstalk_model,
     exact_g,
@@ -28,6 +34,7 @@ from xshadow.protocols import (
 )
 from xshadow.qsim import (
     Correlator,
+    Direction,
     StateVector,
     direction_from_label,
     exact_expectation,
@@ -224,6 +231,14 @@ class TestEstimators:
         assert joint.stderr > 0
         assert np.isfinite(joint.stderr)
 
+    def test_indep_model_rejects_singular_rates(self, pauli_xi):
+        state = random_circuit_state(2, 4, seed=7)
+        data = run_tomography(state, pauli_directions(), identity_model(2), 100, seed=60)
+        z = direction_from_label("z")
+        c = Correlator(BitString(2, 0b11), {0: z, 1: z})
+        with pytest.raises(SingularNoiseError, match="qubit 1"):
+            estimate_correlator_independent_model(data, c, pauli_xi, [0.1, 0.3], [0.1, 0.7])
+
     def test_bootstrap_is_seeded(self, pauli_xi):
         state = random_circuit_state(2, 4, seed=6)
         data = run_tomography(state, pauli_directions(), identity_model(2), 1000, seed=50)
@@ -234,6 +249,93 @@ class TestEstimators:
         c2 = estimate_correlator_unmitigated(data, c, pauli_xi, bootstrap_seed=3)
         assert a.stderr == b.stderr
         assert a.stderr != c2.stderr
+
+
+def _tilted_directions():
+    s = 1 / np.sqrt(2)
+    return (
+        Direction("a", (1.0, 0.0, 0.0)),
+        Direction("b", (0.0, s, s)),
+        Direction("c", (0.0, 0.0, 1.0)),
+        Direction("d", (0.0, 1.0, 0.0)),
+    )
+
+
+class TestCountTableKernel:
+    """The estimators bin records into (setting, bit) cells of the support;
+    the per-record oracles in tests/oracles.py skip the binning."""
+
+    P10, P01 = 0.08, 0.04
+
+    @pytest.fixture(scope="class")
+    def noisy_data(self):
+        n = 4
+        model = crosstalk_model(n, self.P10, self.P01, 0.5)
+        state = random_circuit_state(n, 8, seed=21)
+        cal = run_calibration(model, 20000, seed=22)
+        sets = {"pauli": pauli_directions(), "tilted": _tilted_directions()}
+        tomos = {
+            name: run_tomography(state, directions, model, 20000, seed=23)
+            for name, directions in sets.items()
+        }
+        return cal, tomos
+
+    @pytest.mark.parametrize("direction_set", ["pauli", "tilted"])
+    def test_point_estimates_equal_per_record_means(self, noisy_data, direction_set):
+        cal, tomos = noisy_data
+        tomo = tomos[direction_set]
+        xi = compute_xi(tomo.directions)
+        for c in random_correlators(4, [1, 2, 3, 4], 3, seed=24, directions=tomo.directions):
+            shades = support_shades(tomo, c, xi)
+            g_hat = estimate_g(cal, c.pattern)
+            mit = estimate_correlator_mitigated(tomo, cal, c, xi, bootstrap_resamples=2)
+            unm = estimate_correlator_unmitigated(tomo, c, xi, bootstrap_resamples=2)
+            ind = estimate_correlator_independent_model(
+                tomo, c, xi, self.P10, self.P01, bootstrap_resamples=2
+            )
+            assert mit.estimate == pytest.approx(np.mean(shades / g_hat), abs=1e-12)
+            assert unm.estimate == pytest.approx(np.mean(shades), abs=1e-12)
+            expected = np.mean(independent_model_values(tomo, c, xi, self.P10, self.P01))
+            assert ind.estimate == pytest.approx(expected, abs=1e-12)
+
+    def test_bootstrap_stderr_matches_sample_sd(self, noisy_data, pauli_xi):
+        cal, tomos = noisy_data
+        tomo = tomos["pauli"]
+        for c in random_correlators(4, [1, 2, 3], 2, seed=25):
+            shades = support_shades(tomo, c, pauli_xi)
+            g_hat = estimate_g(cal, c.pattern)
+            for report, per_record in (
+                (estimate_correlator_unmitigated(tomo, c, pauli_xi), shades),
+                (estimate_correlator_mitigated(tomo, cal, c, pauli_xi), shades / g_hat),
+            ):
+                plain_se = np.std(per_record, ddof=1) / np.sqrt(len(tomo))
+                assert report.resamples == 200
+                assert report.stderr == pytest.approx(plain_se, rel=0.2)
+
+    def test_blocked_draws_keep_the_stream(self, noisy_data, pauli_xi, monkeypatch):
+        _, tomos = noisy_data
+        c = random_correlators(4, [3], 1, seed=26)[0]
+        whole = estimate_correlator_unmitigated(tomos["pauli"], c, pauli_xi, bootstrap_seed=9)
+        monkeypatch.setattr(protocols, "_DRAW_BLOCK", 1000)  # a few resamples per block
+        blocked = estimate_correlator_unmitigated(tomos["pauli"], c, pauli_xi, bootstrap_seed=9)
+        assert blocked == whole
+
+    def test_cell_code_overflow_is_a_capability_error(self, pauli_xi):
+        # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
+        n = 25
+        z = direction_from_label("z")
+        data = TomographyDataset(
+            n,
+            pauli_directions(),
+            np.full((3, n), 2, dtype=np.uint8),
+            np.zeros((3, n), dtype=np.uint8),
+        )
+        fits = Correlator(BitString(n, (1 << 24) - 1), {q: z for q in range(24)})
+        report = estimate_correlator_unmitigated(data, fits, pauli_xi, bootstrap_resamples=2)
+        assert report.estimate == 3.0**24  # z measured along z: overlap 3, outcome 0
+        overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
+        with pytest.raises(CapabilityError):
+            estimate_correlator_unmitigated(data, overflows, pauli_xi)
 
 
 class TestMedianOfMeans:
