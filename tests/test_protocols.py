@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import independent_model_values, support_shades
@@ -42,6 +44,7 @@ from xshadow.qsim import (
     random_circuit_state,
 )
 from xshadow.shadows import compute_xi
+from xshadow.storage import write_tomography
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +339,31 @@ class TestCountTableKernel:
         overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
         with pytest.raises(CapabilityError):
             estimate_correlator_unmitigated(data, overflows, pauli_xi)
+
+
+class TestFrozenDatasets:
+    """SHA-256 of the written tomography file, pinned so that any change to
+    the Born draw (rotation arithmetic, CDF rule, draw order) shows up.
+    A moved hash is a behaviour change to investigate, not to re-pin."""
+
+    @pytest.mark.parametrize(
+        "n,direction_set,shots,seed,digest",
+        [
+            (1, "pauli", 3000, 31, "10537dcadce3c3d538f49f970ca1ab20715a8c27ad34bd9f36c47b88b9123d6a"),
+            (4, "tilted", 3000, 32, "f00c1dca715684b6751452aeef4ae396f2bebf9c2a4ec5cb7e7af67050612e6a"),
+            (5, "pauli", 3000, 33, "11b2b7a12d21cd5e6cac696bc53bc60a3fb1d9222708e511939c634f6958d1ca"),
+            (8, "pauli", 3000, 34, "cc08818645fe5963bdc80230a4570495d18c1a4a9896484057f0c41671a23287"),
+            (12, "pauli", 2000, 35, "5ea290f707c49407b5214292382b8ca1e288b116467b877822aeb6cbe40dd05a"),
+        ],
+    )
+    def test_written_bytes(self, tmp_path, n, direction_set, shots, seed, digest):
+        directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
+        state = random_circuit_state(n, 2 * n, seed=seed)
+        model = crosstalk_model(n, 0.07, 0.05, 0.5)
+        data = run_tomography(state, directions, model, shots, seed=seed + 100)
+        path = tmp_path / "tomography.txt"
+        write_tomography(str(path), data)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestMedianOfMeans:
