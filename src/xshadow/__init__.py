@@ -67,8 +67,6 @@ from .qsim import (
     StateVector,
     direction_from_label,
     exact_expectation,
-    ideal_outcome_sample,
-    measurement_probabilities,
     pauli_directions,
     pauli_operator,
     random_circuit_state,

@@ -188,6 +188,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
             if not isinstance(seq, (list, tuple)) or not seq:
                 raise ConfigError(f"field {key!r} must be a nonempty list of integers")
             values[key] = tuple(_require_int(v, key, 1, n) for v in seq)
+            if len(set(values[key])) != len(values[key]):
+                raise ConfigError(f"field {key!r} must not repeat an entry")
         else:
             values[key] = tuple(k for k in (1, 2, 3, 4) if k <= n)
 

@@ -199,27 +199,6 @@ def random_circuit_state(n: int, depth: int, seed: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def measurement_probabilities(state: StateVector, setting: MeasurementSetting) -> np.ndarray:
-    """Born probabilities over bitstrings after rotating each qubit into
-    its measurement basis."""
-    if setting.n != state.n:
-        raise ValueError(f"setting has {setting.n} directions for n={state.n}")
-    amps = state.amplitudes
-    for qubit, direction in enumerate(setting.directions):
-        amps = apply_single_qubit(amps, rotation_gate(direction), qubit, state.n)
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
-
-
-def ideal_outcome_sample(
-    state: StateVector, setting: MeasurementSetting, rng: np.random.Generator
-) -> BitString:
-    """Draw one noiseless outcome bitstring from the rotated Born distribution."""
-    probs = measurement_probabilities(state, setting)
-    outcome = int(rng.choice(probs.size, p=probs))
-    return BitString(state.n, outcome)
-
-
 def exact_expectation(state: StateVector, correlator: Correlator) -> float:
     """<psi| C |psi> for a tensor-product correlator; always in [-1, 1]."""
     if correlator.n != state.n:

@@ -1,12 +1,16 @@
-"""Per-record reference computations that the count-table estimators
-must reproduce.
+"""Reference computations that the library's fast paths must reproduce.
 
 The library reduces a tomography dataset to counts over the (setting,
-bit) cells of a correlator's support; these oracles evaluate the same
-quantities one record at a time, with no binning.
+bit) cells of a correlator's support; the shade oracles evaluate the same
+quantities one record at a time, with no binning.  It rotates the state
+for many settings at once in qubit blocks; the Born oracles rotate it for
+one setting, one qubit at a time.
 """
 
 import numpy as np
+
+from xshadow.bitspace import BitString
+from xshadow.qsim import apply_single_qubit, rotation_gate
 
 
 def support_shades(data, correlator, xi):
@@ -41,3 +45,22 @@ def independent_model_values(data, correlator, xi, p10, p01):
         corrected = np.stack([inverse @ np.array([ov, -ov]) for ov in overlaps])
         values *= corrected[data.setting_indices[:, qubit], data.outcomes[:, qubit]]
     return values
+
+
+def measurement_probabilities(state, setting):
+    """Born probabilities over bitstrings after rotating each qubit into
+    its measurement basis."""
+    if setting.n != state.n:
+        raise ValueError(f"setting has {setting.n} directions for n={state.n}")
+    amps = state.amplitudes
+    for qubit, direction in enumerate(setting.directions):
+        amps = apply_single_qubit(amps, rotation_gate(direction), qubit, state.n)
+    probs = np.abs(amps) ** 2
+    return probs / probs.sum()
+
+
+def ideal_outcome_sample(state, setting, rng):
+    """Draw one noiseless outcome bitstring from the rotated Born distribution."""
+    probs = measurement_probabilities(state, setting)
+    outcome = int(rng.choice(probs.size, p=probs))
+    return BitString(state.n, outcome)

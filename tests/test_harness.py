@@ -80,6 +80,8 @@ class TestConfig:
             ({"correlator_degrees": [0]}, "correlator_degrees"),
             ({"correlator_degrees": [5]}, "correlator_degrees"),
             ({"n": True}, "'n'"),
+            ({"correlator_degrees": [1, 2, 1]}, "correlator_degrees"),
+            ({"study_weights": [2, 2]}, "study_weights"),
         ],
     )
     def test_bad_top_level_fields(self, overrides, needle):

@@ -1,8 +1,10 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import independent_model_values, support_shades
+from hypothesis import given, settings, strategies as st
+from oracles import independent_model_values, measurement_probabilities, support_shades
 
 from xshadow import protocols
 from xshadow.bitspace import BitString
@@ -37,11 +39,13 @@ from xshadow.protocols import (
 from xshadow.qsim import (
     Correlator,
     Direction,
+    MeasurementSetting,
     StateVector,
     direction_from_label,
     exact_expectation,
     pauli_directions,
     random_circuit_state,
+    rotation_gate,
 )
 from xshadow.shadows import compute_xi
 from xshadow.storage import write_tomography
@@ -167,6 +171,20 @@ class TestRunTomography:
         z = direction_from_label("z")
         with pytest.raises(ValueError):
             run_tomography(state, (z, z), identity_model(1), 10, seed=0)
+
+    def test_directions_beyond_uint8_indices_are_a_capability_error(self):
+        vectors = np.random.default_rng(4).normal(size=(300, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+        state = random_circuit_state(2, 3, seed=0)
+        data = run_tomography(state, directions[:256], identity_model(2), 50, seed=1)
+        assert len(data) == 50
+        with pytest.raises(CapabilityError):
+            run_tomography(state, directions, identity_model(2), 50, seed=1)
+        with pytest.raises(CapabilityError):
+            TomographyDataset(
+                2, directions, np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 2), dtype=np.uint8)
+            )
 
 
 class TestEstimators:
@@ -339,6 +357,48 @@ class TestCountTableKernel:
         overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
         with pytest.raises(CapabilityError):
             estimate_correlator_unmitigated(data, overflows, pauli_xi)
+
+
+class TestBornKernel:
+    """The block-Kronecker kernel's per-setting |amplitude|^2 rows against
+    the statevector route that rotates one qubit at a time."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 9),
+        direction_set=st.sampled_from(["pauli", "tilted", "random3", "random4"]),
+        shots=st.integers(1, 400),
+        batch_log2=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_statevector_route(self, n, direction_set, shots, batch_log2, seed):
+        rng = np.random.default_rng(seed)
+        if direction_set == "pauli":
+            directions = pauli_directions()
+        elif direction_set == "tilted":
+            directions = _tilted_directions()
+        else:
+            vectors = rng.normal(size=(int(direction_set[-1]), 3))
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+            directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+        state = random_circuit_state(n, 2 * n, seed=seed)
+        setting_matrix = rng.integers(0, len(directions), size=(shots, n), dtype=np.uint8)
+        gates = np.array([rotation_gate(d) for d in directions])
+        # small batches put batch boundaries inside low-half groups
+        with mock.patch.object(protocols, "_BATCH_AMPLITUDES", 1 << batch_log2):
+            batches = list(protocols._born_weights(state.amplitudes, gates, setting_matrix))
+        covered = np.zeros(shots, dtype=int)
+        for groups, weights in batches:
+            assert len(groups) == len(weights)
+            for rows, row in zip(groups, weights):
+                digits = setting_matrix[rows[0]]
+                assert (setting_matrix[rows] == digits).all()
+                setting = MeasurementSetting(tuple(directions[i] for i in digits))
+                expected = measurement_probabilities(state, setting)
+                np.testing.assert_allclose(row / row.sum(), expected, rtol=0, atol=1e-12)
+                covered[rows] += 1
+        assert (covered == 1).all()
+        assert sum(len(groups) for groups, _ in batches) == len(np.unique(setting_matrix, axis=0))
 
 
 class TestFrozenDatasets:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import ideal_outcome_sample, measurement_probabilities
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError
@@ -13,8 +14,6 @@ from xshadow.qsim import (
     StateVector,
     direction_from_label,
     exact_expectation,
-    ideal_outcome_sample,
-    measurement_probabilities,
     pauli_directions,
     pauli_operator,
     random_circuit_state,
