@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -337,6 +339,49 @@ class TestExperiments:
         for name, path in first.items():
             with open(path, "rb") as a, open(second[name], "rb") as b:
                 assert a.read() == b.read(), name
+
+
+class TestFrozenReport:
+    """SHA-256 of report.csv (comparison_rows, then write_report), pinned so
+    that any change to the estimators, their bootstrap seeds or the CSV
+    format shows up.  A moved hash is a behaviour change to investigate,
+    not to re-pin."""
+
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            (
+                {"calibration_shots": 4000, "tomography_shots": 4000, "bootstrap_resamples": 40},
+                "098955b0e94f850b293bd09da8a0a501db3d2adeaf42e40ceb9ad2ac3d92377d",
+            ),
+            (
+                {
+                    "n": 5,
+                    "noise": {
+                        "model": "independent",
+                        "p10": [0.1, 0.05, 0.08, 0.02, 0.06],
+                        "p01": 0.04,
+                    },
+                    "directions": ["x", "y", "z"],
+                    "calibration_shots": 3000,
+                    "tomography_shots": 5000,
+                    "correlator_degrees": [1, 3, 5],
+                    "correlators_per_degree": 2,
+                    "bootstrap_resamples": 30,
+                    "bootstrap_seed": 11,
+                    "correlator_seed": 5,
+                },
+                "41c8db6a2f73b82b48c713dcc0e15b40b3f98c39299ebf655d3989d11d544c72",
+            ),
+        ],
+    )
+    def test_report_bytes(self, tmp_path, overrides, digest):
+        config = _config(**overrides)
+        cal = collect_calibration(config)
+        tomo = collect_tomography(config)
+        path = tmp_path / "report.csv"
+        write_report(str(path), comparison_rows(config, tomo, cal))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCli:
