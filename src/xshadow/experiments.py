@@ -5,8 +5,10 @@ seeds, correlator draws, bootstrap replicates and subsample draws all
 come from seeds named in the config file, so rerunning a command
 reproduces its outputs byte for byte.
 
-Both convergence studies reduce each curve to cell counts, cell values
-and the exact truth, and share one pooled-RMS helper.
+The report bins each correlator's support once and bootstraps that one
+shade table three times, divided by ghat(v), 1 and the independent
+model's g(v).  Both convergence studies reduce each curve to cell
+counts, cell values and the exact truth, and share one pooled-RMS helper.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from .protocols import (
     CalibrationDataset,
     TomographyDataset,
     _PARITY_SIGNS,
+    _bootstrap_report,
+    _g_hat,
+    _g_independent,
     _parity_counts,
     _resample_means,
     _shade_cells,
-    estimate_correlator_independent_model,
-    estimate_correlator_mitigated,
-    estimate_correlator_unmitigated,
     estimate_g,
     pack_bits,
     random_correlators,
@@ -105,39 +107,25 @@ def comparison_rows(
     cal: CalibrationDataset,
     correlators: Sequence[Correlator] | None = None,
 ) -> list[dict[str, object]]:
-    """Three-estimator comparison against the exact state expectation."""
+    """Three-estimator comparison against the exact state expectation.
+
+    Each support is binned once; the mitigated, unmitigated and indep
+    columns bootstrap its shade table divided by ghat(v), 1 and the
+    independent model's g(v), with seeds bootstrap_seed + 3*index + 0, 1, 2.
+    """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
     if correlators is None:
         correlators = build_correlators(config)
     rows: list[dict[str, object]] = []
     for index, correlator in enumerate(correlators):
+        g_hat = _g_hat(cal, correlator.pattern)
+        g_ind = _g_independent(correlator, config.noise.p10, config.noise.p01)
+        counts, shades = _shade_cells(tomo, correlator, xi)
         seed = config.bootstrap_seed + 3 * index
-        g_hat = estimate_g(cal, correlator.pattern)
-        mit = estimate_correlator_mitigated(
-            tomo,
-            cal,
-            correlator,
-            xi,
-            g_override=g_hat,
-            bootstrap_resamples=config.bootstrap_resamples,
-            bootstrap_seed=seed,
-        )
-        unm = estimate_correlator_unmitigated(
-            tomo,
-            correlator,
-            xi,
-            bootstrap_resamples=config.bootstrap_resamples,
-            bootstrap_seed=seed + 1,
-        )
-        ind = estimate_correlator_independent_model(
-            tomo,
-            correlator,
-            xi,
-            config.noise.p10,
-            config.noise.p01,
-            bootstrap_resamples=config.bootstrap_resamples,
-            bootstrap_seed=seed + 2,
+        mit, unm, ind = (
+            _bootstrap_report(counts, shades / g, config.bootstrap_resamples, seed + i)
+            for i, g in enumerate((g_hat, 1.0, g_ind))
         )
         rows.append(
             {
@@ -247,8 +235,9 @@ def correlator_rms_rows(
     """Convergence of the mitigated estimator with tomography size.
 
     Mitigated cell values are fixed once (using ghat(v) from the full
-    calibration set); subsample means then isolate the statistical
-    error.  Pooled per correlator degree.
+    calibration set, refused below G_FLOOR as in comparison_rows);
+    subsample means then isolate the statistical error.  Pooled per
+    correlator degree.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
@@ -259,9 +248,11 @@ def correlator_rms_rows(
 
     curves = []
     for correlator in correlators:
-        counts, raw = _shade_cells(tomo, correlator, xi)
-        shades = raw / estimate_g(cal, correlator.pattern)
-        curves.append((correlator.degree, counts, shades, exact_expectation(state, correlator)))
+        g_hat = _g_hat(cal, correlator.pattern)
+        counts, shades = _shade_cells(tomo, correlator, xi)
+        curves.append(
+            (correlator.degree, counts, shades / g_hat, exact_expectation(state, correlator))
+        )
     return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "degree")
 
 

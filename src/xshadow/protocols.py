@@ -18,8 +18,12 @@ reproducible bit-for-bit.
 Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters (for ghat(w),
-of its two parity cells).  Bootstrap and subsample draws are multinomial
-over the cells, exactly the law of drawing records with replacement.
+of its two parity cells).  The three correlator estimators share one
+table of unmitigated shades and differ only in the g(v) they divide it
+by: ghat(v) (mitigated), 1 (unmitigated) or the independent-flip
+model's prod (1 - p10 - p01) (indep).  Bootstrap and subsample draws are
+multinomial over the cells, exactly the law of drawing records with
+replacement.
 """
 
 from __future__ import annotations
@@ -71,7 +75,10 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
     """Expand integer values to an (..., n) uint8 bit array (column 0 = LSB)."""
     values = np.asarray(values, dtype=np.int64)
-    return ((values[..., None] >> np.arange(n)) & 1).astype(np.uint8)
+    bits = np.empty(values.shape + (n,), dtype=np.uint8)
+    for i in range(n):  # one column at a time: no (..., n) int64 temporaries
+        bits[..., i] = (values >> i) & 1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -355,13 +362,46 @@ def _resample_means(
 
 
 def _bootstrap_report(
-    counts: np.ndarray, values: np.ndarray, means: np.ndarray
+    counts: np.ndarray, values: np.ndarray, resamples: int, seed: int
 ) -> EstimateReport:
-    """Count-weighted mean of the cell values, with the bootstrap means' sd."""
+    """Count-weighted mean of the cell values, with the sd of `resamples`
+    bootstrap means drawn from a generator seeded with `seed`."""
     records = int(counts.sum())
+    rng = np.random.default_rng(seed)
+    means = _resample_means(counts, values, records, resamples, rng)
     return EstimateReport(
-        float(counts @ values / records), float(np.std(means, ddof=1)), len(means), records
+        float(counts @ values / records), float(np.std(means, ddof=1)), resamples, records
     )
+
+
+def _g_hat(cal: CalibrationDataset, pattern: BitString) -> float:
+    """ghat(v) from the calibration records, used as-is even when negative;
+    only the absolute floor G_FLOOR refuses it."""
+    g_hat = estimate_g(cal, pattern)
+    if abs(g_hat) < G_FLOOR:
+        raise UnmitigatableComponentError(
+            f"|ghat(v)| = {abs(g_hat)} below floor {G_FLOOR} for v={pattern}"
+        )
+    return g_hat
+
+
+def _g_independent(correlator: Correlator, p10, p01) -> float:
+    """g(v) of independent per-qubit flips: prod over the support of 1 - 2p.
+
+    The data went through the XOR-twirl, so each qubit's assumed 2x2
+    transition matrix is twirled first (its two flip rates average to p).
+    A shade's pair of outcome weights (+overlap, -overlap) is an
+    eigenvector of that matrix with eigenvalue 1 - 2p.
+    """
+    rates = 0.5 * (np.asarray(p10, dtype=float) + np.asarray(p01, dtype=float))
+    support = list(correlator.pattern.support())
+    eigenvalues = 1.0 - 2.0 * np.broadcast_to(rates, (correlator.n,))[support]
+    singular = [q for q, e in zip(support, eigenvalues) if abs(e) < 1e-12]
+    if singular:
+        raise SingularNoiseError(
+            f"assumed transition matrix of qubit {singular[0]} is singular"
+        )
+    return float(np.prod(eigenvalues))
 
 
 def estimate_correlator_mitigated(
@@ -370,45 +410,16 @@ def estimate_correlator_mitigated(
     correlator: Correlator,
     xi: XiTable,
     *,
-    g_floor: float = G_FLOOR,
-    g_override: float | None = None,
     bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     bootstrap_seed: int = 0,
-    joint_bootstrap: bool = False,
 ) -> EstimateReport:
-    """Readout-mitigated correlator estimate.
-
-    Averages the mitigated shade over records, dividing by ghat(v) taken
-    from the calibration dataset (used as-is even when negative; only the
-    absolute floor trips an error).  The default stderr treats ghat(v) as
-    fixed; joint_bootstrap=True also redraws ghat(v) per bootstrap
-    replicate, over its two parity cells, which folds the calibration
-    uncertainty into the stderr.  g_override substitutes a known exact
-    component for ghat(v).
-    """
+    """Readout-mitigated correlator estimate: the shades divided by ghat(v)
+    from the calibration dataset.  The stderr treats ghat(v) as fixed."""
     if cal.n != data.n:
         raise ValueError(f"calibration is on {cal.n} qubits, tomography on {data.n}")
-    if g_override is None:
-        g_hat = estimate_g(cal, correlator.pattern)
-    else:
-        g_hat = float(g_override)
-    if abs(g_hat) < g_floor:
-        raise UnmitigatableComponentError(
-            f"|ghat(v)| = {abs(g_hat)} below floor {g_floor} for v={correlator.pattern}"
-        )
-    counts, raw = _shade_cells(data, correlator, xi)
-    shades = raw / g_hat
-    rng = np.random.default_rng(bootstrap_seed)
-    means = _resample_means(counts, shades, len(data), bootstrap_resamples, rng)
-    if joint_bootstrap:
-        parity = _parity_counts(cal, correlator.pattern)
-        g_means = _resample_means(parity, _PARITY_SIGNS, len(cal), bootstrap_resamples, rng)
-        if np.any(np.abs(g_means) < g_floor):
-            raise UnmitigatableComponentError(
-                f"a bootstrap replicate of ghat(v) hit the floor {g_floor}"
-            )
-        means *= g_hat / g_means
-    return _bootstrap_report(counts, shades, means)
+    g_hat = _g_hat(cal, correlator.pattern)
+    counts, shades = _shade_cells(data, correlator, xi)
+    return _bootstrap_report(counts, shades / g_hat, bootstrap_resamples, bootstrap_seed)
 
 
 def estimate_correlator_unmitigated(
@@ -421,9 +432,7 @@ def estimate_correlator_unmitigated(
 ) -> EstimateReport:
     """Plain shade average with no noise correction (the biased baseline)."""
     counts, shades = _shade_cells(data, correlator, xi)
-    rng = np.random.default_rng(bootstrap_seed)
-    means = _resample_means(counts, shades, len(data), bootstrap_resamples, rng)
-    return _bootstrap_report(counts, shades, means)
+    return _bootstrap_report(counts, shades, bootstrap_resamples, bootstrap_seed)
 
 
 def estimate_correlator_independent_model(
@@ -436,30 +445,14 @@ def estimate_correlator_independent_model(
     bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     bootstrap_seed: int = 0,
 ) -> EstimateReport:
-    """Correlator estimate assuming independent per-qubit readout flips.
-
-    Each support qubit's pair of outcome weights (+overlap, -overlap) is
-    corrected by the inverse of that qubit's assumed 2x2 transition
-    matrix, twirled first (its two flip rates average to p) because the
-    data went through the XOR-twirl.  The pair is an eigenvector of the
-    twirled matrix with eigenvalue 1 - 2p, so the shade is divided by the
-    product of these, the model's g(v).  Exact when the true noise is
-    independent flips at the assumed rates; crosstalk leaves residual
-    bias, which is the point of carrying this estimator.
-    """
-    rates = 0.5 * (np.asarray(p10, dtype=float) + np.asarray(p01, dtype=float))
-    support = list(correlator.pattern.support())
-    eigenvalues = 1.0 - 2.0 * np.broadcast_to(rates, (correlator.n,))[support]
-    singular = [q for q, e in zip(support, eigenvalues) if abs(e) < 1e-12]
-    if singular:
-        raise SingularNoiseError(
-            f"assumed transition matrix of qubit {singular[0]} is singular"
-        )
-    counts, raw = _shade_cells(data, correlator, xi)
-    values = raw / np.prod(eigenvalues)
-    rng = np.random.default_rng(bootstrap_seed)
-    means = _resample_means(counts, values, len(data), bootstrap_resamples, rng)
-    return _bootstrap_report(counts, values, means)
+    """Correlator estimate assuming independent per-qubit readout flips:
+    the shades divided by the model's g(v) (see _g_independent).  Exact
+    when the true noise is independent flips at the assumed rates;
+    crosstalk leaves residual bias, which is the point of carrying this
+    estimator."""
+    g = _g_independent(correlator, p10, p01)
+    counts, shades = _shade_cells(data, correlator, xi)
+    return _bootstrap_report(counts, shades / g, bootstrap_resamples, bootstrap_seed)
 
 
 def median_of_means(values, groups: int) -> float:

@@ -128,15 +128,35 @@ def read_calibration(path: str) -> CalibrationDataset:
     return CalibrationDataset(n=n, outcomes=bits, seed=_parse_seed(headers, path))
 
 
+def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.ndarray:
+    """Rows as (M, 3n+1) ascii bytes for single-byte labels: n labels with
+    commas, a space, n bits MSB first, a newline (the layout that
+    _fast_tomography_rows reads)."""
+    n = dataset.n
+    block = np.empty((len(dataset), 3 * n + 1), dtype=np.uint8)
+    block[:, : 2 * n] = ord(",")
+    codes = np.frombuffer("".join(labels).encode(), dtype=np.uint8)
+    block[:, 0 : 2 * n : 2] = codes[dataset.setting_indices]
+    block[:, 2 * n - 1] = ord(" ")
+    block[:, 2 * n :] = _bit_block(dataset.outcomes)
+    return block
+
+
 def write_tomography(path: str, dataset: TomographyDataset) -> None:
     labels = [d.label for d in dataset.directions]
     extra = [("directions", ",".join(labels))]
+    header = _header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra)
+    if all(len(label.encode()) == 1 for label in labels):
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            fh.write(_tomography_block(dataset, labels).tobytes())
+        return
     label_rows = np.asarray(labels, dtype=object)[dataset.setting_indices]
     setting_col = [",".join(row) for row in label_rows]
     n = dataset.n
     bit_text = _bit_block(dataset.outcomes)[:, :n].tobytes().decode("ascii")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_lines(TOMOGRAPHY_TYPE, n, dataset.seed, extra))
+        fh.write(header)
         fh.writelines(
             f"{setting_col[i]} {bit_text[i * n:(i + 1) * n]}\n"
             for i in range(len(setting_col))

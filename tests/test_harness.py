@@ -1,4 +1,8 @@
+import contextlib
 import hashlib
+import io
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +10,13 @@ from click.testing import CliRunner
 
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
-from xshadow.exceptions import ConfigError, DataFormatError
+from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
 from xshadow.experiments import (
     calibration_summary,
     collect_calibration,
     collect_tomography,
     comparison_rows,
+    correlator_rms_rows,
     fit_loglog_slope,
     run_experiment,
     subsample_grid,
@@ -308,6 +313,27 @@ class TestExperiments:
             # estimates at these sizes should land near truth
             assert abs(row["mitigated"] - row["truth"]) < 6 * row["mitigated_se"]
 
+    def test_vanishing_g_hat_is_refused_by_both_correlator_tables(self):
+        config = parse_config(
+            {
+                **BASE_CONFIG,
+                "tomography_shots": 3000,
+                "correlators_per_degree": 1,
+                "correlators_per_degree_study": 1,
+                "grid_points": 3,
+                "grid_min": 100,
+                "bootstrap_resamples": 10,
+            }
+        )
+        # every 3-bit string once: ghat(v) = 0 for every nonzero v
+        outcomes = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        cal = CalibrationDataset(3, np.repeat(outcomes, 50, axis=0))
+        tomo = collect_tomography(config)
+        with pytest.raises(UnmitigatableComponentError):
+            comparison_rows(config, tomo, cal)
+        with pytest.raises(UnmitigatableComponentError):
+            correlator_rms_rows(config, tomo, cal)
+
     def test_run_experiment_outputs(self, small_config, tmp_path):
         out = str(tmp_path / "exp")
         paths = run_experiment(small_config, out)
@@ -527,3 +553,21 @@ class TestCli:
         assert result.exit_code == 1
         assert "too small for subsampling" in result.output
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestReadme:
+    def test_library_example_runs(self, tmp_path, monkeypatch):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        code = re.search(r"## Library use.*?```python\n(.*?)```", readme, re.S).group(1)
+        _write_yaml(
+            tmp_path / "config.yaml",
+            "n: 3\ndepth: 4\nnoise:\n  model: chain_crosstalk\n  p10: 0.07\n  p01: 0.05\n"
+            "  gamma: 0.5\ncalibration_shots: 5000\ntomography_shots: 5000\n",
+        )
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), {})
+        number = r"[+-]\d\.\d{4}"
+        line = rf"{number} \+- \d\.\d{{4}} \(exact {number}\)\n"
+        assert re.fullmatch(line, out.getvalue())
