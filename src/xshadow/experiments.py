@@ -7,8 +7,9 @@ reproduces its outputs byte for byte.
 
 The report bins each correlator's support once and bootstraps that one
 shade table three times, divided by ghat(v), 1 and the independent
-model's g(v).  Both convergence studies reduce each curve to cell
-counts, cell values and the exact truth, and share one pooled-RMS helper.
+model's g(v); ghat comes from one spectrum per calibration.  Both
+convergence studies reduce each curve to cell counts, cell values and
+the exact truth, and share one pooled-RMS helper.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import storage
-from .bitspace import BitString
+from .bitspace import BitString, walsh_transform
 from .config import ExperimentConfig
 from .noise import exact_g, twirl
 from .protocols import (
@@ -31,11 +32,10 @@ from .protocols import (
     _bootstrap_report,
     _g_hat,
     _g_independent,
-    _parity_counts,
+    _outcome_counts,
+    _parity_sums,
     _resample_means,
     _shade_cells,
-    estimate_g,
-    pack_bits,
     random_correlators,
     run_calibration,
     run_tomography,
@@ -77,17 +77,20 @@ def calibration_summary(dataset: CalibrationDataset, top: int = 8, max_weight: i
     """Human-readable digest: record count, most frequent outcomes, and
     the empirical Fourier components up to the given weight."""
     lines = [f"records={len(dataset)} n={dataset.n}"]
-    values, counts = np.unique(pack_bits(dataset.outcomes), return_counts=True)
+    table = _outcome_counts(dataset)
+    values = np.flatnonzero(table)
+    counts = table[values]
     order = np.lexsort((values, -counts))
     lines.append("top outcomes:")
     for rank in order[:top]:
         text = BitString(dataset.n, int(values[rank])).to_text()
         lines.append(f"  {text} {counts[rank] / len(dataset):.6f}")
+    g = walsh_transform(table) / len(dataset)
     lines.append(f"g_hat by wavevector (weight <= {max_weight}):")
     for weight in range(1, min(max_weight, dataset.n) + 1):
         for support in itertools.combinations(range(dataset.n), weight):
             w = BitString(dataset.n, sum(1 << q for q in support))
-            lines.append(f"  {w.to_text()} {estimate_g(dataset, w):+.6f}")
+            lines.append(f"  {w.to_text()} {g[w.value]:+.6f}")
     return "\n".join(lines)
 
 
@@ -117,9 +120,10 @@ def comparison_rows(
     state = config.build_state()
     if correlators is None:
         correlators = build_correlators(config)
+    g = _parity_sums(cal) / len(cal)
     rows: list[dict[str, object]] = []
     for index, correlator in enumerate(correlators):
-        g_hat = _g_hat(cal, correlator.pattern)
+        g_hat = _g_hat(g, correlator.pattern)
         g_ind = _g_independent(correlator, config.noise.p10, config.noise.p01)
         counts, shades = _shade_cells(tomo, correlator, xi)
         seed = config.bootstrap_seed + 3 * index
@@ -219,10 +223,12 @@ def g_rms_rows(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
     )
     sizes = subsample_grid(len(cal), config.grid_points, config.grid_min)
-    curves = [
-        (len(w.support()), _parity_counts(cal, w), _PARITY_SIGNS, g_exact.component(w))
-        for w in wavevectors
-    ]
+    sums = _parity_sums(cal)
+    curves = []
+    for w in wavevectors:
+        # the two parity cells hold (M + S) / 2 and (M - S) / 2 records
+        counts = (len(cal) + _PARITY_SIGNS * sums[w.value]).astype(np.int64) // 2
+        curves.append((len(w.support()), counts, _PARITY_SIGNS, g_exact.component(w)))
     return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "weight")
 
 
@@ -246,9 +252,10 @@ def correlator_rms_rows(
     rng = np.random.default_rng(config.study_seed + 1)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
+    g = _parity_sums(cal) / len(cal)
     curves = []
     for correlator in correlators:
-        g_hat = _g_hat(cal, correlator.pattern)
+        g_hat = _g_hat(g, correlator.pattern)
         counts, shades = _shade_cells(tomo, correlator, xi)
         curves.append(
             (correlator.degree, counts, shades / g_hat, exact_expectation(state, correlator))

@@ -9,21 +9,21 @@ Tomography: per shot, draw a uniform setting from S^n, rotate each qubit
 into its measurement basis, and push the ideal outcome through the same
 XOR-twirl sandwich before recording (setting, outcome).
 
-Datasets are stored as (M, n) uint8 bit arrays (column i = qubit i) for
-vectorized estimation; record accessors return the usual value types.
+Datasets are stored as column-major (M, n) uint8 arrays (column i =
+qubit i, contiguous); record accessors return the usual value types.
 All functions draw from a caller-supplied seed through a fresh numpy
 Generator, with the draw order documented per function, so datasets are
 reproducible bit-for-bit.
 
 Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
-count of each (setting, bit) cell of the support enters (for ghat(w),
-of its two parity cells).  The three correlator estimators share one
-table of unmitigated shades and differ only in the g(v) they divide it
-by: ghat(v) (mitigated), 1 (unmitigated) or the independent-flip
-model's prod (1 - p10 - p01) (indep).  Bootstrap and subsample draws are
-multinomial over the cells, exactly the law of drawing records with
-replacement.
+count of each (setting, bit) cell of the support enters; ghat(w) for
+every w is one Walsh transform of the calibration's outcome histogram.
+The three correlator estimators share one table of unmitigated shades
+and differ only in the g(v) they divide it by: ghat(v) (mitigated), 1
+(unmitigated) or the independent-flip model's prod (1 - p10 - p01)
+(indep).  Bootstrap and subsample draws are multinomial over the cells,
+exactly the law of drawing records with replacement.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitspace import BitString
+from .bitspace import BitString, walsh_transform
 from .exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from .noise import NoiseModel
 from .qsim import (
     Correlator,
+    EXACT_SIM_MAX_QUBITS,
     Direction,
     MeasurementSetting,
     StateVector,
@@ -68,8 +69,10 @@ _MAX_DIRECTIONS = 256
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Collapse an (..., n) bit array to integer values (column 0 = LSB)."""
     bits = np.asarray(bits)
-    weights = 1 << np.arange(bits.shape[-1], dtype=np.int64)
-    return bits.astype(np.int64) @ weights
+    values = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for i in range(bits.shape[-1]):  # one column at a time: no (..., n) int64 temporary
+        values |= bits[..., i].astype(np.int64) << i
+    return values
 
 
 def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
@@ -83,14 +86,14 @@ def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationDataset:
-    """Twirl-corrected calibration bitstrings as an (M, n) uint8 array."""
+    """Twirl-corrected calibration bitstrings as a column-major (M, n) uint8 array."""
 
     n: int
     outcomes: np.ndarray
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        outcomes = np.asarray(self.outcomes, dtype=np.uint8)
+        outcomes = np.asarray(self.outcomes, dtype=np.uint8, order="F")
         if outcomes.ndim != 2 or outcomes.shape[1] != self.n:
             raise ValueError(f"expected an (M, {self.n}) bit array, got {outcomes.shape}")
         object.__setattr__(self, "outcomes", outcomes)
@@ -111,7 +114,7 @@ def _check_direction_count(k: int) -> None:
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Generalised outcomes (setting, bitstring) in columnar uint8 form."""
+    """Generalised outcomes (setting, bitstring) as column-major (M, n) uint8 arrays."""
 
     n: int
     directions: tuple[Direction, ...]
@@ -121,8 +124,8 @@ class TomographyDataset:
 
     def __post_init__(self) -> None:
         _check_direction_count(len(self.directions))
-        settings = np.asarray(self.setting_indices, dtype=np.uint8)
-        outcomes = np.asarray(self.outcomes, dtype=np.uint8)
+        settings = np.asarray(self.setting_indices, dtype=np.uint8, order="F")
+        outcomes = np.asarray(self.outcomes, dtype=np.uint8, order="F")
         if settings.ndim != 2 or settings.shape[1] != self.n:
             raise ValueError(f"expected an (M, {self.n}) setting array, got {settings.shape}")
         if outcomes.shape != settings.shape:
@@ -170,22 +173,28 @@ def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationData
     rng = np.random.default_rng(seed)
     t = rng.integers(0, 2, size=(shots, model.n), dtype=np.uint8)
     observed = model.sample_bits(t, rng)
-    return CalibrationDataset(model.n, observed ^ t, seed=seed)
+    return CalibrationDataset(model.n, np.bitwise_xor(observed, t, order="F"), seed=seed)
 
 
-def _parity_counts(data: CalibrationDataset, w: BitString) -> np.ndarray:
-    """Record counts of the two parity cells of w, (+1, -1) in that order."""
-    parity = np.bitwise_xor.reduce(data.outcomes[:, list(w.support())], axis=1)
-    return np.bincount(parity, minlength=2)
+def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
+    """Record count of every outcome value: a table of 2^n int64 counts."""
+    if cal.n > EXACT_SIM_MAX_QUBITS:
+        raise CapabilityError(f"n={cal.n} exceeds the {EXACT_SIM_MAX_QUBITS}-qubit outcome table")
+    if len(cal) == 0:
+        raise ValueError("empty calibration dataset")
+    return np.bincount(pack_bits(cal.outcomes), minlength=1 << cal.n)
+
+
+def _parity_sums(cal: CalibrationDataset) -> np.ndarray:
+    """ghat(w) times the record count for every w; exact (integer partial sums < 2^53)."""
+    return walsh_transform(_outcome_counts(cal))
 
 
 def estimate_g(data: CalibrationDataset, w: BitString) -> float:
     """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over records."""
     if w.n != data.n:
         raise ValueError(f"pattern has {w.n} bits, dataset has {data.n}")
-    if len(data) == 0:
-        raise ValueError("empty calibration dataset")
-    return float(_parity_counts(data, w) @ _PARITY_SIGNS / len(data))
+    return float(_parity_sums(data)[w.value] / len(data))
 
 
 def _block_matrices(gates: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -287,7 +296,7 @@ def run_tomography(
         raise ValueError(f"noise model is on {model.n} qubits, state on {state.n}")
     n, k = state.n, len(directions)
     rng = np.random.default_rng(seed)
-    settings = rng.integers(0, k, size=(shots, n), dtype=np.uint8)
+    settings = np.asfortranarray(rng.integers(0, k, size=(shots, n), dtype=np.uint8))
     born = rng.random(shots)
     masks = rng.integers(0, 2, size=(shots, n), dtype=np.uint8)
 
@@ -302,7 +311,8 @@ def run_tomography(
 
     pre_noise = unpack_bits(ideal_values, n) ^ masks
     observed = model.sample_bits(pre_noise, rng)
-    return TomographyDataset(n, directions, settings, observed ^ masks, seed=seed)
+    outcomes = np.bitwise_xor(observed, masks, order="F")  # the dataset's layout: no copy
+    return TomographyDataset(n, directions, settings, outcomes, seed=seed)
 
 
 def _shade_cells(
@@ -311,9 +321,11 @@ def _shade_cells(
     """Bin records on the correlator's support and weigh each cell.
 
     A record's cell is its (setting, bit) pair on every support qubit,
-    coded in mixed radix with digit 2*setting + bit per qubit, base 2k.
-    Returns each observed cell's record count and unmitigated shade, the
-    product of (-1)^bit * overlap(nu, mu) over the support.
+    coded in mixed radix with digit 2*setting + bit per qubit, base 2k, in
+    the narrowest unsigned dtype.  A code space no larger than the record
+    count is counted by bincount, a larger one sorted.  Returns each
+    observed cell's record count and unmitigated shade, the product of
+    (-1)^bit * overlap(nu, mu) over the support, in code order.
     """
     if correlator.n != data.n:
         raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
@@ -321,13 +333,20 @@ def _shade_cells(
         raise ValueError("empty tomography dataset")
     support = correlator.pattern.support()
     base = 2 * len(data.directions)
-    if base ** len(support) > 1 << 63:
-        raise CapabilityError(f"{base}^{len(support)} support cells overflow the int64 code")
-    codes = np.zeros(len(data), dtype=np.int64)
+    space = base ** len(support)
+    if space > 1 << 64:
+        raise CapabilityError(f"{base}^{len(support)} support cells overflow a 64-bit code")
+    dtype = np.min_scalar_type(space - 1)
+    codes = np.zeros(len(data), dtype=dtype)
     for j, qubit in enumerate(support):
-        digit = 2 * data.setting_indices[:, qubit].astype(np.int64) + data.outcomes[:, qubit]
-        codes += digit * base**j
-    cells, counts = np.unique(codes, return_counts=True)
+        digit = 2 * data.setting_indices[:, qubit].astype(dtype) + data.outcomes[:, qubit]
+        codes += digit * dtype.type(base**j)
+    if space <= len(data):
+        table = np.bincount(codes, minlength=space)
+        cells = np.flatnonzero(table)
+        counts = table[cells]
+    else:
+        cells, counts = np.unique(codes, return_counts=True)
     shades = np.ones(len(cells))
     for j, qubit in enumerate(support):
         mu = correlator.observables[qubit]
@@ -374,10 +393,13 @@ def _bootstrap_report(
     )
 
 
-def _g_hat(cal: CalibrationDataset, pattern: BitString) -> float:
-    """ghat(v) from the calibration records, used as-is even when negative;
-    only the absolute floor G_FLOOR refuses it."""
-    g_hat = estimate_g(cal, pattern)
+def _g_hat(g: np.ndarray, pattern: BitString) -> float:
+    """ghat(v) read from a calibration's spectrum g (ghat of every w, see
+    _parity_sums), used as-is even when negative; only the absolute floor
+    G_FLOOR refuses it."""
+    if len(g) != 1 << pattern.n:
+        raise ValueError(f"pattern has {pattern.n} bits, spectrum has {len(g)} entries")
+    g_hat = float(g[pattern.value])
     if abs(g_hat) < G_FLOOR:
         raise UnmitigatableComponentError(
             f"|ghat(v)| = {abs(g_hat)} below floor {G_FLOOR} for v={pattern}"
@@ -417,7 +439,7 @@ def estimate_correlator_mitigated(
     from the calibration dataset.  The stderr treats ghat(v) as fixed."""
     if cal.n != data.n:
         raise ValueError(f"calibration is on {cal.n} qubits, tomography on {data.n}")
-    g_hat = _g_hat(cal, correlator.pattern)
+    g_hat = _g_hat(_parity_sums(cal) / len(cal), correlator.pattern)
     counts, shades = _shade_cells(data, correlator, xi)
     return _bootstrap_report(counts, shades / g_hat, bootstrap_resamples, bootstrap_seed)
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DataFormatError
-from .protocols import CalibrationDataset, TomographyDataset
+from .protocols import CalibrationDataset, TomographyDataset, _check_direction_count
 from .qsim import Direction, direction_from_label
 
 CALIBRATION_TYPE = "calibration"
@@ -83,9 +83,11 @@ def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], bytes]:
         if required not in headers:
             raise DataFormatError(f"{path}: missing #{required}= header")
     try:
-        int(headers["n"])
+        n = int(headers["n"])
     except ValueError:
         raise DataFormatError(f"{path}: #n= must be an integer") from None
+    if n < 1:
+        raise DataFormatError(f"{path}: #n= must be >= 1, got {n}")
     return headers, payload[offset:]
 
 
@@ -105,16 +107,17 @@ def _decode_bit_block(body: bytes, n: int, path: str) -> np.ndarray:
     raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, n + 1)
     if raw.size and not np.all(raw[:, n] == ord("\n")):
         raise DataFormatError(f"{path}: found a row that is not {n} characters")
-    bits = raw[:, :n] - ord("0")
+    bits = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
+    np.subtract(np.flip(raw[:, :n], axis=1), ord("0"), out=bits)
     if np.any(bits > 1):
         raise DataFormatError(f"{path}: rows must contain only 0 and 1")
-    return np.flip(bits, axis=1).astype(np.uint8)
+    return bits
 
 
 def write_calibration(path: str, dataset: CalibrationDataset) -> None:
     with open(path, "wb") as fh:
         fh.write(_header_lines(CALIBRATION_TYPE, dataset.n, dataset.seed).encode())
-        fh.write(_bit_block(dataset.outcomes).tobytes())
+        fh.write(_bit_block(dataset.outcomes))
 
 
 def read_calibration(path: str) -> CalibrationDataset:
@@ -149,7 +152,7 @@ def write_tomography(path: str, dataset: TomographyDataset) -> None:
     if all(len(label.encode()) == 1 for label in labels):
         with open(path, "wb") as fh:
             fh.write(header.encode())
-            fh.write(_tomography_block(dataset, labels).tobytes())
+            fh.write(_tomography_block(dataset, labels))
         return
     label_rows = np.asarray(labels, dtype=object)[dataset.setting_indices]
     setting_col = [",".join(row) for row in label_rows]
@@ -184,10 +187,11 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
             raise DataFormatError(
                 f"{path}: file directions {labels} do not match the provided set"
             )
+    _check_direction_count(len(labels))  # before uint8 setting indices are filled
     label_index = {label: i for i, label in enumerate(labels)}
 
     parsed = None
-    if all(len(label) == 1 for label in labels):
+    if all(len(label.encode()) == 1 for label in labels):
         parsed = _fast_tomography_rows(body, n, label_index)
     if parsed is None:
         parsed = _slow_tomography_rows(body, n, label_index, path)
@@ -207,41 +211,43 @@ def _fast_tomography_rows(
     """Vectorized row parse for single-character label sets.
 
     Rows then have fixed width: n labels with commas, a space, n bits,
-    a newline.  Returns None when any structural check fails so the
-    caller can fall back to the per-row parser and its exact errors.
+    a newline.  Columns are filled one at a time into the dataset's
+    column-major uint8 layout.  Returns None when any structural check
+    fails so the caller can fall back to the per-row parser and its exact
+    errors.
     """
     width = (2 * n - 1) + 1 + n + 1
     if len(body) % width != 0:
         return None
     raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
-    if raw.size == 0:
-        empty = np.empty((0, n), dtype=np.int64)
-        return empty, empty.astype(np.uint8)
     if not np.all(raw[:, width - 1] == ord("\n")):
         return None
     if not np.all(raw[:, 2 * n - 1] == ord(" ")):
         return None
     if n > 1 and not np.all(raw[:, 1 : 2 * n - 1 : 2] == ord(",")):
         return None
-    lookup = np.full(256, -1, dtype=np.int64)
+    lookup = np.full(256, -1, dtype=np.int16)
     for label, idx in label_index.items():
         lookup[ord(label)] = idx
-    settings = lookup[raw[:, 0 : 2 * n - 1 : 2]]
-    if np.any(settings < 0):
-        return None
-    bit_chars = raw[:, 2 * n : 3 * n]
-    bits = bit_chars - ord("0")
+    settings = np.empty((len(raw), n), dtype=np.uint8, order="F")
+    for qubit in range(n):
+        column = lookup[raw[:, 2 * qubit]]
+        if np.any(column < 0):
+            return None
+        settings[:, qubit] = column
+    bits = np.empty((len(raw), n), dtype=np.uint8, order="F")
+    np.subtract(np.flip(raw[:, 2 * n : 3 * n], axis=1), ord("0"), out=bits)
     if np.any(bits > 1):
         return None
-    return settings, np.flip(bits, axis=1).astype(np.uint8)
+    return settings, bits
 
 
 def _slow_tomography_rows(
     body: bytes, n: int, label_index: Mapping[str, int], path: str
 ) -> tuple[np.ndarray, np.ndarray]:
     lines = body.decode("utf-8").splitlines()
-    settings = np.empty((len(lines), n), dtype=np.int64)
-    outcomes = np.empty((len(lines), n), dtype=np.uint8)
+    settings = np.empty((len(lines), n), dtype=np.uint8, order="F")
+    outcomes = np.empty((len(lines), n), dtype=np.uint8, order="F")
     for row, line in enumerate(lines):
         parts = line.split(" ")
         if len(parts) != 2:

@@ -2,9 +2,12 @@
 
 The library reduces a tomography dataset to counts over the (setting,
 bit) cells of a correlator's support; the shade oracles evaluate the same
-quantities one record at a time, with no binning.  It rotates the state
-for many settings at once in qubit blocks; the Born oracles rotate it for
-one setting, one qubit at a time.
+quantities one record at a time, with no binning, and `sorted_shade_cells`
+bins them through int64 codes and a sort.  It reads ghat(w) for every w
+from one Walsh transform of the calibration histogram; `parity_counts`
+counts the two parity cells of one w.  It rotates the state for many
+settings at once in qubit blocks; the Born oracles rotate it for one
+setting, one qubit at a time.
 """
 
 import numpy as np
@@ -28,6 +31,31 @@ def support_shades(data, correlator, xi):
         values *= overlaps[data.setting_indices[:, qubit]]
         parity ^= data.outcomes[:, qubit]
     return values * (1.0 - 2.0 * parity.astype(np.float64))
+
+
+def sorted_shade_cells(data, correlator, xi):
+    """Observed cells of the support with their record counts and
+    unmitigated shades: int64 mixed-radix codes (digit 2*setting + bit,
+    base 2k) counted by np.unique, so cells come out in code order."""
+    support = correlator.pattern.support()
+    base = 2 * len(data.directions)
+    codes = np.zeros(len(data), dtype=np.int64)
+    for j, qubit in enumerate(support):
+        digit = 2 * data.setting_indices[:, qubit].astype(np.int64) + data.outcomes[:, qubit]
+        codes += digit * base**j
+    cells, counts = np.unique(codes, return_counts=True)
+    shades = np.ones(len(cells))
+    for j, qubit in enumerate(support):
+        mu = correlator.observables[qubit]
+        overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+        shades *= np.outer(overlaps, [1.0, -1.0]).ravel()[cells // base**j % base]
+    return counts, shades
+
+
+def parity_counts(cal, w):
+    """Record counts of the two parity cells of w, (+1, -1) in that order."""
+    parity = np.bitwise_xor.reduce(cal.outcomes[:, list(w.support())], axis=1)
+    return np.bincount(parity, minlength=2)
 
 
 def independent_model_values(data, correlator, xi, p10, p01):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xshadow.bitspace import BitString, dot_mod2_sign, hamming_weight, walsh_transform, xor
 
@@ -87,6 +88,14 @@ class TestWalshTransform:
         values = rng.normal(size=32)
         twice = walsh_transform(walsh_transform(values))
         assert np.allclose(twice, 32.0 * values, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_applied_twice_is_size_times_identity(self, n, seed):
+        # integer entries below 2^20 keep every partial sum exact
+        values = np.random.default_rng(seed).integers(-(1 << 20), 1 << 20, size=1 << n)
+        twice = walsh_transform(walsh_transform(values))
+        assert np.array_equal(twice, (1 << n) * values.astype(float))
 
     def test_input_left_untouched(self):
         values = np.arange(4.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from xshadow import storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
@@ -192,6 +193,34 @@ class TestStorage:
         assert np.array_equal(back.setting_indices, ds.setting_indices)
         assert np.array_equal(back.outcomes, ds.outcomes)
 
+    def test_readers_hand_over_column_major_uint8(self, tmp_path, monkeypatch):
+        handed = []
+
+        def recording(cls):
+            def build(**fields):
+                handed.extend(v for k, v in fields.items() if k in ("outcomes", "setting_indices"))
+                return cls(**fields)
+
+            return build
+
+        monkeypatch.setattr(storage, "CalibrationDataset", recording(CalibrationDataset))
+        monkeypatch.setattr(storage, "TomographyDataset", recording(TomographyDataset))
+        dirs = tuple(direction_from_label(l) for l in "xyz")
+        custom = (Direction("xp", (1.0, 0.0, 0.0)), Direction("zp", (0.0, 0.0, 1.0)))
+        rng = np.random.default_rng(4)
+        cal_path = str(tmp_path / "cal.txt")
+        write_calibration(cal_path, CalibrationDataset(3, rng.integers(0, 2, (20, 3))))
+        read_calibration(cal_path)
+        cases = (("fast", dirs, 20), ("slow", custom, 20), ("empty", dirs, 0))
+        for name, directions, records in cases:
+            path = str(tmp_path / f"{name}.txt")
+            settings = rng.integers(0, len(directions), (records, 3))
+            write_tomography(path, TomographyDataset(3, directions, settings, settings % 2))
+            read_tomography(path, directions=directions)
+        assert len(handed) == 7
+        for array in handed:  # the dataset constructors then copy nothing
+            assert array.dtype == np.uint8 and array.flags.f_contiguous
+
     def test_unknown_label_without_direction_set(self, tmp_path):
         path = tmp_path / "u.txt"
         path.write_text("#n=1\n#type=tomography\n#directions=w\nw 0\n")
@@ -217,6 +246,9 @@ class TestStorage:
             ("#n=3\n#type=calibration\n00\n", "whole 3-bit rows"),
             ("#n=3\n#type=calibration\n002\n", "only 0 and 1"),
             ("#n=3\n#type=tomography\nz,z,z 000\n", "missing #directions="),
+            ("#n=-1\n#type=calibration\n000\n", "#n= must be >= 1, got -1"),
+            ("#n=-2\n#type=tomography\n#directions=z\nz 0\n", "#n= must be >= 1, got -2"),
+            ("#n=0\n#type=calibration\n\n\n", "#n= must be >= 1, got 0"),
         ],
     )
     def test_malformed_files(self, tmp_path, body, needle):

@@ -3,8 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import independent_model_values, measurement_probabilities, support_shades
+from hypothesis import example, given, settings, strategies as st
+from oracles import (
+    independent_model_values,
+    measurement_probabilities,
+    parity_counts,
+    sorted_shade_cells,
+    support_shades,
+)
 
 from xshadow import protocols
 from xshadow.bitspace import BitString
@@ -93,6 +99,21 @@ class TestDatasets:
                 np.zeros((1, 2), dtype=np.uint8),
             )
 
+    def test_arrays_are_column_major(self):
+        rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)  # row-major, wider int
+        cal = CalibrationDataset(3, rows)
+        tomo = TomographyDataset(3, pauli_directions(), rows, rows)
+        collected = (
+            run_calibration(identity_model(3), 10, seed=0),
+            run_tomography(random_circuit_state(3, 2, seed=0), pauli_directions(),
+                           identity_model(3), 10, seed=0),
+        )
+        arrays = [cal.outcomes, tomo.setting_indices, tomo.outcomes, collected[0].outcomes,
+                  collected[1].setting_indices, collected[1].outcomes]
+        for array in arrays:
+            assert array.dtype == np.uint8 and array.flags.f_contiguous
+        assert cal.record(1) == BitString.from_text("110")
+
     def test_tomography_record(self):
         x = direction_from_label("x")
         z = direction_from_label("z")
@@ -139,6 +160,20 @@ class TestRunCalibration:
     def test_empty_support_component(self):
         data = run_calibration(identity_model(2), 50, seed=1)
         assert estimate_g(data, BitString(2, 0)) == 1.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), records=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_spectrum_equals_per_wavevector_parity_means(self, n, records, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=(records, n), dtype=np.uint8)
+        cal = CalibrationDataset(n, bits)
+        g = protocols._parity_sums(cal) / records
+        for w in range(1 << n):
+            assert g[w] == parity_counts(cal, BitString(n, w)) @ [1.0, -1.0] / records
+
+    def test_spectrum_above_the_qubit_cap_is_a_capability_error(self):
+        cal = CalibrationDataset(13, np.zeros((4, 13), dtype=np.uint8))
+        with pytest.raises(CapabilityError):
+            estimate_g(cal, BitString(13, 1))
 
 
 class TestRunTomography:
@@ -234,6 +269,16 @@ class TestEstimators:
         c = Correlator(BitString(2, 0b01), {0: z})
         with pytest.raises(UnmitigatableComponentError, match="below floor"):
             estimate_correlator_mitigated(data, cal, c, pauli_xi)
+
+    def test_mitigation_rejects_a_pattern_of_another_size(self, pauli_xi):
+        cal = run_calibration(identity_model(2), 20, seed=2)
+        data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
+                              identity_model(2), 20, seed=3)
+        z = direction_from_label("z")
+        for n in (1, 3):
+            c = Correlator(BitString(n, 1 << (n - 1)), {n - 1: z})
+            with pytest.raises(ValueError, match=f"pattern has {n} bits, spectrum has 4 entries"):
+                estimate_correlator_mitigated(data, cal, c, pauli_xi)
 
     def test_indep_model_rejects_singular_rates(self, pauli_xi):
         state = random_circuit_state(2, 4, seed=7)
@@ -346,6 +391,37 @@ class TestCountTableKernel:
             ),
         ):
             assert estimate(shuffled, shuffled_cal) == estimate(tomo, cal)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 8),
+        direction_set=st.sampled_from(["pauli", "tilted"]),
+        records=st.integers(1, 400),
+        degree_draw=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one example on each side of the bincount rule: 6^2 <= 300 < 6^4
+    @example(n=4, direction_set="pauli", records=300, degree_draw=1, seed=1)
+    @example(n=4, direction_set="pauli", records=300, degree_draw=3, seed=1)
+    def test_cells_equal_the_sorted_int64_route(
+        self, n, direction_set, records, degree_draw, seed
+    ):
+        directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
+        xi = compute_xi(directions)
+        rng = np.random.default_rng(seed)
+        data = TomographyDataset(
+            n,
+            directions,
+            rng.integers(0, len(directions), size=(records, n), dtype=np.uint8),
+            rng.integers(0, 2, size=(records, n), dtype=np.uint8),
+        )
+        degree = 1 + degree_draw % n
+        c = random_correlators(n, [degree], 1, seed=seed, directions=directions)[0]
+        counts, shades = protocols._shade_cells(data, c, xi)
+        expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
+        assert counts.dtype == expected_counts.dtype and shades.dtype == expected_shades.dtype
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(shades, expected_shades)
 
     def test_cell_code_overflow_is_a_capability_error(self, pauli_xi):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
