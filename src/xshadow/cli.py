@@ -43,7 +43,7 @@ def main() -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
 @click.option("--shots", type=int, default=None, help="override calibration_shots")
-@click.option("--seed", type=int, default=None, help="override calibration_seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="override calibration_seed")
 @_guarded
 def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Collect a twirled calibration dataset and print its digest."""
@@ -58,7 +58,7 @@ def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
 @click.option("--shots", type=int, default=None, help="override tomography_shots")
-@click.option("--seed", type=int, default=None, help="override tomography_seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="override tomography_seed")
 @_guarded
 def tomography(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Collect a tomography dataset for the configured random state."""
@@ -124,7 +124,7 @@ def complexity(epsilon: float, delta: float, g: float, kappa: float, degree: int
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False), help="output directory")
 @click.option("--shots", type=int, default=None, help="override both dataset sizes")
-@click.option("--seed", type=int, default=None, help="override collection seeds (seed, seed+1)")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="override collection seeds (seed, seed+1)")
 @_guarded
 def experiment(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Run collection, estimation, and both convergence studies."""

@@ -160,27 +160,25 @@ def parse_config(raw: Any) -> ExperimentConfig:
             raise ConfigError(f"field 'directions': {exc}") from exc
     values["directions"] = tuple(directions)
 
-    int_fields = {
-        "circuit_seed": (None, None),
-        "calibration_shots": (1, None),
-        "tomography_shots": (1, None),
-        "calibration_seed": (None, None),
-        "tomography_seed": (None, None),
-        "bootstrap_resamples": (2, None),
-        "bootstrap_seed": (None, None),
-        "correlators_per_degree": (1, None),
-        "correlator_seed": (None, None),
-        "wavevectors_per_weight": (1, None),
-        "correlators_per_degree_study": (1, None),
-        "grid_points": (2, None),
-        "grid_min": (1, None),
-        "study_seed": (None, None),
+    int_minimums = {
+        "circuit_seed": 0,
+        "calibration_shots": 1,
+        "tomography_shots": 1,
+        "calibration_seed": 0,
+        "tomography_seed": 0,
+        "bootstrap_resamples": 2,
+        "bootstrap_seed": 0,
+        "correlators_per_degree": 1,
+        "correlator_seed": 0,
+        "wavevectors_per_weight": 1,
+        "correlators_per_degree_study": 1,
+        "grid_points": 2,
+        "grid_min": 1,
+        "study_seed": 0,
     }
-    for key, (minimum, maximum) in int_fields.items():
+    for key, minimum in int_minimums.items():
         if key in raw:
-            values[key] = _require_int(
-                raw[key], key, minimum if minimum is not None else -(2**62), maximum
-            )
+            values[key] = _require_int(raw[key], key, minimum)
 
     for key in ("correlator_degrees", "study_weights"):
         if key in raw:

@@ -55,12 +55,10 @@ _PARITY_SIGNS = np.array([1.0, -1.0])
 # multinomial cell counts held at once by one resampling block (8 MiB)
 _DRAW_BLOCK = 1 << 20
 
-# qubits per Born-sampling block: its rotation gates form one 8x8 matrix
-_BLOCK_QUBITS = 3
-
-# rotated amplitudes held at once by one batch of settings (256 KiB; at
-# n=12 this was faster than 1 MiB batches, which leave the L2 cache)
-_BATCH_AMPLITUDES = 1 << 14
+# amplitudes one chunk of shots may hold while descending the outcome
+# tree: 2^20 >> n shots per chunk (at n=12 a fixed 16,384-shot chunk
+# peaked at 103 MiB of node tables)
+_TREE_AMPLITUDES = 1 << 20
 
 # setting indices are stored as uint8
 _MAX_DIRECTIONS = 256
@@ -197,64 +195,60 @@ def estimate_g(data: CalibrationDataset, w: BitString) -> float:
     return float(_parity_sums(data)[w.value] / len(data))
 
 
-def _block_matrices(gates: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """Kronecker products of the gates each row of digits names, column 0
-    on the block's lowest qubit: shape (rows, 2^w, 2^w)."""
-    mats = gates[digits[:, 0]]
-    for col in range(1, digits.shape[1]):
-        size = 2 * mats.shape[1]
-        mats = np.einsum("uab,ucd->uacbd", gates[digits[:, col]], mats).reshape(-1, size, size)
-    return mats
+def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct entries of an int array over [0, size), ascending, and the
+    index of each entry among them: a flag table instead of a sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
-def _rotate_blocks(amps: np.ndarray, blocks, mats) -> np.ndarray:
-    """Apply one matrix per row and block to a (rows, 2^n) amplitude batch;
-    a batch of one row is broadcast against the matrices' rows."""
-    for (first, width), m in zip(blocks, mats):
-        x = amps.reshape(amps.shape[0], -1, 1 << width, 1 << first)
-        amps = np.matmul(m[:, None], x)
-    return amps.reshape(amps.shape[0], -1)
+def _tree_outcomes(
+    amplitudes: np.ndarray, gates: np.ndarray, settings: np.ndarray, born: np.ndarray
+) -> np.ndarray:
+    """Ideal outcome value of every shot: the inverse CDF of its setting's
+    Born distribution at its variate, drawn one qubit at a time.
 
-
-def _born_weights(amplitudes: np.ndarray, gates: np.ndarray, settings: np.ndarray):
-    """Yield (shot indices per setting, rotated |amplitude|^2 rows) in
-    batches covering every distinct setting of the (shots, n) matrix once.
-
-    Qubits form blocks of _BLOCK_QUBITS; a block's gates act as one
-    Kronecker matrix, built only for the block settings that occur.  The
-    lower half of the blocks is rotated once per distinct low-half
-    setting; the high-half settings that complete it are then rotated in
-    batches of at most _BATCH_AMPLITUDES amplitudes, one batched matmul
-    per block, so working memory does not grow with the shot count.
+    Outcome values ascend with qubit n-1 as the top bit, so the draw walks
+    down the outcome tree from qubit n-1.  A node at level q holds the
+    2^(q+1) amplitudes left once the bits above q are fixed; rotating its
+    top qubit by the shot's gate gives p0, the squared norm of the bit-0
+    half, and the shot takes bit 1 iff its residual variate (starting at
+    u * <psi|psi>) is >= p0, which it then loses.  Gates on the lower
+    qubits leave these marginals as they are, so no full rotated table is
+    built.  Shots sorted by setting (qubit n-1 first) share their nodes
+    while their (setting, bit) prefixes agree; chunks of _TREE_AMPLITUDES
+    >> n shots bound the node tables, and a level's flag tables hold k
+    entries per node.
     """
     shots, n = settings.shape
     k = len(gates)
-    blocks = [(q, min(_BLOCK_QUBITS, n - q)) for q in range(0, n, _BLOCK_QUBITS)]
-    low = len(blocks) // 2
-    mats = []
-    ids = np.empty((shots, len(blocks)), dtype=np.int64)
-    for j, (first, width) in enumerate(blocks):
-        radix = k ** np.arange(width, dtype=np.int64)
-        keys = settings[:, first : first + width].astype(np.int64) @ radix
-        used, ids[:, j] = np.unique(keys, return_inverse=True)
-        mats.append(_block_matrices(gates, used[:, None] // radix % k))
-
-    order = np.lexsort(ids.T[::-1])  # low-half blocks first, then high
-    ids = ids[order]
-    starts = np.flatnonzero(np.r_[True, (ids[1:] != ids[:-1]).any(axis=1)])
-    bounds = np.r_[starts, shots]
-    setting_ids = ids[starts]
-    low_ids = setting_ids[:, :low]
-    low_starts = np.flatnonzero(np.r_[True, (low_ids[1:] != low_ids[:-1]).any(axis=1)])
-    batch = max(1, _BATCH_AMPLITUDES >> n)
-    psi = amplitudes[None]
-    for g0, g1 in zip(low_starts, np.r_[low_starts[1:], len(starts)]):
-        phi = _rotate_blocks(psi, blocks[:low], [mats[j][low_ids[g0, j]][None] for j in range(low)])
-        for c0 in range(g0, g1, batch):
-            c1 = min(c0 + batch, g1)
-            high = [mats[j][setting_ids[c0:c1, j]] for j in range(low, len(blocks))]
-            amps = _rotate_blocks(phi, blocks[low:], high)
-            yield [order[bounds[s] : bounds[s + 1]] for s in range(c0, c1)], np.abs(amps) ** 2
+    order = np.lexsort(settings.T)  # the last key, qubit n-1, is the primary one
+    values = np.empty(shots, dtype=np.int64)
+    root = amplitudes.reshape(1, 2, -1)
+    norm = np.vdot(amplitudes, amplitudes).real
+    chunk = max(1, _TREE_AMPLITUDES >> n)
+    for start in range(0, shots, chunk):
+        rows = order[start : start + chunk]
+        resid = born[rows] * norm
+        value = np.zeros(len(rows), dtype=np.int64)
+        node = np.zeros(len(rows), dtype=np.intp)
+        nodes = root
+        for q in range(n - 1, -1, -1):
+            pairs, pair = _dense_ids(node * k + settings[rows, q], len(nodes) * k)
+            rotated = np.matmul(gates[pairs % k], nodes[pairs // k])
+            low = rotated[:, 0]
+            p0 = np.einsum("ij,ij->i", low.real, low.real)
+            p0 += np.einsum("ij,ij->i", low.imag, low.imag)
+            p0 = p0[pair]
+            bit = resid >= p0
+            np.subtract(resid, p0, out=resid, where=bit)
+            value += bit.astype(np.int64) << q
+            if q:
+                children, node = _dense_ids(2 * pair + bit, 2 * len(pairs))
+                nodes = rotated.reshape(2 * len(pairs), 2, -1)[children]
+        values[rows] = value
+    return values
 
 
 def run_tomography(
@@ -272,17 +266,13 @@ def run_tomography(
 
     Draw order: the (shots, n) setting matrix, then one uniform variate
     per shot for the Born draw, then the (shots, n) t matrix, then the
-    channel's samples.  Shots sharing a setting share one rotated
-    probability table.
+    channel's samples.
 
-    The tables come from a block-Kronecker kernel: qubits are grouped in
-    blocks of three whose gates form one 8x8 matrix, the state is rotated
-    once per distinct low-half setting, and the high-half completions
-    are rotated in batched matmuls of bounded size.  Each Born draw is the
-    inverse CDF of its setting's table: cdf = cumsum(|a|^2) / its last
-    entry, searchsorted(side="right") on the shot's variate, clamped to
-    2^n - 1.  The kernel changes how the tables are computed, not what
-    is drawn or in which order.
+    Each Born draw is the inverse CDF of its setting's rotated
+    distribution at the shot's variate u: the outcome x with
+    P(< x) <= u * total < P(<= x).  It is drawn qubit by qubit down the
+    outcome tree (see _tree_outcomes), so no shot needs its setting's
+    full 2^n table and shots with a common setting prefix share work.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -301,13 +291,7 @@ def run_tomography(
     masks = rng.integers(0, 2, size=(shots, n), dtype=np.uint8)
 
     gates = np.array([rotation_gate(d) for d in directions])
-    ideal_values = np.empty(shots, dtype=np.int64)
-    for groups, weights in _born_weights(state.amplitudes, gates, settings):
-        cdf = np.cumsum(weights, axis=1)
-        cdf /= cdf[:, -1:]
-        for row, rows in zip(cdf, groups):
-            ideal_values[rows] = np.searchsorted(row, born[rows], side="right")
-    np.minimum(ideal_values, (1 << n) - 1, out=ideal_values)
+    ideal_values = _tree_outcomes(state.amplitudes, gates, settings, born)
 
     pre_noise = unpack_bits(ideal_values, n) ^ masks
     observed = model.sample_bits(pre_noise, rng)
@@ -338,9 +322,12 @@ def _shade_cells(
         raise CapabilityError(f"{base}^{len(support)} support cells overflow a 64-bit code")
     dtype = np.min_scalar_type(space - 1)
     codes = np.zeros(len(data), dtype=dtype)
+    digit = np.empty(len(data), dtype=dtype)  # one buffer: no temporaries per qubit
     for j, qubit in enumerate(support):
-        digit = 2 * data.setting_indices[:, qubit].astype(dtype) + data.outcomes[:, qubit]
-        codes += digit * dtype.type(base**j)
+        np.multiply(data.setting_indices[:, qubit], 2, out=digit, dtype=dtype, casting="unsafe")
+        digit += data.outcomes[:, qubit]
+        digit *= dtype.type(base**j)
+        codes += digit
     if space <= len(data):
         table = np.bincount(codes, minlength=space)
         cells = np.flatnonzero(table)

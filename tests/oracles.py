@@ -5,15 +5,16 @@ bit) cells of a correlator's support; the shade oracles evaluate the same
 quantities one record at a time, with no binning, and `sorted_shade_cells`
 bins them through int64 codes and a sort.  It reads ghat(w) for every w
 from one Walsh transform of the calibration histogram; `parity_counts`
-counts the two parity cells of one w.  It rotates the state for many
-settings at once in qubit blocks; the Born oracles rotate it for one
-setting, one qubit at a time.
+counts the two parity cells of one w.  It draws Born outcomes qubit by
+qubit down the outcome tree; the Born oracles rotate the whole state for
+one setting, one qubit at a time, and `born_outcomes` searches the full
+normalised CDF.
 """
 
 import numpy as np
 
 from xshadow.bitspace import BitString
-from xshadow.qsim import apply_single_qubit, rotation_gate
+from xshadow.qsim import MeasurementSetting, apply_single_qubit, rotation_gate
 
 
 def support_shades(data, correlator, xi):
@@ -92,3 +93,15 @@ def ideal_outcome_sample(state, setting, rng):
     probs = measurement_probabilities(state, setting)
     outcome = int(rng.choice(probs.size, p=probs))
     return BitString(state.n, outcome)
+
+
+def born_outcomes(state, directions, setting_indices, u):
+    """Ideal outcome value of every shot by inverse CDF: searchsorted of
+    the shot's variate in cumsum(p) / cumsum(p)[-1] (side="right"), with
+    p from measurement_probabilities, clamped to 2^n - 1."""
+    values = np.empty(len(u), dtype=np.int64)
+    for shot, (row, variate) in enumerate(zip(setting_indices, u)):
+        setting = MeasurementSetting(tuple(directions[i] for i in row))
+        cdf = np.cumsum(measurement_probabilities(state, setting))
+        values[shot] = np.searchsorted(cdf / cdf[-1], variate, side="right")
+    return np.minimum(values, (1 << state.n) - 1)

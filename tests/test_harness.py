@@ -97,6 +97,22 @@ class TestConfig:
             _config(**overrides)
 
     @pytest.mark.parametrize(
+        "key",
+        [
+            "circuit_seed",
+            "calibration_seed",
+            "tomography_seed",
+            "bootstrap_seed",
+            "correlator_seed",
+            "study_seed",
+        ],
+    )
+    def test_negative_seed_is_rejected(self, key):
+        # numpy generators take no negative seed, so the config refuses it up front
+        with pytest.raises(ConfigError, match=f"'{key}' must be >= 0"):
+            _config(**{key: -1})
+
+    @pytest.mark.parametrize(
         "noise",
         [
             {"model": "other", "p10": 0.1, "p01": 0.1},
@@ -571,6 +587,26 @@ class TestCli:
         assert result.output.count("wrote ") == 6
         report = read_csv(str(tmp_path / "exp" / "report.csv"))
         assert len(report) == 2
+
+    def test_experiment_with_negative_seed_writes_nothing(self, config_file, tmp_path):
+        path = _write_yaml(
+            tmp_path / "neg.yaml", pathlib.Path(config_file).read_text(encoding="utf-8") + "study_seed: -3\n"
+        )
+        out = tmp_path / "exp"
+        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "'study_seed' must be >= 0" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
+    def test_negative_seed_override_writes_nothing(self, config_file, tmp_path, command):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, [command, "--config", config_file, "--out", str(out), "--seed", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not out.exists()
 
     def test_experiment_with_infeasible_grid_writes_nothing(self, tmp_path):
         # 5000 calibration records give subsample sizes up to 500, below grid_min 1000

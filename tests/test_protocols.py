@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    born_outcomes,
     independent_model_values,
-    measurement_probabilities,
     parity_counts,
     sorted_shade_cells,
     support_shades,
@@ -45,7 +45,6 @@ from xshadow.protocols import (
 from xshadow.qsim import (
     Correlator,
     Direction,
-    MeasurementSetting,
     StateVector,
     direction_from_label,
     exact_expectation,
@@ -441,46 +440,60 @@ class TestCountTableKernel:
             estimate_correlator_unmitigated(data, overflows, pauli_xi)
 
 
-class TestBornKernel:
-    """The block-Kronecker kernel's per-setting |amplitude|^2 rows against
-    the statevector route that rotates one qubit at a time."""
+def _born_case(n, direction_set, shots, seed):
+    """A random state, a (shots, n) setting matrix, the gates and one
+    variate per shot; the first and last variates sit at the ends of [0, 1)."""
+    rng = np.random.default_rng(seed)
+    if direction_set == "pauli":
+        directions = pauli_directions()
+    elif direction_set == "tilted":
+        directions = _tilted_directions()
+    else:
+        vectors = rng.normal(size=(int(direction_set[-1]), 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+    state = random_circuit_state(n, 2 * n, seed=seed)
+    setting_matrix = np.asfortranarray(
+        rng.integers(0, len(directions), size=(shots, n), dtype=np.uint8)
+    )
+    gates = np.array([rotation_gate(d) for d in directions])
+    u = rng.random(shots)
+    u[0], u[-1] = 0.0, np.nextafter(1.0, 0.0)
+    return state, directions, setting_matrix, gates, u
+
+
+_BORN_CASES = dict(
+    n=st.integers(1, 9),
+    direction_set=st.sampled_from(["pauli", "tilted", "random3", "random4"]),
+    shots=st.integers(1, 400),
+    chunk_log2=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestTreeOutcomes:
+    """The tree-descent Born draw against the inverse CDF of the full
+    rotated distribution, with chunks of 2^chunk_log2 shots so that chunk
+    boundaries split shared setting prefixes."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        n=st.integers(1, 9),
-        direction_set=st.sampled_from(["pauli", "tilted", "random3", "random4"]),
-        shots=st.integers(1, 400),
-        batch_log2=st.integers(0, 16),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_rows_match_statevector_route(self, n, direction_set, shots, batch_log2, seed):
-        rng = np.random.default_rng(seed)
-        if direction_set == "pauli":
-            directions = pauli_directions()
-        elif direction_set == "tilted":
-            directions = _tilted_directions()
-        else:
-            vectors = rng.normal(size=(int(direction_set[-1]), 3))
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-            directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
-        state = random_circuit_state(n, 2 * n, seed=seed)
-        setting_matrix = rng.integers(0, len(directions), size=(shots, n), dtype=np.uint8)
-        gates = np.array([rotation_gate(d) for d in directions])
-        # small batches put batch boundaries inside low-half groups
-        with mock.patch.object(protocols, "_BATCH_AMPLITUDES", 1 << batch_log2):
-            batches = list(protocols._born_weights(state.amplitudes, gates, setting_matrix))
-        covered = np.zeros(shots, dtype=int)
-        for groups, weights in batches:
-            assert len(groups) == len(weights)
-            for rows, row in zip(groups, weights):
-                digits = setting_matrix[rows[0]]
-                assert (setting_matrix[rows] == digits).all()
-                setting = MeasurementSetting(tuple(directions[i] for i in digits))
-                expected = measurement_probabilities(state, setting)
-                np.testing.assert_allclose(row / row.sum(), expected, rtol=0, atol=1e-12)
-                covered[rows] += 1
-        assert (covered == 1).all()
-        assert sum(len(groups) for groups, _ in batches) == len(np.unique(setting_matrix, axis=0))
+    @given(**_BORN_CASES)
+    def test_draws_match_inverse_cdf_oracle(self, n, direction_set, shots, chunk_log2, seed):
+        state, directions, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
+        with mock.patch.object(protocols, "_TREE_AMPLITUDES", 1 << (n + chunk_log2)):
+            drawn = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+        expected = born_outcomes(state, directions, setting_matrix, u)
+        assert drawn.dtype == np.int64
+        assert (drawn == expected).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_BORN_CASES)
+    def test_chunk_size_leaves_draws_unchanged(self, n, direction_set, shots, chunk_log2, seed):
+        state, _, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
+        with mock.patch.object(protocols, "_TREE_AMPLITUDES", 1 << (n + chunk_log2)):
+            small = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+        default = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+        assert np.array_equal(small, default)
 
 
 class TestFrozenDatasets:
