@@ -3,8 +3,9 @@
 The package simulates randomized single-qubit measurement experiments,
 twirls the readout channel with random pre-measurement flips, learns
 the channel's Fourier components from calibration data, and divides
-them out of shadow estimates.  Brute-force dense references are kept
-alongside the fast paths so everything can be checked on small systems.
+them out of shadow estimates.  Brute-force references (dense shadow
+matrices, twirling by enumeration) live with the tests, which check every
+fast path against them on small systems.
 
 The top level holds what the README's library example uses and the
 error hierarchy; everything else is imported from its module

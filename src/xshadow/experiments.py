@@ -24,7 +24,6 @@ import numpy as np
 from . import storage
 from .bitspace import BitString, walsh_transform
 from .config import ExperimentConfig
-from .noise import exact_g, twirl
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
@@ -46,6 +45,11 @@ from .shadows import compute_xi
 CALIBRATION_RMS_COLUMNS = ("size", "weight", "rms")
 TOMOGRAPHY_RMS_COLUMNS = ("size", "degree", "rms")
 SUMMARY_COLUMNS = ("section", "key", "value")
+
+# calibration_summary lists this many most frequent outcomes and every
+# ghat(w) up to this weight
+_SUMMARY_TOP_OUTCOMES = 8
+_SUMMARY_MAX_WEIGHT = 2
 
 
 def collect_calibration(
@@ -73,21 +77,21 @@ def collect_tomography(
     )
 
 
-def calibration_summary(dataset: CalibrationDataset, top: int = 8, max_weight: int = 2) -> str:
+def calibration_summary(dataset: CalibrationDataset) -> str:
     """Human-readable digest: record count, most frequent outcomes, and
-    the empirical Fourier components up to the given weight."""
+    the empirical Fourier components of low weight."""
     lines = [f"records={len(dataset)} n={dataset.n}"]
     table = _outcome_counts(dataset)
     values = np.flatnonzero(table)
     counts = table[values]
     order = np.lexsort((values, -counts))
     lines.append("top outcomes:")
-    for rank in order[:top]:
+    for rank in order[:_SUMMARY_TOP_OUTCOMES]:
         text = BitString(dataset.n, int(values[rank])).to_text()
         lines.append(f"  {text} {counts[rank] / len(dataset):.6f}")
     g = walsh_transform(table) / len(dataset)
-    lines.append(f"g_hat by wavevector (weight <= {max_weight}):")
-    for weight in range(1, min(max_weight, dataset.n) + 1):
+    lines.append(f"g_hat by wavevector (weight <= {_SUMMARY_MAX_WEIGHT}):")
+    for weight in range(1, min(_SUMMARY_MAX_WEIGHT, dataset.n) + 1):
         for support in itertools.combinations(range(dataset.n), weight):
             w = BitString(dataset.n, sum(1 << q for q in support))
             lines.append(f"  {w.to_text()} {g[w.value]:+.6f}")
@@ -105,12 +109,10 @@ def build_correlators(config: ExperimentConfig, per_degree: int | None = None) -
 
 
 def comparison_rows(
-    config: ExperimentConfig,
-    tomo: TomographyDataset,
-    cal: CalibrationDataset,
-    correlators: Sequence[Correlator] | None = None,
+    config: ExperimentConfig, tomo: TomographyDataset, cal: CalibrationDataset
 ) -> list[dict[str, object]]:
-    """Three-estimator comparison against the exact state expectation.
+    """Three-estimator comparison of the configured correlators against
+    the exact state expectation.
 
     Each support is binned once; the mitigated, unmitigated and indep
     columns bootstrap its shade table divided by ghat(v), 1 and the
@@ -118,8 +120,7 @@ def comparison_rows(
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
-    if correlators is None:
-        correlators = build_correlators(config)
+    correlators = build_correlators(config)
     g = _parity_sums(cal) / len(cal)
     rows: list[dict[str, object]] = []
     for index, correlator in enumerate(correlators):
@@ -216,8 +217,7 @@ def g_rms_rows(
     per weight.  Truth is the exact Fourier component of the twirled
     configured noise model.
     """
-    model = config.build_noise_model()
-    g_exact = exact_g(twirl(model))
+    g_exact = walsh_transform(config.build_noise_model().twirled_table())
     rng = np.random.default_rng(config.study_seed)
     wavevectors = _pick_wavevectors(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
@@ -228,15 +228,12 @@ def g_rms_rows(
     for w in wavevectors:
         # the two parity cells hold (M + S) / 2 and (M - S) / 2 records
         counts = (len(cal) + _PARITY_SIGNS * sums[w.value]).astype(np.int64) // 2
-        curves.append((len(w.support()), counts, _PARITY_SIGNS, g_exact.component(w)))
+        curves.append((len(w.support()), counts, _PARITY_SIGNS, g_exact[w.value]))
     return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "weight")
 
 
 def correlator_rms_rows(
-    config: ExperimentConfig,
-    tomo: TomographyDataset,
-    cal: CalibrationDataset,
-    correlators: Sequence[Correlator] | None = None,
+    config: ExperimentConfig, tomo: TomographyDataset, cal: CalibrationDataset
 ) -> tuple[list[dict[str, object]], dict[int, float]]:
     """Convergence of the mitigated estimator with tomography size.
 
@@ -247,8 +244,7 @@ def correlator_rms_rows(
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
-    if correlators is None:
-        correlators = build_correlators(config, config.correlators_per_degree_study)
+    correlators = build_correlators(config, config.correlators_per_degree_study)
     rng = np.random.default_rng(config.study_seed + 1)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 

@@ -1,4 +1,4 @@
-"""Readout transition models, X-twirling, and the Fourier spectrum g(w).
+"""Readout transition models and their X-twirled channels.
 
 A noise model is the classical channel R(s | s') from ideal to observed
 bitstrings.  Twirling averages R over all simultaneous bit translations,
@@ -10,22 +10,19 @@ s XOR s', so the single table Rbar(. | 0) determines it.  Its Walsh spectrum
 g(w) = sum_s (-1)^(w.s) Rbar(s | 0) is the per-pattern attenuation that
 mitigation divides out; g(0) = 1 always.
 
-Exact full-table operations are capped at EXACT_TABLE_MAX_QUBITS qubits;
+Under the twirl every ideal bit is uniform and independent of the flips
+below it, so qubit i flips at the average of its two rates, (p10 + p01)/2,
+given whatever happened on the qubits before it.  Each model builds its
+Rbar(. | 0) from that in n doubling steps (`twirled_table`, n <= 12);
 sampling has no size cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bitspace import BitString, walsh_transform
 from .exceptions import CapabilityError
-
-EXACT_TABLE_MAX_QUBITS = 14
-
-_ROW_SUM_TOL = 1e-10
+from .qsim import EXACT_SIM_MAX_QUBITS
 
 
 def _as_rate_array(rates, n: int, name: str) -> np.ndarray:
@@ -35,27 +32,28 @@ def _as_rate_array(rates, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _flip_chain_table(quiet: np.ndarray, boosted: np.ndarray) -> np.ndarray:
+    """Law of the flip pattern when qubit i flips at quiet[i], or at
+    boosted[i] if qubit i-1 flipped: each step appends qubit i as the new
+    top bit, whose lower neighbour is the old top bit."""
+    n = len(quiet)
+    if n > EXACT_SIM_MAX_QUBITS:
+        raise CapabilityError(f"twirled table needs n <= {EXACT_SIM_MAX_QUBITS}, got n={n}")
+    table = np.array([1.0 - quiet[0], quiet[0]])
+    for i in range(1, n):
+        rate = np.repeat([quiet[i], boosted[i]], len(table) // 2)
+        table = np.concatenate((table * (1.0 - rate), table * rate))
+    return table
+
+
 class NoiseModel:
-    """Base readout channel; subclasses provide rows and/or a sampler."""
+    """Base readout channel.  Subclasses push (M, n) uint8 ideal bits
+    through it (`sample_bits`) and give its twirled table."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
-
-    def transition_row(self, ideal: int) -> np.ndarray:
-        """R(. | ideal) as a length-2^n probability vector over observed values."""
-        raise CapabilityError(f"{type(self).__name__} cannot evaluate exact rows")
-
-    def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Push an (M, n) uint8 array of ideal bits through the channel."""
-        raise CapabilityError(f"{type(self).__name__} cannot sample")
-
-    def _check_table_cap(self) -> None:
-        if self.n > EXACT_TABLE_MAX_QUBITS:
-            raise CapabilityError(
-                f"exact rows need n <= {EXACT_TABLE_MAX_QUBITS}, got n={self.n}"
-            )
 
 
 class IndependentFlipModel(NoiseModel):
@@ -66,16 +64,10 @@ class IndependentFlipModel(NoiseModel):
         self.p10 = _as_rate_array(p10, n, "p10")
         self.p01 = _as_rate_array(p01, n, "p01")
 
-    def transition_row(self, ideal: int) -> np.ndarray:
-        self._check_table_cap()
-        row = np.ones(1)
-        for i in range(self.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
-            if (ideal >> i) & 1:
-                single = np.array([self.p10[i], 1.0 - self.p10[i]])
-            else:
-                single = np.array([1.0 - self.p01[i], self.p01[i]])
-            row = np.kron(row, single)
-        return row
+    def twirled_table(self) -> np.ndarray:
+        """Rbar(. | 0): the product of per-qubit flips at (p10 + p01)/2."""
+        rate = 0.5 * (self.p10 + self.p01)
+        return _flip_chain_table(rate, rate)
 
     def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         bits = np.asarray(ideal_bits, dtype=np.uint8)
@@ -101,22 +93,13 @@ class ChainCrosstalkModel(NoiseModel):
         self.p01 = _as_rate_array(p01, n, "p01")
         self.gamma = float(gamma)
 
-    def _base_rate(self, i: int, bit: int) -> float:
-        return self.p10[i] if bit else self.p01[i]
-
-    def transition_row(self, ideal: int) -> np.ndarray:
-        self._check_table_cap()
-        size = 1 << self.n
-        flips = np.arange(size) ^ ideal  # flip pattern of each observed value
-        probs = np.ones(size)
-        prev = np.zeros(size, dtype=bool)
-        for i in range(self.n):
-            flipped = ((flips >> i) & 1).astype(bool)
-            base = self._base_rate(i, (ideal >> i) & 1)
-            rate = np.where(prev, min(1.0, base + self.gamma), base)
-            probs *= np.where(flipped, rate, 1.0 - rate)
-            prev = flipped
-        return probs
+    def twirled_table(self) -> np.ndarray:
+        """Rbar(. | 0): a Markov chain of flips along the qubits, at
+        (p10 + p01)/2, or at the average of the two boosted rates after
+        a flip."""
+        boosted = 0.5 * (np.minimum(1.0, self.p10 + self.gamma)
+                         + np.minimum(1.0, self.p01 + self.gamma))
+        return _flip_chain_table(0.5 * (self.p10 + self.p01), boosted)
 
     def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         bits = np.asarray(ideal_bits, dtype=np.uint8)
@@ -139,84 +122,3 @@ def independent_flip_model(n: int, p10, p01) -> IndependentFlipModel:
 def crosstalk_model(n: int, p10, p01, gamma: float) -> ChainCrosstalkModel:
     """Chain-correlated flips; gamma in [0, 1) sets the conditional boost."""
     return ChainCrosstalkModel(n, p10, p01, gamma)
-
-
-def identity_model(n: int) -> IndependentFlipModel:
-    """A noiseless readout channel."""
-    return IndependentFlipModel(n, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class TwirledNoise:
-    """Translation-invariant channel stored as the table Rbar(. | 0)."""
-
-    n: int
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
-        if table.shape != (1 << self.n,):
-            raise ValueError(f"expected table of length {1 << self.n}, got {table.shape}")
-        if abs(table.sum() - 1.0) > _ROW_SUM_TOL or np.any(table < -_ROW_SUM_TOL):
-            raise ValueError("twirled table is not a probability distribution")
-        object.__setattr__(self, "table", table)
-
-    def probability(self, observed: BitString, ideal: BitString) -> float:
-        """Rbar(observed | ideal), which depends only on observed XOR ideal."""
-        return float(self.table[observed.value ^ ideal.value])
-
-    def matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix M[ideal, observed] = table[ideal ^ observed]."""
-        idx = np.arange(1 << self.n)
-        return self.table[idx[:, None] ^ idx[None, :]]
-
-
-@dataclass(frozen=True)
-class FourierComponents:
-    """The Walsh spectrum g(w) of a twirled channel; g(0) = 1."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} components, got {values.shape}")
-        if abs(values[0] - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"g(0) = {values[0]} but must equal 1")
-        object.__setattr__(self, "values", values)
-
-    def component(self, w: BitString) -> float:
-        if w.n != self.n:
-            raise ValueError(f"pattern has {w.n} bits, spectrum has {self.n}")
-        return float(self.values[w.value])
-
-
-def twirl(model: NoiseModel) -> TwirledNoise:
-    """Average the channel over all 2^n simultaneous bit translations.
-
-    Uses the identity Rbar(s | 0) = 2^-n sum_t R(s XOR t | t), evaluated
-    exactly from the model's rows (exact-mode sizes only).
-    """
-    model._check_table_cap()
-    size = 1 << model.n
-    idx = np.arange(size)
-    table = np.zeros(size)
-    for t in range(size):
-        table += model.transition_row(t)[idx ^ t]
-    return TwirledNoise(model.n, table / size)
-
-
-def exact_g(twirled: TwirledNoise) -> FourierComponents:
-    """Exact Fourier components g(w) = sum_s (-1)^(w.s) Rbar(s | 0)."""
-    return FourierComponents(twirled.n, walsh_transform(twirled.table))
-
-
-def noisy_outcome(model: NoiseModel, ideal: BitString, rng: np.random.Generator) -> BitString:
-    """Push a single ideal bitstring through the channel."""
-    if ideal.n != model.n:
-        raise ValueError(f"bitstring has {ideal.n} bits, model has {model.n}")
-    bits = np.array([[(ideal.value >> i) & 1 for i in range(model.n)]], dtype=np.uint8)
-    out = model.sample_bits(bits, rng)[0]
-    value = int(sum(int(b) << i for i, b in enumerate(out)))
-    return BitString(model.n, value)

@@ -55,9 +55,10 @@ _PARITY_SIGNS = np.array([1.0, -1.0])
 # multinomial cell counts held at once by one resampling block (8 MiB)
 _DRAW_BLOCK = 1 << 20
 
-# amplitudes one chunk of shots may hold while descending the outcome
-# tree: 2^20 >> n shots per chunk (at n=12 a fixed 16,384-shot chunk
-# peaked at 103 MiB of node tables)
+# amplitudes or flag-table entries one chunk of shots may hold while
+# descending the outcome tree: 2^20 // max(2^n, k) shots per chunk, as a
+# node holds up to 2^n amplitudes and its flag tables k entries (a fixed
+# 16,384-shot chunk peaked at 103 MiB of node tables at n=12)
 _TREE_AMPLITUDES = 1 << 20
 
 # setting indices are stored as uint8
@@ -218,8 +219,8 @@ def _tree_outcomes(
     qubits leave these marginals as they are, so no full rotated table is
     built.  Shots sorted by setting (qubit n-1 first) share their nodes
     while their (setting, bit) prefixes agree; chunks of _TREE_AMPLITUDES
-    >> n shots bound the node tables, and a level's flag tables hold k
-    entries per node.
+    // max(2^n, k) shots bound both the node tables and a level's flag
+    tables, which hold k entries per node.
     """
     shots, n = settings.shape
     k = len(gates)
@@ -227,7 +228,7 @@ def _tree_outcomes(
     values = np.empty(shots, dtype=np.int64)
     root = amplitudes.reshape(1, 2, -1)
     norm = np.vdot(amplitudes, amplitudes).real
-    chunk = max(1, _TREE_AMPLITUDES >> n)
+    chunk = max(1, _TREE_AMPLITUDES // max(1 << n, k))
     for start in range(0, shots, chunk):
         rows = order[start : start + chunk]
         resid = born[rows] * norm

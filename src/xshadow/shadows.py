@@ -10,8 +10,9 @@ a pattern v collapses to
 
     (-1)^(v.s) / g(v) * prod_{i in v} (1/2) tr(xi^{nu_i} sigma^{mu_i}),
 
-so only the single Fourier component g(v) is ever divided out.  Dense
-2^n-dimensional routes are provided as oracles for small n.
+so only the single Fourier component g(v) is ever divided out.  The
+dense 2^n-dimensional shadow matrices that check this live with the test
+oracles.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitspace import BitString, dot_mod2_sign
-from .exceptions import (
-    CapabilityError,
-    NotInformationallyCompleteError,
-    SingularNoiseError,
-    UnmitigatableComponentError,
-)
-from .noise import TwirledNoise
+from .exceptions import NotInformationallyCompleteError, UnmitigatableComponentError
 from .qsim import (
     Correlator,
     Direction,
@@ -38,7 +33,6 @@ from .qsim import (
     pauli_operator,
 )
 
-DENSE_MAX_QUBITS = 4
 G_FLOOR = 1e-6
 
 _RANK_RTOL = 1e-9
@@ -192,51 +186,3 @@ def fourier_shadow_trace(
             right = pauli_operator(correlator.observables[qubit])
         value *= np.trace(left @ right).real
     return float(value)
-
-
-def _check_dense_cap(n: int) -> None:
-    if n > DENSE_MAX_QUBITS:
-        raise CapabilityError(f"dense route needs n <= {DENSE_MAX_QUBITS}, got n={n}")
-
-
-def dense_shadow(xi: XiTable, setting: MeasurementSetting, outcome: BitString) -> np.ndarray:
-    """The full 2^n x 2^n shadow operator (small n oracle route)."""
-    if setting.n != outcome.n:
-        raise ValueError(f"setting has {setting.n} directions, outcome {outcome.n} bits")
-    _check_dense_cap(setting.n)
-    op = np.ones((1, 1), dtype=complex)
-    for qubit in range(setting.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
-        sign = 1 - 2 * outcome.bit(qubit)
-        factor = (IDENTITY_2 + sign * xi.xi(setting.directions[qubit].label)) / 2
-        op = np.kron(op, factor)
-    return op
-
-
-def dense_mitigated_shadow(
-    xi: XiTable,
-    setting: MeasurementSetting,
-    outcome: BitString,
-    twirled: TwirledNoise,
-) -> np.ndarray:
-    """Noise-corrected shadow sum_{s'} rho^nu_{s'} Rbar^{-1}(s' | s).
-
-    Brute-force route: inverts the full 2^n x 2^n twirled matrix.  Kept
-    deliberately independent of the Fourier shortcut so the two can be
-    checked against each other.
-    """
-    if twirled.n != setting.n:
-        raise ValueError(f"noise is on {twirled.n} qubits, setting on {setting.n}")
-    _check_dense_cap(setting.n)
-    matrix = twirled.matrix()
-    try:
-        inverse = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNoiseError("twirled transition matrix is singular") from exc
-    if not np.all(np.isfinite(inverse)):
-        raise SingularNoiseError("twirled transition matrix is singular")
-    n = setting.n
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    for s_prime in range(1 << n):
-        weight = inverse[s_prime, outcome.value]
-        out += dense_shadow(xi, setting, BitString(n, s_prime)) * weight
-    return out

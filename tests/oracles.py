@@ -8,13 +8,21 @@ from one Walsh transform of the calibration histogram; `parity_counts`
 counts the two parity cells of one w.  It draws Born outcomes qubit by
 qubit down the outcome tree; the Born oracles rotate the whole state for
 one setting, one qubit at a time, and `born_outcomes` searches the full
-normalised CDF.
+normalised CDF.  Each noise model builds its twirled table Rbar(. | 0) as
+a Markov chain of flips; `transition_row` gives the model's untwirled
+rows R(. | ideal) and `twirl_table` averages all 2^n of them over
+translations.  The dense shadow matrices check the factorised shades and
+their Fourier-space mitigation against the full 2^n x 2^n operators.
 """
 
 import numpy as np
 
 from xshadow.bitspace import BitString
-from xshadow.qsim import MeasurementSetting, apply_single_qubit, rotation_gate
+from xshadow.exceptions import CapabilityError, SingularNoiseError
+from xshadow.noise import ChainCrosstalkModel
+from xshadow.qsim import IDENTITY_2, MeasurementSetting, apply_single_qubit, rotation_gate
+
+DENSE_MAX_QUBITS = 4
 
 
 def support_shades(data, correlator, xi):
@@ -105,3 +113,93 @@ def born_outcomes(state, directions, setting_indices, u):
         cdf = np.cumsum(measurement_probabilities(state, setting))
         values[shot] = np.searchsorted(cdf / cdf[-1], variate, side="right")
     return np.minimum(values, (1 << state.n) - 1)
+
+
+def _independent_row(model, ideal):
+    row = np.ones(1)
+    for i in range(model.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
+        if (ideal >> i) & 1:
+            single = np.array([model.p10[i], 1.0 - model.p10[i]])
+        else:
+            single = np.array([1.0 - model.p01[i], model.p01[i]])
+        row = np.kron(row, single)
+    return row
+
+
+def _chain_row(model, ideal):
+    size = 1 << model.n
+    flips = np.arange(size) ^ ideal  # flip pattern of each observed value
+    probs = np.ones(size)
+    prev = np.zeros(size, dtype=bool)
+    for i in range(model.n):
+        flipped = ((flips >> i) & 1).astype(bool)
+        base = model.p10[i] if (ideal >> i) & 1 else model.p01[i]
+        rate = np.where(prev, min(1.0, base + model.gamma), base)
+        probs *= np.where(flipped, rate, 1.0 - rate)
+        prev = flipped
+    return probs
+
+
+def transition_row(model, ideal):
+    """R(. | ideal) as a length-2^n probability vector over observed values."""
+    if isinstance(model, ChainCrosstalkModel):
+        return _chain_row(model, ideal)
+    return _independent_row(model, ideal)
+
+
+def twirl_table(model):
+    """Rbar(. | 0) by averaging the channel over all 2^n simultaneous bit
+    translations: Rbar(s | 0) = 2^-n sum_t R(s XOR t | t), from every
+    exact row, O(4^n)."""
+    size = 1 << model.n
+    idx = np.arange(size)
+    table = np.zeros(size)
+    for t in range(size):
+        table += transition_row(model, t)[idx ^ t]
+    return table / size
+
+
+def _check_dense_cap(n):
+    if n > DENSE_MAX_QUBITS:
+        raise CapabilityError(f"dense route needs n <= {DENSE_MAX_QUBITS}, got n={n}")
+
+
+def dense_shadow(xi, setting, outcome):
+    """The full 2^n x 2^n shadow operator (small n oracle route)."""
+    if setting.n != outcome.n:
+        raise ValueError(f"setting has {setting.n} directions, outcome {outcome.n} bits")
+    _check_dense_cap(setting.n)
+    op = np.ones((1, 1), dtype=complex)
+    for qubit in range(setting.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
+        sign = 1 - 2 * outcome.bit(qubit)
+        factor = (IDENTITY_2 + sign * xi.xi(setting.directions[qubit].label)) / 2
+        op = np.kron(op, factor)
+    return op
+
+
+def dense_mitigated_shadow(xi, setting, outcome, table):
+    """Noise-corrected shadow sum_{s'} rho^nu_{s'} Rbar^{-1}(s' | s).
+
+    Brute-force route: inverts the full 2^n x 2^n twirled matrix
+    M[i, j] = table[i ^ j] built from the table Rbar(. | 0).  Kept
+    deliberately independent of the Fourier shortcut so the two can be
+    checked against each other.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.shape != (1 << setting.n,):
+        raise ValueError(f"noise table has {table.shape} entries, setting {setting.n} qubits")
+    _check_dense_cap(setting.n)
+    idx = np.arange(1 << setting.n)
+    matrix = table[idx[:, None] ^ idx[None, :]]
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNoiseError("twirled transition matrix is singular") from exc
+    if not np.all(np.isfinite(inverse)):
+        raise SingularNoiseError("twirled transition matrix is singular")
+    n = setting.n
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for s_prime in range(1 << n):
+        weight = inverse[s_prime, outcome.value]
+        out += dense_shadow(xi, setting, BitString(n, s_prime)) * weight
+    return out

@@ -12,18 +12,11 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import support_shades
+from oracles import dense_mitigated_shadow, dense_shadow, support_shades, transition_row
 
-from xshadow.bitspace import BitString
+from xshadow.bitspace import BitString, walsh_transform
 from xshadow.cli import main as cli_main
-from xshadow.noise import (
-    TwirledNoise,
-    crosstalk_model,
-    exact_g,
-    identity_model,
-    independent_flip_model,
-    twirl,
-)
+from xshadow.noise import crosstalk_model, independent_flip_model
 from xshadow.protocols import (
     calibration_sample_bound,
     estimate_correlator_independent_model,
@@ -43,12 +36,7 @@ from xshadow.qsim import (
     pauli_operator,
     random_circuit_state,
 )
-from xshadow.shadows import (
-    compute_xi,
-    dense_mitigated_shadow,
-    dense_shadow,
-    mitigated_shade,
-)
+from xshadow.shadows import compute_xi, mitigated_shade
 from xshadow.storage import read_calibration, read_tomography, write_calibration, write_tomography
 
 NOISE_P10 = 0.07
@@ -105,7 +93,7 @@ def _twirled_table_by_enumeration(model):
     size = 1 << model.n
     table = np.zeros(size)
     for t in range(size):
-        row = model.transition_row(t)
+        row = transition_row(model, t)
         for d in range(size):
             table[d] += row[t ^ d]
     return table / size
@@ -142,7 +130,7 @@ class TestShadowUnbiasedness:
             size = 1 << n
             settings = list(itertools.product(dirs, repeat=n))
             models = [
-                identity_model(n),
+                independent_flip_model(n, 0.0, 0.0),
                 independent_flip_model(n, NOISE_P10, NOISE_P01),
                 crosstalk_model(n, NOISE_P10, NOISE_P01, GAMMA),
             ]
@@ -159,11 +147,10 @@ class TestShadowUnbiasedness:
             for mi, model in enumerate(models):
                 table = _twirled_table_by_enumeration(model)
                 tables[mi] = table
-                twirled = TwirledNoise(n, table)
                 for si, setting in enumerate(settings):
                     for s in range(size):
                         mitigated_shadows[mi, si, s] = dense_mitigated_shadow(
-                            pauli_xi, MeasurementSetting(setting), BitString(n, s), twirled
+                            pauli_xi, MeasurementSetting(setting), BitString(n, s), table
                         )
             for rep in range(20):
                 state = random_circuit_state(n, 12, seed=100 * n + rep)
@@ -213,8 +200,8 @@ class TestFourierShortcut:
         rng = np.random.default_rng(2)
         dirs = pauli_directions()
         model = crosstalk_model(n, NOISE_P10, NOISE_P01, GAMMA)
-        twirled = twirl(model)
-        g = exact_g(twirled)
+        table = model.twirled_table()
+        g = walsh_transform(table)
         worst = 0.0
         for _ in range(100):
             setting = MeasurementSetting(tuple(dirs[i] for i in rng.integers(0, 3, n)))
@@ -224,10 +211,10 @@ class TestFourierShortcut:
                 pattern, {q: dirs[rng.integers(0, 3)] for q in pattern.support()}
             )
             fast = mitigated_shade(
-                pauli_xi, setting, outcome, correlator, g.component(pattern)
+                pauli_xi, setting, outcome, correlator, g[pattern.value]
             )
             dense = np.trace(
-                dense_mitigated_shadow(pauli_xi, setting, outcome, twirled)
+                dense_mitigated_shadow(pauli_xi, setting, outcome, table)
                 @ _correlator_matrix(correlator)
             ).real
             worst = max(worst, abs(fast - dense))
@@ -246,10 +233,10 @@ class TestClosedFormSpectrum:
         n = 6
         worst = 0.0
         for eta in (0.05, 0.1, 0.2):
-            g = exact_g(twirl(independent_flip_model(n, eta, eta)))
+            g = walsh_transform(independent_flip_model(n, eta, eta).twirled_table())
             for w in range(1 << n):
                 expected = (1.0 - 2.0 * eta) ** bin(w).count("1")
-                worst = max(worst, abs(g.component(BitString(n, w)) - expected))
+                worst = max(worst, abs(g[w] - expected))
         ok = worst < 1e-10
         announce(
             "A3 closed-form-spectrum",
@@ -270,7 +257,7 @@ class TestComponentConvergence:
         ordering claim is about the weight class as a whole.
         """
         rng = np.random.default_rng(404)
-        g_true = exact_g(twirl(big_model))
+        g_true = walsh_transform(big_model.twirled_table())
         sizes = np.unique(
             np.round(np.logspace(3, np.log10(BIG_SHOTS // 10), 8)).astype(int)
         )
@@ -284,7 +271,7 @@ class TestComponentConvergence:
                 w = BitString(BIG_N, sum(1 << q for q in support))
                 parity = np.bitwise_xor.reduce(big_cal.outcomes[:, list(support)], axis=1)
                 signs = 1.0 - 2.0 * parity.astype(np.float64)
-                inv_true = 1.0 / g_true.component(w)
+                inv_true = 1.0 / g_true[w.value]
                 for i, size in enumerate(sizes):
                     for b in range(resamples):
                         mean = signs[rng.integers(0, BIG_SHOTS, size)].mean()
@@ -316,9 +303,9 @@ class TestSpectrumDecay:
     def test_mean_component_decreases_with_weight(self, announce, big_model):
         """Crosstalk spectrum: the average component over fixed weight
         strictly decreases for weights 1 through 6."""
-        g = exact_g(twirl(big_model))
+        g = walsh_transform(big_model.twirled_table())
         weights = np.array([bin(w).count("1") for w in range(1 << BIG_N)])
-        means = [float(np.mean(g.values[weights == k])) for k in range(1, 7)]
+        means = [float(np.mean(g[weights == k])) for k in range(1, 7)]
         ok = all(means[i] > means[i + 1] for i in range(len(means) - 1))
         announce(
             "A5 spectrum-decay",
@@ -473,7 +460,7 @@ class TestSampleBounds:
         z = pauli_directions()[2]
         correlator = Correlator(BitString(n, 0b11), {0: z, 1: z})
         truth = exact_expectation(state, correlator)
-        g_pattern = exact_g(twirl(model)).component(correlator.pattern)
+        g_pattern = walsh_transform(model.twirled_table())[correlator.pattern.value]
         cal_shots = calibration_sample_bound(epsilon, delta, g_pattern)
         tomo_shots = tomography_sample_bound(epsilon, delta, 3.0, 2, g_pattern)
         failures = 0

@@ -89,7 +89,7 @@ class TestWalshTransform:
         twice = walsh_transform(walsh_transform(values))
         assert np.allclose(twice, 32.0 * values, atol=1e-12)
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
     def test_applied_twice_is_size_times_identity(self, n, seed):
         # integer entries below 2^20 keep every partial sum exact

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import dense_mitigated_shadow, dense_shadow
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import (
@@ -7,7 +8,7 @@ from xshadow.exceptions import (
     NotInformationallyCompleteError,
     UnmitigatableComponentError,
 )
-from xshadow.noise import identity_model, independent_flip_model, twirl
+from xshadow.noise import independent_flip_model
 from xshadow.qsim import (
     SIGMA_X,
     SIGMA_Y,
@@ -22,8 +23,6 @@ from xshadow.qsim import (
 from xshadow.shadows import (
     XiTable,
     compute_xi,
-    dense_mitigated_shadow,
-    dense_shadow,
     fourier_shadow_trace,
     kappa,
     mitigated_shade,
@@ -190,11 +189,11 @@ class TestDenseRoutes:
         z = direction_from_label("z")
         x = direction_from_label("x")
         setting = MeasurementSetting((z, x))
-        twirled = twirl(identity_model(2))
+        table = independent_flip_model(2, 0.0, 0.0).twirled_table()
         for value in range(4):
             outcome = BitString(2, value)
             assert np.allclose(
-                dense_mitigated_shadow(pauli_xi, setting, outcome, twirled),
+                dense_mitigated_shadow(pauli_xi, setting, outcome, table),
                 dense_shadow(pauli_xi, setting, outcome),
                 atol=1e-10,
             )
@@ -210,14 +209,13 @@ class TestDenseRoutes:
         z = direction_from_label("z")
         x = direction_from_label("x")
         setting = MeasurementSetting((z, x))
-        twirled = twirl(independent_flip_model(2, 0.1, 0.1))
-        matrix = twirled.matrix()
+        table = independent_flip_model(2, 0.1, 0.1).twirled_table()
         for ideal in range(4):
             plain = dense_shadow(pauli_xi, setting, BitString(2, ideal))
             averaged = np.zeros((4, 4), dtype=complex)
             for observed in range(4):
-                averaged += matrix[ideal, observed] * dense_mitigated_shadow(
-                    pauli_xi, setting, BitString(2, observed), twirled
+                averaged += table[ideal ^ observed] * dense_mitigated_shadow(
+                    pauli_xi, setting, BitString(2, observed), table
                 )
             assert np.allclose(averaged, plain, atol=1e-9)
 
