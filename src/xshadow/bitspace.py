@@ -68,13 +68,6 @@ def hamming_weight(s: BitString) -> int:
     return s.value.bit_count()
 
 
-def dot_mod2_sign(w: BitString, s: BitString) -> int:
-    """(-1)^(w.s) with the dot product taken mod 2."""
-    if w.n != s.n:
-        raise ValueError(f"length mismatch: {w.n} != {s.n}")
-    return 1 - 2 * ((w.value & s.value).bit_count() & 1)
-
-
 def walsh_transform(values: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform out[w] = sum_s (-1)^(w.s) values[s].
 

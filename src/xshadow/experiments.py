@@ -8,8 +8,10 @@ reproduces its outputs byte for byte.
 The report bins each correlator's support once and bootstraps that one
 shade table three times, divided by ghat(v), 1 and the independent
 model's g(v); ghat comes from one spectrum per calibration.  Both
-convergence studies reduce each curve to cell counts, cell values and
-the exact truth, and share one pooled-RMS helper.
+convergence studies reduce each curve to record counts per value, the
+values and the exact truth, and share one pooled-RMS helper: the
+calibration study's values are the two parities, and the tomography
+study's are the distinct mitigated values of the support cells.
 """
 
 from __future__ import annotations
@@ -173,10 +175,11 @@ def _pooled_study(
 ) -> tuple[list[dict[str, object]], dict[int, float]]:
     """RMS error of the subsample mean per group, with its log-log slope.
 
-    Each curve is (group, cell counts, cell values, truth).  A replicate
-    draws `size` records with replacement, which at size <= records/10
-    behaves like a fresh dataset; squared errors are pooled over a group's
-    curves and replicates before the square root.
+    Each curve is (group, counts, values, truth): how many records carry
+    each value.  A replicate draws `size` records with replacement, a
+    multinomial over the values, which at size <= records/10 behaves like
+    a fresh dataset; squared errors are pooled over a group's curves and
+    replicates before the square root.
     """
     pooled: dict[int, list[list[np.ndarray]]] = {}
     for group, counts, values, truth in curves:
@@ -193,6 +196,21 @@ def _pooled_study(
             rows.append({"size": size, group_column: group, "rms": float(value)})
         slopes[group] = fit_loglog_slope(sizes, rms)
     return rows, slopes
+
+
+def _merge_equal_values(counts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One cell per distinct value, ascending, with the summed record
+    counts of the cells that carry it.
+
+    A subsample mean sees a draw only through how many records carry each
+    value, and summing a multinomial's coordinates over a partition gives
+    the multinomial over the merged cells, so the law of every replicate
+    is unchanged.  Only values that compare equal merge (0.0 with -0.0):
+    the half overlaps carry rounding error, and values that differ in the
+    last digit are different values.
+    """
+    values, group = np.unique(values, return_inverse=True)
+    return np.bincount(group, weights=counts).astype(np.int64), values
 
 
 def _pick_wavevectors(
@@ -237,10 +255,12 @@ def correlator_rms_rows(
 ) -> tuple[list[dict[str, object]], dict[int, float]]:
     """Convergence of the mitigated estimator with tomography size.
 
-    Mitigated cell values are fixed once (using ghat(v) from the full
-    calibration set, refused below G_FLOOR as in comparison_rows);
-    subsample means then isolate the statistical error.  Pooled per
-    correlator degree.
+    Mitigated values are fixed once (using ghat(v) from the full
+    calibration set, refused below G_FLOOR as in comparison_rows), and
+    the support cells that carry equal values are merged before any
+    draw, so a subsample costs one binomial per distinct value instead of
+    one per cell.  Subsample means then isolate the statistical error.
+    Pooled per correlator degree.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
@@ -253,9 +273,8 @@ def correlator_rms_rows(
     for correlator in correlators:
         g_hat = _g_hat(g, correlator.pattern)
         counts, shades = _shade_cells(tomo, correlator, xi)
-        curves.append(
-            (correlator.degree, counts, shades / g_hat, exact_expectation(state, correlator))
-        )
+        counts, values = _merge_equal_values(counts, shades / g_hat)
+        curves.append((correlator.degree, counts, values, exact_expectation(state, correlator)))
     return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "degree")
 
 
@@ -264,34 +283,21 @@ def fit_loglog_slope(sizes: Sequence[int], rms: Sequence[float]) -> float:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
-    """Collect both datasets, write them, and produce every result table.
+    """Collect both datasets, produce every result table, then write them all.
 
-    Returns a name -> path map of everything written under out_dir.
-    Both subsample grids are checked first, so an infeasible study writes nothing.
+    Returns a name -> path map of everything written under out_dir.  Both
+    subsample grids are checked before any sampling, and every table is
+    computed before out_dir is made, so a run that fails (an infeasible
+    grid, a singular independent model, a ghat(v) below G_FLOOR) writes
+    nothing.
     """
     for records in (config.calibration_shots, config.tomography_shots):
         subsample_grid(records, config.grid_points, config.grid_min)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "calibration": os.path.join(out_dir, "calibration.txt"),
-        "tomography": os.path.join(out_dir, "tomography.txt"),
-        "report": os.path.join(out_dir, "report.csv"),
-        "calibration_rms": os.path.join(out_dir, "calibration_rms.csv"),
-        "tomography_rms": os.path.join(out_dir, "tomography_rms.csv"),
-        "summary": os.path.join(out_dir, "summary.csv"),
-    }
-
     cal = collect_calibration(config)
     tomo = collect_tomography(config)
-    storage.write_calibration(paths["calibration"], cal)
-    storage.write_tomography(paths["tomography"], tomo)
-
-    storage.write_report(paths["report"], comparison_rows(config, tomo, cal))
-
+    report = comparison_rows(config, tomo, cal)
     cal_rows, cal_slopes = g_rms_rows(config, cal)
-    storage.write_csv(paths["calibration_rms"], CALIBRATION_RMS_COLUMNS, cal_rows)
     tomo_rows, tomo_slopes = correlator_rms_rows(config, tomo, cal)
-    storage.write_csv(paths["tomography_rms"], TOMOGRAPHY_RMS_COLUMNS, tomo_rows)
 
     summary = [
         {"section": "datasets", "key": "calibration_records", "value": len(cal)},
@@ -305,5 +311,20 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
         summary.append(
             {"section": "tomography_rms_slope", "key": f"degree={degree}", "value": slope}
         )
+
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {
+        "calibration": os.path.join(out_dir, "calibration.txt"),
+        "tomography": os.path.join(out_dir, "tomography.txt"),
+        "report": os.path.join(out_dir, "report.csv"),
+        "calibration_rms": os.path.join(out_dir, "calibration_rms.csv"),
+        "tomography_rms": os.path.join(out_dir, "tomography_rms.csv"),
+        "summary": os.path.join(out_dir, "summary.csv"),
+    }
+    storage.write_calibration(paths["calibration"], cal)
+    storage.write_tomography(paths["tomography"], tomo)
+    storage.write_report(paths["report"], report)
+    storage.write_csv(paths["calibration_rms"], CALIBRATION_RMS_COLUMNS, cal_rows)
+    storage.write_csv(paths["tomography_rms"], TOMOGRAPHY_RMS_COLUMNS, tomo_rows)
     storage.write_csv(paths["summary"], SUMMARY_COLUMNS, summary)
     return paths

@@ -465,16 +465,6 @@ def estimate_correlator_independent_model(
     return _bootstrap_report(counts, shades / g, bootstrap_resamples, bootstrap_seed)
 
 
-def median_of_means(values, groups: int) -> float:
-    """Median of the means of `groups` contiguous blocks; groups=1 is the mean."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a nonempty 1-d array")
-    if not 1 <= groups <= values.size:
-        raise ValueError(f"groups must lie in [1, {values.size}], got {groups}")
-    return float(np.median([block.mean() for block in np.array_split(values, groups)]))
-
-
 def _check_bound_args(epsilon: float, delta: float, g: float) -> None:
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")

@@ -11,27 +11,20 @@ a pattern v collapses to
     (-1)^(v.s) / g(v) * prod_{i in v} (1/2) tr(xi^{nu_i} sigma^{mu_i}),
 
 so only the single Fourier component g(v) is ever divided out.  The
-dense 2^n-dimensional shadow matrices that check this live with the test
-oracles.
+estimators evaluate this over count tables (see protocols); the
+one-record shade functions and the dense 2^n-dimensional shadow
+matrices that check it live with the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bitspace import BitString, dot_mod2_sign
-from .exceptions import NotInformationallyCompleteError, UnmitigatableComponentError
-from .qsim import (
-    Correlator,
-    Direction,
-    IDENTITY_2,
-    MeasurementSetting,
-    pauli_directions,
-    pauli_operator,
-)
+from .exceptions import NotInformationallyCompleteError
+from .qsim import Direction, IDENTITY_2, pauli_directions, pauli_operator
 
 G_FLOOR = 1e-6
 
@@ -103,86 +96,3 @@ def compute_xi(directions: Sequence[Direction]) -> XiTable:
             )
         operators[direction.label] = shadows[0] - shadows[1]
     return XiTable(directions, operators)
-
-
-def kappa(xi: XiTable, observables: Iterable[Direction]) -> float:
-    """max |(1/2) tr(xi^nu mu.sigma)| over the set and requested observables."""
-    observables = tuple(observables)
-    if not observables:
-        raise ValueError("observable set is empty")
-    return max(
-        abs(xi.half_overlap(d.label, mu)) for d in xi.directions for mu in observables
-    )
-
-
-def _check_lengths(setting: MeasurementSetting, outcome: BitString, correlator: Correlator):
-    if not setting.n == outcome.n == correlator.n:
-        raise ValueError(
-            f"length mismatch: setting {setting.n}, outcome {outcome.n}, "
-            f"correlator {correlator.n}"
-        )
-
-
-def unmitigated_shade(
-    xi: XiTable, setting: MeasurementSetting, outcome: BitString, correlator: Correlator
-) -> float:
-    """Trace of the noiseless shadow against the correlator.
-
-    Factorizes per qubit: 1 off the support, (-1)^{s_i} times the half
-    overlap on the support.
-    """
-    _check_lengths(setting, outcome, correlator)
-    value = 1.0
-    for qubit in correlator.pattern.support():
-        overlap = xi.half_overlap(
-            setting.directions[qubit].label, correlator.observables[qubit]
-        )
-        value *= (1 - 2 * outcome.bit(qubit)) * overlap
-    return value
-
-
-def mitigated_shade(
-    xi: XiTable,
-    setting: MeasurementSetting,
-    outcome: BitString,
-    correlator: Correlator,
-    g_v: float,
-    g_floor: float = G_FLOOR,
-) -> float:
-    """Readout-mitigated shade: (-1)^(v.s)/g(v) times the support overlaps.
-
-    The outcome enters only through the global sign; division is by the
-    single component g(v) of the twirled spectrum.
-    """
-    _check_lengths(setting, outcome, correlator)
-    if abs(g_v) < g_floor:
-        raise UnmitigatableComponentError(
-            f"|g(v)| = {abs(g_v)} below floor {g_floor} for v={correlator.pattern}"
-        )
-    value = dot_mod2_sign(correlator.pattern, outcome) / g_v
-    for qubit in correlator.pattern.support():
-        value *= xi.half_overlap(
-            setting.directions[qubit].label, correlator.observables[qubit]
-        )
-    return value
-
-
-def fourier_shadow_trace(
-    xi: XiTable, setting: MeasurementSetting, w: BitString, correlator: Correlator
-) -> float:
-    """tr(tau^nu_w C) for the Fourier-basis shadow component
-    tau^nu_w = prod_i [w_i=0 -> identity, w_i=1 -> xi^{nu_i}].
-
-    Vanishes unless w equals the correlator pattern, because both xi and
-    the observables are traceless.
-    """
-    _check_lengths(setting, w, correlator)
-    value = 1.0
-    for qubit in range(w.n):
-        left = IDENTITY_2 if w.bit(qubit) == 0 else xi.xi(setting.directions[qubit].label)
-        if correlator.pattern.bit(qubit) == 0:
-            right = IDENTITY_2
-        else:
-            right = pauli_operator(correlator.observables[qubit])
-        value *= np.trace(left @ right).real
-    return float(value)

@@ -245,7 +245,13 @@ def _fast_tomography_rows(
 def _slow_tomography_rows(
     body: bytes, n: int, label_index: Mapping[str, int], path: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    lines = body.decode("utf-8").splitlines()
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: body is not UTF-8 text ({exc.reason} at body byte {exc.start})"
+        ) from None
+    lines = text.splitlines()
     settings = np.empty((len(lines), n), dtype=np.uint8, order="F")
     outcomes = np.empty((len(lines), n), dtype=np.uint8, order="F")
     for row, line in enumerate(lines):

@@ -12,15 +12,30 @@ normalised CDF.  Each noise model builds its twirled table Rbar(. | 0) as
 a Markov chain of flips; `transition_row` gives the model's untwirled
 rows R(. | ideal) and `twirl_table` averages all 2^n of them over
 translations.  The dense shadow matrices check the factorised shades and
-their Fourier-space mitigation against the full 2^n x 2^n operators.
+their Fourier-space mitigation against the full 2^n x 2^n operators.  The
+single-record shades (`unmitigated_shade`, `mitigated_shade` with its
+`dot_mod2_sign`), `fourier_shadow_trace`, `kappa` and `median_of_means`
+are the paper's formulas one record or one block at a time, which the
+tests and acceptance checks evaluate directly.
 """
+
+from typing import Iterable
 
 import numpy as np
 
 from xshadow.bitspace import BitString
-from xshadow.exceptions import CapabilityError, SingularNoiseError
+from xshadow.exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from xshadow.noise import ChainCrosstalkModel
-from xshadow.qsim import IDENTITY_2, MeasurementSetting, apply_single_qubit, rotation_gate
+from xshadow.qsim import (
+    IDENTITY_2,
+    Correlator,
+    Direction,
+    MeasurementSetting,
+    apply_single_qubit,
+    pauli_operator,
+    rotation_gate,
+)
+from xshadow.shadows import G_FLOOR, XiTable
 
 DENSE_MAX_QUBITS = 4
 
@@ -203,3 +218,103 @@ def dense_mitigated_shadow(xi, setting, outcome, table):
         weight = inverse[s_prime, outcome.value]
         out += dense_shadow(xi, setting, BitString(n, s_prime)) * weight
     return out
+
+
+def dot_mod2_sign(w: BitString, s: BitString) -> int:
+    """(-1)^(w.s) with the dot product taken mod 2."""
+    if w.n != s.n:
+        raise ValueError(f"length mismatch: {w.n} != {s.n}")
+    return 1 - 2 * ((w.value & s.value).bit_count() & 1)
+
+
+def kappa(xi: XiTable, observables: Iterable[Direction]) -> float:
+    """max |(1/2) tr(xi^nu mu.sigma)| over the set and requested observables."""
+    observables = tuple(observables)
+    if not observables:
+        raise ValueError("observable set is empty")
+    return max(
+        abs(xi.half_overlap(d.label, mu)) for d in xi.directions for mu in observables
+    )
+
+
+def _check_lengths(setting: MeasurementSetting, outcome: BitString, correlator: Correlator):
+    if not setting.n == outcome.n == correlator.n:
+        raise ValueError(
+            f"length mismatch: setting {setting.n}, outcome {outcome.n}, "
+            f"correlator {correlator.n}"
+        )
+
+
+def unmitigated_shade(
+    xi: XiTable, setting: MeasurementSetting, outcome: BitString, correlator: Correlator
+) -> float:
+    """Trace of the noiseless shadow against the correlator.
+
+    Factorizes per qubit: 1 off the support, (-1)^{s_i} times the half
+    overlap on the support.
+    """
+    _check_lengths(setting, outcome, correlator)
+    value = 1.0
+    for qubit in correlator.pattern.support():
+        overlap = xi.half_overlap(
+            setting.directions[qubit].label, correlator.observables[qubit]
+        )
+        value *= (1 - 2 * outcome.bit(qubit)) * overlap
+    return value
+
+
+def mitigated_shade(
+    xi: XiTable,
+    setting: MeasurementSetting,
+    outcome: BitString,
+    correlator: Correlator,
+    g_v: float,
+    g_floor: float = G_FLOOR,
+) -> float:
+    """Readout-mitigated shade: (-1)^(v.s)/g(v) times the support overlaps.
+
+    The outcome enters only through the global sign; division is by the
+    single component g(v) of the twirled spectrum.
+    """
+    _check_lengths(setting, outcome, correlator)
+    if abs(g_v) < g_floor:
+        raise UnmitigatableComponentError(
+            f"|g(v)| = {abs(g_v)} below floor {g_floor} for v={correlator.pattern}"
+        )
+    value = dot_mod2_sign(correlator.pattern, outcome) / g_v
+    for qubit in correlator.pattern.support():
+        value *= xi.half_overlap(
+            setting.directions[qubit].label, correlator.observables[qubit]
+        )
+    return value
+
+
+def fourier_shadow_trace(
+    xi: XiTable, setting: MeasurementSetting, w: BitString, correlator: Correlator
+) -> float:
+    """tr(tau^nu_w C) for the Fourier-basis shadow component
+    tau^nu_w = prod_i [w_i=0 -> identity, w_i=1 -> xi^{nu_i}].
+
+    Vanishes unless w equals the correlator pattern, because both xi and
+    the observables are traceless.
+    """
+    _check_lengths(setting, w, correlator)
+    value = 1.0
+    for qubit in range(w.n):
+        left = IDENTITY_2 if w.bit(qubit) == 0 else xi.xi(setting.directions[qubit].label)
+        if correlator.pattern.bit(qubit) == 0:
+            right = IDENTITY_2
+        else:
+            right = pauli_operator(correlator.observables[qubit])
+        value *= np.trace(left @ right).real
+    return float(value)
+
+
+def median_of_means(values, groups: int) -> float:
+    """Median of the means of `groups` contiguous blocks; groups=1 is the mean."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-d array")
+    if not 1 <= groups <= values.size:
+        raise ValueError(f"groups must lie in [1, {values.size}], got {groups}")
+    return float(np.median([block.mean() for block in np.array_split(values, groups)]))

@@ -12,7 +12,13 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import dense_mitigated_shadow, dense_shadow, support_shades, transition_row
+from oracles import (
+    dense_mitigated_shadow,
+    dense_shadow,
+    mitigated_shade,
+    support_shades,
+    transition_row,
+)
 
 from xshadow.bitspace import BitString, walsh_transform
 from xshadow.cli import main as cli_main
@@ -36,7 +42,7 @@ from xshadow.qsim import (
     pauli_operator,
     random_circuit_state,
 )
-from xshadow.shadows import compute_xi, mitigated_shade
+from xshadow.shadows import compute_xi
 from xshadow.storage import read_calibration, read_tomography, write_calibration, write_tomography
 
 NOISE_P10 = 0.07

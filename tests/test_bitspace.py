@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dot_mod2_sign
 
-from xshadow.bitspace import BitString, dot_mod2_sign, hamming_weight, walsh_transform, xor
+from xshadow.bitspace import BitString, hamming_weight, walsh_transform, xor
 
 
 class TestBitString:

@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from xshadow import storage
+from xshadow import experiments, storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
@@ -22,9 +23,14 @@ from xshadow.experiments import (
     run_experiment,
     subsample_grid,
 )
-from xshadow.protocols import CalibrationDataset, TomographyDataset, run_calibration
+from xshadow.protocols import (
+    CalibrationDataset,
+    TomographyDataset,
+    run_calibration,
+    run_tomography,
+)
 from xshadow.noise import crosstalk_model
-from xshadow.qsim import Direction, direction_from_label
+from xshadow.qsim import Direction, direction_from_label, pauli_directions, random_circuit_state
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
@@ -297,6 +303,108 @@ class TestStorage:
         )
 
 
+# labels of one to three letters or digits, ASCII (one byte: the fast
+# parser) or not (the per-row parser)
+_LABELS = st.lists(
+    st.text(st.characters(categories=("L", "N")), min_size=1, max_size=3),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+# (kind, position, byte); positions wrap around the file
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "insert", "delete")),
+        st.integers(0, 1 << 16),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.fixture(scope="module")
+def storage_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("storage")
+
+
+@pytest.fixture(scope="module")
+def valid_files(storage_dir):
+    """The bytes of a valid n=3 calibration file and tomography file."""
+    model = crosstalk_model(3, 0.07, 0.05, 0.5)
+    state = random_circuit_state(3, 4, 3)
+    write_calibration(str(storage_dir / "cal.txt"), run_calibration(model, 8, seed=1))
+    tomo = run_tomography(state, pauli_directions(), model, 8, seed=2)
+    write_tomography(str(storage_dir / "tomo.txt"), tomo)
+    return {kind: (storage_dir / f"{kind}.txt").read_bytes() for kind in ("cal", "tomo")}
+
+
+class TestStorageProperties:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 12),
+        records=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        file_seed=st.none() | st.integers(0, 2**63),
+    )
+    def test_calibration_round_trip(self, storage_dir, n, records, seed, file_seed):
+        rng = np.random.default_rng(seed)
+        ds = CalibrationDataset(n, rng.integers(0, 2, (records, n)), seed=file_seed)
+        path = str(storage_dir / "round_trip.txt")
+        write_calibration(path, ds)
+        back = read_calibration(path)
+        assert (back.n, back.seed) == (n, file_seed)
+        assert np.array_equal(back.outcomes, ds.outcomes)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 12),
+        labels=_LABELS,
+        records=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=12, labels=["x", "y", "z"], records=40, seed=0)
+    @example(n=3, labels=["ξ", "zz", "7"], records=40, seed=1)
+    def test_tomography_round_trip(self, storage_dir, n, labels, records, seed):
+        directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
+        rng = np.random.default_rng(seed)
+        ds = TomographyDataset(
+            n,
+            directions,
+            rng.integers(0, len(labels), (records, n)),
+            rng.integers(0, 2, (records, n)),
+            seed=seed,
+        )
+        path = str(storage_dir / "round_trip.txt")
+        write_tomography(path, ds)
+        back = read_tomography(path, directions=directions)
+        assert (back.n, back.seed, back.directions) == (n, seed, directions)
+        assert np.array_equal(back.setting_indices, ds.setting_indices)
+        assert np.array_equal(back.outcomes, ds.outcomes)
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(("cal", "tomo")), mutations=_MUTATIONS)
+    @example(kind="tomo", mutations=[("replace", 60, 0xF2)])
+    def test_mutated_files_raise_only_data_format_errors(
+        self, storage_dir, valid_files, kind, mutations
+    ):
+        payload = bytearray(valid_files[kind])
+        for op, position, byte in mutations:
+            if op == "insert":
+                payload.insert(position % (len(payload) + 1), byte)
+            elif op == "replace":
+                payload[position % len(payload)] = byte
+            else:
+                del payload[position % len(payload)]
+        path = storage_dir / "mutated.txt"
+        path.write_bytes(bytes(payload))
+        reader = read_calibration if kind == "cal" else read_tomography
+        try:
+            reader(str(path))  # a mutation may leave a valid file
+        except DataFormatError:
+            pass
+
+
 @pytest.fixture(scope="module")
 def small_config():
     return parse_config(
@@ -413,6 +521,53 @@ class TestExperiments:
         for name, path in first.items():
             with open(path, "rb") as a, open(second[name], "rb") as b:
                 assert a.read() == b.read(), name
+
+
+# mitigated values with ties, signed zeros and values a few ulps apart
+_STUDY_VALUES = (0.0, -0.0, 1.5, -1.5, 3.0, 2.9999999999999987, 1e-16, -1e-16)
+
+
+class TestStudyValueMerge:
+    @settings(max_examples=60)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(1, 10**6), st.sampled_from(_STUDY_VALUES)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_merge_sums_the_counts_of_equal_values(self, cells):
+        counts = np.array([count for count, _ in cells], dtype=np.int64)
+        values = np.array([value for _, value in cells])
+        merged_counts, merged_values = experiments._merge_equal_values(counts, values)
+        assert merged_counts.dtype == np.int64
+        assert np.all(np.diff(merged_values) > 0)
+        for count, value in zip(merged_counts, merged_values):
+            assert count == counts[values == value].sum()
+        assert merged_counts.sum() == counts.sum()
+
+    def test_study_resamples_distinct_values(self, monkeypatch):
+        config = _config(
+            calibration_shots=5000,
+            tomography_shots=5000,
+            correlator_degrees=[1, 2],
+            correlators_per_degree_study=2,
+            grid_points=3,
+            grid_min=100,
+            bootstrap_resamples=10,
+        )
+        handed = []
+        original = experiments._resample_means
+
+        def recording(counts, values, *args):
+            handed.append(values)
+            return original(counts, values, *args)
+
+        monkeypatch.setattr(experiments, "_resample_means", recording)
+        correlator_rms_rows(config, collect_tomography(config), collect_calibration(config))
+        assert len(handed) == 4 * 3  # curves x grid sizes
+        for values in handed:
+            assert np.unique(values).size == values.size
 
 
 class TestFrozenReport:
@@ -606,6 +761,24 @@ class TestCli:
         )
         assert result.exit_code == 2
         assert "--seed" in result.output
+        assert not out.exists()
+
+    def test_experiment_with_singular_noise_writes_nothing(self, tmp_path):
+        # rates 0.5 pass the config; the independent model's g(v) is then 0
+        path = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 2\ndepth: 4\n"
+            "noise:\n  model: chain_crosstalk\n  p10: 0.5\n  p01: 0.5\n  gamma: 0.0\n"
+            "calibration_shots: 5000\ntomography_shots: 5000\n"
+            "correlator_degrees: [1]\ncorrelators_per_degree: 1\n"
+            "correlators_per_degree_study: 1\nstudy_weights: [1]\n"
+            "wavevectors_per_weight: 1\ngrid_points: 3\ngrid_min: 50\n"
+            "bootstrap_resamples: 10\n",
+        )
+        out = tmp_path / "exp"
+        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "is singular" in result.output
         assert not out.exists()
 
     def test_experiment_with_infeasible_grid_writes_nothing(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     born_outcomes,
     independent_model_values,
+    median_of_means,
     parity_counts,
     sorted_shade_cells,
     support_shades,
@@ -29,7 +30,6 @@ from xshadow.protocols import (
     estimate_correlator_mitigated,
     estimate_correlator_unmitigated,
     estimate_g,
-    median_of_means,
     pack_bits,
     random_correlators,
     run_calibration,

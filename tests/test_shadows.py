@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from oracles import dense_mitigated_shadow, dense_shadow
+from oracles import (
+    dense_mitigated_shadow,
+    dense_shadow,
+    fourier_shadow_trace,
+    kappa,
+    mitigated_shade,
+    unmitigated_shade,
+)
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import (
@@ -20,14 +27,7 @@ from xshadow.qsim import (
     pauli_directions,
     pauli_operator,
 )
-from xshadow.shadows import (
-    XiTable,
-    compute_xi,
-    fourier_shadow_trace,
-    kappa,
-    mitigated_shade,
-    unmitigated_shade,
-)
+from xshadow.shadows import XiTable, compute_xi
 
 
 @pytest.fixture(scope="module")
