@@ -49,18 +49,8 @@ class BitString:
         """Indices of set bits, ascending."""
         return tuple(i for i in range(self.n) if (self.value >> i) & 1)
 
-    def __xor__(self, other: BitString) -> BitString:
-        return xor(self, other)
-
     def __str__(self) -> str:
         return self.to_text()
-
-
-def xor(a: BitString, b: BitString) -> BitString:
-    """Bitwise XOR of two equal-length bit vectors."""
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} != {b.n}")
-    return BitString(a.n, a.value ^ b.value)
 
 
 def hamming_weight(s: BitString) -> int:

@@ -17,6 +17,11 @@ qubit 0, while the bitstring keeps qubit 0 rightmost.  The two halves
 of the row therefore read in opposite directions; this is deliberate
 (labels read like a list, bitstrings read like a number) and round
 trips exactly.
+
+Every label is one printable ASCII character other than space, ``,``
+and ``#``, and labels do not repeat, so each kind of file has one
+fixed row width and is written and read as one byte block.  Every row,
+the last included, ends in a bare ``\\n``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .exceptions import DataFormatError
-from .protocols import CalibrationDataset, TomographyDataset, _check_direction_count
+from .protocols import CalibrationDataset, TomographyDataset
 from .qsim import Direction, direction_from_label
 
 CALIBRATION_TYPE = "calibration"
 TOMOGRAPHY_TYPE = "tomography"
+# one printable ASCII character: tomography rows then have a fixed width,
+# and no label reads as a separator (space, comma) or starts a header (#)
+_LABEL_CHARACTERS = frozenset(map(chr, range(0x21, 0x7F))) - {",", "#"}
 
 REPORT_COLUMNS = (
     "correlator_id",
@@ -100,18 +108,30 @@ def _parse_seed(headers: dict[str, str], path: str) -> int | None:
         raise DataFormatError(f"{path}: #seed= must be an integer") from None
 
 
-def _decode_bit_block(body: bytes, n: int, path: str) -> np.ndarray:
-    """Inverse of _bit_block: uniform rows of n bits plus newline."""
-    if len(body) % (n + 1) != 0:
-        raise DataFormatError(f"{path}: body is not whole {n}-bit rows")
-    raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, n + 1)
-    if raw.size and not np.all(raw[:, n] == ord("\n")):
-        raise DataFormatError(f"{path}: found a row that is not {n} characters")
+def _decode_rows(
+    body: bytes, width: int, n: int, what: str, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the body into rows of width - 1 bytes and a newline, the last
+    n of them bits written MSB first.  Returns the raw (M, width) rows and
+    the bits as the dataset's column-major uint8 (M, n) array.  Each check
+    runs on the whole array and looks for the first bad row only once it
+    has failed, so a valid file pays for no per-row mask."""
+    raw = np.frombuffer(body, dtype=np.uint8)
+    if len(body) % width or not np.all(raw[width - 1 :: width] == ord("\n")):
+        ends = np.flatnonzero(raw == ord("\n"))
+        bad = np.flatnonzero(ends != np.arange(width - 1, width * len(ends), width))
+        row = int(bad[0]) if bad.size else len(ends)
+        raise DataFormatError(
+            f"{path}: body is not whole {what} rows: "
+            f"row {row} is not {width - 1} characters and a newline"
+        )
+    raw = raw.reshape(-1, width)
     bits = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
-    np.subtract(np.flip(raw[:, :n], axis=1), ord("0"), out=bits)
+    np.subtract(np.flip(raw[:, width - 1 - n : width - 1], axis=1), ord("0"), out=bits)
     if np.any(bits > 1):
-        raise DataFormatError(f"{path}: rows must contain only 0 and 1")
-    return bits
+        row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
+        raise DataFormatError(f"{path}: rows must contain only 0 and 1; row {row} does not")
+    return raw, bits
 
 
 def write_calibration(path: str, dataset: CalibrationDataset) -> None:
@@ -127,14 +147,28 @@ def read_calibration(path: str) -> CalibrationDataset:
     if headers["type"] != CALIBRATION_TYPE:
         raise DataFormatError(f"{path}: expected #type={CALIBRATION_TYPE}, got {headers['type']}")
     n = int(headers["n"])
-    bits = _decode_bit_block(body, n, path)
+    _, bits = _decode_rows(body, n + 1, n, f"{n}-bit", path)
     return CalibrationDataset(n=n, outcomes=bits, seed=_parse_seed(headers, path))
 
 
+def _label_problem(labels: Sequence[str]) -> str | None:
+    """Why a direction label set cannot head a tomography file, or None."""
+    if not labels:
+        return "direction set is empty"
+    for label in labels:
+        if label not in _LABEL_CHARACTERS:
+            return (
+                f"direction label {label!r} is not one printable ASCII character "
+                "other than space, ',' and '#'"
+            )
+    if len(set(labels)) != len(labels):
+        return f"direction labels {tuple(labels)} repeat"
+    return None
+
+
 def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.ndarray:
-    """Rows as (M, 3n+1) ascii bytes for single-byte labels: n labels with
-    commas, a space, n bits MSB first, a newline (the layout that
-    _fast_tomography_rows reads)."""
+    """Rows as (M, 3n+1) ascii bytes: n labels with commas, a space, n bits
+    MSB first, a newline."""
     n = dataset.n
     block = np.empty((len(dataset), 3 * n + 1), dtype=np.uint8)
     block[:, : 2 * n] = ord(",")
@@ -147,23 +181,13 @@ def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.n
 
 def write_tomography(path: str, dataset: TomographyDataset) -> None:
     labels = [d.label for d in dataset.directions]
+    problem = _label_problem(labels)
+    if problem:
+        raise ValueError(problem)
     extra = [("directions", ",".join(labels))]
-    header = _header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra)
-    if all(len(label.encode()) == 1 for label in labels):
-        with open(path, "wb") as fh:
-            fh.write(header.encode())
-            fh.write(_tomography_block(dataset, labels))
-        return
-    label_rows = np.asarray(labels, dtype=object)[dataset.setting_indices]
-    setting_col = [",".join(row) for row in label_rows]
-    n = dataset.n
-    bit_text = _bit_block(dataset.outcomes)[:, :n].tobytes().decode("ascii")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.writelines(
-            f"{setting_col[i]} {bit_text[i * n:(i + 1) * n]}\n"
-            for i in range(len(setting_col))
-        )
+    with open(path, "wb") as fh:
+        fh.write(_header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra).encode())
+        fh.write(_tomography_block(dataset, labels))
 
 
 def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
@@ -176,6 +200,9 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
         raise DataFormatError(f"{path}: missing #directions= header")
     n = int(headers["n"])
     labels = tuple(headers["directions"].split(","))
+    problem = _label_problem(labels)
+    if problem:
+        raise DataFormatError(f"{path}: {problem}")
     if directions is None:
         try:
             directions = tuple(direction_from_label(label) for label in labels)
@@ -187,15 +214,26 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
             raise DataFormatError(
                 f"{path}: file directions {labels} do not match the provided set"
             )
-    _check_direction_count(len(labels))  # before uint8 setting indices are filled
-    label_index = {label: i for i, label in enumerate(labels)}
-
-    parsed = None
-    if all(len(label.encode()) == 1 for label in labels):
-        parsed = _fast_tomography_rows(body, n, label_index)
-    if parsed is None:
-        parsed = _slow_tomography_rows(body, n, label_index, path)
-    settings, outcomes = parsed
+    raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
+    between = raw[:, 1 : 2 * n : 2]
+    separators = np.frombuffer(b"," * (n - 1) + b" ", dtype=np.uint8)
+    if not np.all(between == separators):
+        row = int(np.flatnonzero((between != separators).any(axis=1))[0])
+        raise DataFormatError(
+            f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
+        )
+    lookup = np.full(256, -1, dtype=np.int16)
+    lookup[np.frombuffer("".join(labels).encode(), dtype=np.uint8)] = np.arange(len(labels))
+    settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
+    for qubit in range(n):
+        column = lookup[raw[:, 2 * qubit]]
+        if np.any(column < 0):
+            codes = raw[:, 0 : 2 * n : 2]
+            row, where = np.argwhere(lookup[codes] < 0)[0]
+            raise DataFormatError(
+                f"{path}: row {row} has unknown label {chr(codes[row, where])!r}"
+            )
+        settings[:, qubit] = column
     return TomographyDataset(
         n=n,
         directions=directions,
@@ -203,74 +241,6 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
         outcomes=outcomes,
         seed=_parse_seed(headers, path),
     )
-
-
-def _fast_tomography_rows(
-    body: bytes, n: int, label_index: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorized row parse for single-character label sets.
-
-    Rows then have fixed width: n labels with commas, a space, n bits,
-    a newline.  Columns are filled one at a time into the dataset's
-    column-major uint8 layout.  Returns None when any structural check
-    fails so the caller can fall back to the per-row parser and its exact
-    errors.
-    """
-    width = (2 * n - 1) + 1 + n + 1
-    if len(body) % width != 0:
-        return None
-    raw = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
-    if not np.all(raw[:, width - 1] == ord("\n")):
-        return None
-    if not np.all(raw[:, 2 * n - 1] == ord(" ")):
-        return None
-    if n > 1 and not np.all(raw[:, 1 : 2 * n - 1 : 2] == ord(",")):
-        return None
-    lookup = np.full(256, -1, dtype=np.int16)
-    for label, idx in label_index.items():
-        lookup[ord(label)] = idx
-    settings = np.empty((len(raw), n), dtype=np.uint8, order="F")
-    for qubit in range(n):
-        column = lookup[raw[:, 2 * qubit]]
-        if np.any(column < 0):
-            return None
-        settings[:, qubit] = column
-    bits = np.empty((len(raw), n), dtype=np.uint8, order="F")
-    np.subtract(np.flip(raw[:, 2 * n : 3 * n], axis=1), ord("0"), out=bits)
-    if np.any(bits > 1):
-        return None
-    return settings, bits
-
-
-def _slow_tomography_rows(
-    body: bytes, n: int, label_index: Mapping[str, int], path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: body is not UTF-8 text ({exc.reason} at body byte {exc.start})"
-        ) from None
-    lines = text.splitlines()
-    settings = np.empty((len(lines), n), dtype=np.uint8, order="F")
-    outcomes = np.empty((len(lines), n), dtype=np.uint8, order="F")
-    for row, line in enumerate(lines):
-        parts = line.split(" ")
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}: row {row} must be '<labels> <bits>'")
-        row_labels = parts[0].split(",")
-        bits = parts[1]
-        if len(row_labels) != n or len(bits) != n:
-            raise DataFormatError(f"{path}: row {row} does not have {n} qubits")
-        for qubit, label in enumerate(row_labels):
-            if label not in label_index:
-                raise DataFormatError(f"{path}: row {row} has unknown label {label!r}")
-            settings[row, qubit] = label_index[label]
-        for qubit, ch in enumerate(reversed(bits)):
-            if ch not in "01":
-                raise DataFormatError(f"{path}: row {row} bits must be 0/1")
-            outcomes[row, qubit] = ch == "1"
-    return settings, outcomes
 
 
 def _format_cell(value: object) -> str:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import dot_mod2_sign
 
-from xshadow.bitspace import BitString, hamming_weight, walsh_transform, xor
+from xshadow.bitspace import BitString, hamming_weight, walsh_transform
 
 
 class TestBitString:
@@ -21,12 +21,6 @@ class TestBitString:
         assert s.bit(2) == 1
         assert s.support() == (2,)
 
-    def test_xor(self):
-        a = BitString(4, 0b1100)
-        b = BitString(4, 0b1010)
-        assert (a ^ b).value == 0b0110
-        assert xor(a, b) == a ^ b
-
     @pytest.mark.parametrize("text,weight", [("0", 0), ("1", 1), ("1011", 3), ("11111111", 8)])
     def test_hamming_weight(self, text, weight):
         assert hamming_weight(BitString.from_text(text)) == weight
@@ -41,10 +35,6 @@ class TestBitString:
             BitString.from_text("01a1")
         with pytest.raises(ValueError):
             BitString.from_text("")
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xor(BitString(2, 1), BitString(3, 1))
 
 
 class TestDotSign:

@@ -201,7 +201,7 @@ class TestStorage:
         body = [line for line in open(path) if not line.startswith("#")]
         assert body == ["x,z 01\n"]
 
-    def test_slow_parser_handles_multichar_labels(self, tmp_path):
+    def test_multichar_labels_are_refused(self, tmp_path):
         custom = (Direction("xp", (1.0, 0.0, 0.0)), Direction("zp", (0.0, 0.0, 1.0)))
         ds = TomographyDataset(
             2,
@@ -209,11 +209,75 @@ class TestStorage:
             np.array([[0, 1], [1, 1]], dtype=np.uint8),
             np.array([[1, 0], [0, 1]], dtype=np.uint8),
         )
-        path = str(tmp_path / "custom.txt")
-        write_tomography(path, ds)
-        back = read_tomography(path, directions=custom)
-        assert np.array_equal(back.setting_indices, ds.setting_indices)
-        assert np.array_equal(back.outcomes, ds.outcomes)
+        path = tmp_path / "custom.txt"
+        with pytest.raises(ValueError, match="'xp' is not one printable ASCII character"):
+            write_tomography(str(path), ds)
+        path.write_text("#n=2\n#type=tomography\n#directions=xp,zp\nxp,zp 01\n")
+        with pytest.raises(DataFormatError, match="'xp' is not one printable ASCII character"):
+            read_tomography(str(path), directions=custom)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["a b"],
+            ["a,b", "c"],
+            [","],
+            ["#"],
+            [" "],
+            [""],
+            ["\n"],
+            ["a\u2028", "b"],
+            ["é"],
+            ["x", "x"],
+            [],
+        ],
+    )
+    def test_writer_refuses_bad_label_sets(self, tmp_path, labels):
+        directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
+        no_records = np.zeros((0, 1), dtype=np.uint8)
+        ds = TomographyDataset(1, directions, no_records, no_records)
+        path = tmp_path / "bad.txt"
+        with pytest.raises(ValueError):
+            write_tomography(str(path), ds)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "x,x",
+            "a b",
+            "",
+            "x,,z",
+            ",",
+            "é",
+            pytest.param(",".join(f"d{i}" for i in range(300)), id="300-labels"),
+        ],
+    )
+    def test_reader_refuses_bad_direction_headers(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"#n=1\n#type=tomography\n#directions={header}\nx 0\n")
+        directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in header.split(","))
+        with pytest.raises(DataFormatError):
+            read_tomography(str(path))
+        with pytest.raises(DataFormatError):
+            read_tomography(str(path), directions=directions)
+
+    @pytest.mark.parametrize("kind", ["cal", "tomo"])
+    @pytest.mark.parametrize("ending", ["crlf", "unterminated"])
+    def test_crlf_and_unterminated_bodies_are_refused(self, tmp_path, valid_files, kind, ending):
+        payload = valid_files[kind]
+        body_start = payload.index(b"\n", payload.rindex(b"#")) + 1
+        if ending == "crlf":
+            payload = payload[:body_start] + payload[body_start:].replace(b"\n", b"\r\n")
+            needle = "row 0 is not"
+        else:
+            payload = payload[:-1]
+            needle = "row 7 is not"  # the last of 8 records
+        path = tmp_path / "bad.txt"
+        path.write_bytes(payload)
+        reader = read_calibration if kind == "cal" else read_tomography
+        with pytest.raises(DataFormatError, match=needle):
+            reader(str(path))
 
     def test_readers_hand_over_column_major_uint8(self, tmp_path, monkeypatch):
         handed = []
@@ -228,18 +292,16 @@ class TestStorage:
         monkeypatch.setattr(storage, "CalibrationDataset", recording(CalibrationDataset))
         monkeypatch.setattr(storage, "TomographyDataset", recording(TomographyDataset))
         dirs = tuple(direction_from_label(l) for l in "xyz")
-        custom = (Direction("xp", (1.0, 0.0, 0.0)), Direction("zp", (0.0, 0.0, 1.0)))
         rng = np.random.default_rng(4)
         cal_path = str(tmp_path / "cal.txt")
         write_calibration(cal_path, CalibrationDataset(3, rng.integers(0, 2, (20, 3))))
         read_calibration(cal_path)
-        cases = (("fast", dirs, 20), ("slow", custom, 20), ("empty", dirs, 0))
-        for name, directions, records in cases:
-            path = str(tmp_path / f"{name}.txt")
-            settings = rng.integers(0, len(directions), (records, 3))
-            write_tomography(path, TomographyDataset(3, directions, settings, settings % 2))
-            read_tomography(path, directions=directions)
-        assert len(handed) == 7
+        for records in (20, 0):
+            path = str(tmp_path / f"tomo{records}.txt")
+            settings = rng.integers(0, len(dirs), (records, 3))
+            write_tomography(path, TomographyDataset(3, dirs, settings, settings % 2))
+            read_tomography(path, directions=dirs)
+        assert len(handed) == 5
         for array in handed:  # the dataset constructors then copy nothing
             assert array.dtype == np.uint8 and array.flags.f_contiguous
 
@@ -271,6 +333,18 @@ class TestStorage:
             ("#n=-1\n#type=calibration\n000\n", "#n= must be >= 1, got -1"),
             ("#n=-2\n#type=tomography\n#directions=z\nz 0\n", "#n= must be >= 1, got -2"),
             ("#n=0\n#type=calibration\n\n\n", "#n= must be >= 1, got 0"),
+            (
+                "#n=2\n#type=tomography\n#directions=x,z\nx,z 01\nx;z 01\n",
+                "row 1 must be '<labels> <bits>'",
+            ),
+            (
+                "#n=2\n#type=tomography\n#directions=x,z\nx,z 01\nz,z 01\nx,y 01\n",
+                "row 2 has unknown label 'y'",
+            ),
+            (
+                "#n=2\n#type=tomography\n#directions=x,z\nx,z 01\nz,x 02\n",
+                "only 0 and 1; row 1 does not",
+            ),
         ],
     )
     def test_malformed_files(self, tmp_path, body, needle):
@@ -303,14 +377,9 @@ class TestStorage:
         )
 
 
-# labels of one to three letters or digits, ASCII (one byte: the fast
-# parser) or not (the per-row parser)
-_LABELS = st.lists(
-    st.text(st.characters(categories=("L", "N")), min_size=1, max_size=3),
-    min_size=1,
-    max_size=6,
-    unique=True,
-)
+# the tomography label alphabet: printable ASCII but space, comma and '#'
+_ALPHABET = [chr(c) for c in range(0x21, 0x7F) if chr(c) not in ",#"]
+_LABELS = st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=len(_ALPHABET), unique=True)
 # (kind, position, byte); positions wrap around the file
 _MUTATIONS = st.lists(
     st.tuples(
@@ -364,7 +433,7 @@ class TestStorageProperties:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(n=12, labels=["x", "y", "z"], records=40, seed=0)
-    @example(n=3, labels=["ξ", "zz", "7"], records=40, seed=1)
+    @example(n=3, labels=_ALPHABET, records=40, seed=1)
     def test_tomography_round_trip(self, storage_dir, n, labels, records, seed):
         directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
         rng = np.random.default_rng(seed)
@@ -382,9 +451,32 @@ class TestStorageProperties:
         assert np.array_equal(back.setting_indices, ds.setting_indices)
         assert np.array_equal(back.outcomes, ds.outcomes)
 
+    @settings(max_examples=60)
+    @given(
+        good=_LABELS,
+        bad=st.text(max_size=3).filter(lambda label: label not in _ALPHABET),
+        position=st.integers(0, len(_ALPHABET)),
+    )
+    def test_writer_refuses_labels_outside_the_alphabet(self, storage_dir, good, bad, position):
+        labels = list(good)
+        labels.insert(position % (len(labels) + 1), bad)
+        directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
+        ds = TomographyDataset(
+            1, directions, np.zeros((1, 1), dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)
+        )
+        path = storage_dir / "refused.txt"
+        path.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_tomography(str(path), ds)
+        assert not path.exists()
+
     @settings(max_examples=300)
     @given(kind=st.sampled_from(("cal", "tomo")), mutations=_MUTATIONS)
     @example(kind="tomo", mutations=[("replace", 60, 0xF2)])
+    @example(kind="cal", mutations=[("insert", -2, 0x0D)])  # a CRLF row
+    @example(kind="tomo", mutations=[("insert", -2, 0x0D)])
+    @example(kind="cal", mutations=[("delete", -1, 0)])  # no final newline
+    @example(kind="tomo", mutations=[("delete", -1, 0)])
     def test_mutated_files_raise_only_data_format_errors(
         self, storage_dir, valid_files, kind, mutations
     ):
