@@ -5,13 +5,14 @@ seeds, correlator draws, bootstrap replicates and subsample draws all
 come from seeds named in the config file, so rerunning a command
 reproduces its outputs byte for byte.
 
-The report bins each correlator's support once and bootstraps that one
-shade table three times, divided by ghat(v), 1 and the independent
-model's g(v); ghat comes from one spectrum per calibration.  Both
-convergence studies reduce each curve to record counts per value, the
-values and the exact truth, and share one pooled-RMS helper: the
-calibration study's values are the two parities, and the tomography
-study's are the distinct mitigated values of the support cells.
+The report makes one estimate_correlator call per correlator: one
+binning of its support, bootstrapped three times, divided by ghat(v), 1
+and the independent model's g(v); ghat comes from one spectrum per
+calibration.  Both convergence studies reduce each curve to record
+counts per value, the values and the exact truth, and share one
+pooled-RMS helper: the calibration study's values are the two
+parities, and the tomography study's are the distinct mitigated values
+of the support cells.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .protocols import (
     CalibrationDataset,
     TomographyDataset,
     _PARITY_SIGNS,
-    _bootstrap_report,
-    _g_hat,
-    _g_independent,
     _outcome_counts,
     _parity_sums,
     _resample_means,
     _shade_cells,
+    estimate_correlator,
+    g_hat,
+    g_spectrum,
+    independent_g,
     random_correlators,
     run_calibration,
     run_tomography,
@@ -116,23 +118,25 @@ def comparison_rows(
     """Three-estimator comparison of the configured correlators against
     the exact state expectation.
 
-    Each support is binned once; the mitigated, unmitigated and indep
-    columns bootstrap its shade table divided by ghat(v), 1 and the
-    independent model's g(v), with seeds bootstrap_seed + 3*index + 0, 1, 2.
+    The mitigated, unmitigated and indep columns are one estimate_correlator
+    call over the divisors ghat(v), 1 and the independent model's g(v),
+    with seeds bootstrap_seed + 3*index + 0, 1, 2.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
     correlators = build_correlators(config)
-    g = _parity_sums(cal) / len(cal)
+    spectrum = g_spectrum(cal)
     rows: list[dict[str, object]] = []
     for index, correlator in enumerate(correlators):
-        g_hat = _g_hat(g, correlator.pattern)
-        g_ind = _g_independent(correlator, config.noise.p10, config.noise.p01)
-        counts, shades = _shade_cells(tomo, correlator, xi)
-        seed = config.bootstrap_seed + 3 * index
-        mit, unm, ind = (
-            _bootstrap_report(counts, shades / g, config.bootstrap_resamples, seed + i)
-            for i, g in enumerate((g_hat, 1.0, g_ind))
+        g_v = g_hat(spectrum, correlator.pattern)
+        g_ind = independent_g(correlator, config.noise.p10, config.noise.p01)
+        mit, unm, ind = estimate_correlator(
+            tomo,
+            correlator,
+            xi,
+            (g_v, 1.0, g_ind),
+            resamples=config.bootstrap_resamples,
+            seed=config.bootstrap_seed + 3 * index,
         )
         rows.append(
             {
@@ -146,7 +150,7 @@ def comparison_rows(
                 "unmitigated_se": unm.stderr,
                 "indep": ind.estimate,
                 "indep_se": ind.stderr,
-                "g_hat": g_hat,
+                "g_hat": g_v,
             }
         )
     return rows
@@ -268,12 +272,12 @@ def correlator_rms_rows(
     rng = np.random.default_rng(config.study_seed + 1)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
-    g = _parity_sums(cal) / len(cal)
+    spectrum = g_spectrum(cal)
     curves = []
     for correlator in correlators:
-        g_hat = _g_hat(g, correlator.pattern)
+        g_v = g_hat(spectrum, correlator.pattern)
         counts, shades = _shade_cells(tomo, correlator, xi)
-        counts, values = _merge_equal_values(counts, shades / g_hat)
+        counts, values = _merge_equal_values(counts, shades / g_v)
         curves.append((correlator.degree, counts, values, exact_expectation(state, correlator)))
     return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "degree")
 

@@ -10,7 +10,7 @@ into its measurement basis, and push the ideal outcome through the same
 XOR-twirl sandwich before recording (setting, outcome).
 
 Datasets are stored as column-major (M, n) uint8 arrays (column i =
-qubit i, contiguous); record accessors return the usual value types.
+qubit i, contiguous).
 All functions draw from a caller-supplied seed through a fresh numpy
 Generator, with the draw order documented per function, so datasets are
 reproducible bit-for-bit.
@@ -18,18 +18,20 @@ reproducible bit-for-bit.
 Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters; ghat(w) for
-every w is one Walsh transform of the calibration's outcome histogram.
-The three correlator estimators share one table of unmitigated shades
-and differ only in the g(v) they divide it by: ghat(v) (mitigated), 1
-(unmitigated) or the independent-flip model's prod (1 - p10 - p01)
-(indep).  Bootstrap and subsample draws are multinomial over the cells,
-exactly the law of drawing records with replacement.
+every w is one Walsh transform of the calibration's outcome histogram
+(g_spectrum).  One estimator serves the mitigated, unmitigated and
+indep columns: it bins the support once and divides the table of
+unmitigated shades by each g(v) it is handed, ghat(v) (g_hat), 1 or the
+independent-flip model's prod (1 - p10 - p01) (independent_g).
+Bootstrap and subsample draws are multinomial over the cells, exactly
+the law of drawing records with replacement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,14 +42,11 @@ from .qsim import (
     Correlator,
     EXACT_SIM_MAX_QUBITS,
     Direction,
-    MeasurementSetting,
     StateVector,
     pauli_directions,
     rotation_gate,
 )
 from .shadows import G_FLOOR, XiTable
-
-DEFAULT_BOOTSTRAP_RESAMPLES = 200
 
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
@@ -100,9 +99,6 @@ class CalibrationDataset:
     def __len__(self) -> int:
         return self.outcomes.shape[0]
 
-    def record(self, i: int) -> BitString:
-        return BitString(self.n, int(pack_bits(self.outcomes[i])))
-
 
 def _check_direction_count(k: int) -> None:
     if k > _MAX_DIRECTIONS:
@@ -139,12 +135,6 @@ class TomographyDataset:
     def __len__(self) -> int:
         return self.setting_indices.shape[0]
 
-    def record(self, i: int) -> tuple[MeasurementSetting, BitString]:
-        setting = MeasurementSetting(
-            tuple(self.directions[j] for j in self.setting_indices[i])
-        )
-        return setting, BitString(self.n, int(pack_bits(self.outcomes[i])))
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -152,8 +142,6 @@ class EstimateReport:
 
     estimate: float
     stderr: float
-    resamples: int
-    samples: int
 
     def __post_init__(self) -> None:
         if self.stderr < 0.0:
@@ -189,11 +177,10 @@ def _parity_sums(cal: CalibrationDataset) -> np.ndarray:
     return walsh_transform(_outcome_counts(cal))
 
 
-def estimate_g(data: CalibrationDataset, w: BitString) -> float:
-    """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over records."""
-    if w.n != data.n:
-        raise ValueError(f"pattern has {w.n} bits, dataset has {data.n}")
-    return float(_parity_sums(data)[w.value] / len(data))
+def g_spectrum(cal: CalibrationDataset) -> np.ndarray:
+    """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over the
+    records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS."""
+    return _parity_sums(cal) / len(cal)
 
 
 def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,40 +355,28 @@ def _resample_means(
     return np.concatenate(draws) / size
 
 
-def _bootstrap_report(
-    counts: np.ndarray, values: np.ndarray, resamples: int, seed: int
-) -> EstimateReport:
-    """Count-weighted mean of the cell values, with the sd of `resamples`
-    bootstrap means drawn from a generator seeded with `seed`."""
-    records = int(counts.sum())
-    rng = np.random.default_rng(seed)
-    means = _resample_means(counts, values, records, resamples, rng)
-    return EstimateReport(
-        float(counts @ values / records), float(np.std(means, ddof=1)), resamples, records
-    )
-
-
-def _g_hat(g: np.ndarray, pattern: BitString) -> float:
-    """ghat(v) read from a calibration's spectrum g (ghat of every w, see
-    _parity_sums), used as-is even when negative; only the absolute floor
-    G_FLOOR refuses it."""
-    if len(g) != 1 << pattern.n:
-        raise ValueError(f"pattern has {pattern.n} bits, spectrum has {len(g)} entries")
-    g_hat = float(g[pattern.value])
-    if abs(g_hat) < G_FLOOR:
+def g_hat(spectrum: np.ndarray, pattern: BitString) -> float:
+    """ghat(v) read from a calibration's spectrum (see g_spectrum), used
+    as-is even when negative; only the absolute floor G_FLOOR refuses it."""
+    if len(spectrum) != 1 << pattern.n:
+        raise ValueError(f"pattern has {pattern.n} bits, spectrum has {len(spectrum)} entries")
+    value = float(spectrum[pattern.value])
+    if abs(value) < G_FLOOR:
         raise UnmitigatableComponentError(
-            f"|ghat(v)| = {abs(g_hat)} below floor {G_FLOOR} for v={pattern}"
+            f"|ghat(v)| = {abs(value)} below floor {G_FLOOR} for v={pattern}"
         )
-    return g_hat
+    return value
 
 
-def _g_independent(correlator: Correlator, p10, p01) -> float:
+def independent_g(correlator: Correlator, p10, p01) -> float:
     """g(v) of independent per-qubit flips: prod over the support of 1 - 2p.
 
     The data went through the XOR-twirl, so each qubit's assumed 2x2
     transition matrix is twirled first (its two flip rates average to p).
     A shade's pair of outcome weights (+overlap, -overlap) is an
-    eigenvector of that matrix with eigenvalue 1 - 2p.
+    eigenvector of that matrix with eigenvalue 1 - 2p.  Exact when the
+    true noise is independent flips at the assumed rates; crosstalk
+    leaves residual bias, which is the point of carrying this model.
     """
     rates = 0.5 * (np.asarray(p10, dtype=float) + np.asarray(p01, dtype=float))
     support = list(correlator.pattern.support())
@@ -414,55 +389,38 @@ def _g_independent(correlator: Correlator, p10, p01) -> float:
     return float(np.prod(eigenvalues))
 
 
-def estimate_correlator_mitigated(
-    data: TomographyDataset,
-    cal: CalibrationDataset,
-    correlator: Correlator,
-    xi: XiTable,
-    *,
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-    bootstrap_seed: int = 0,
-) -> EstimateReport:
-    """Readout-mitigated correlator estimate: the shades divided by ghat(v)
-    from the calibration dataset.  The stderr treats ghat(v) as fixed."""
-    if cal.n != data.n:
-        raise ValueError(f"calibration is on {cal.n} qubits, tomography on {data.n}")
-    g_hat = _g_hat(_parity_sums(cal) / len(cal), correlator.pattern)
-    counts, shades = _shade_cells(data, correlator, xi)
-    return _bootstrap_report(counts, shades / g_hat, bootstrap_resamples, bootstrap_seed)
-
-
-def estimate_correlator_unmitigated(
+def estimate_correlator(
     data: TomographyDataset,
     correlator: Correlator,
     xi: XiTable,
+    divisors: Sequence[float],
     *,
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-    bootstrap_seed: int = 0,
-) -> EstimateReport:
-    """Plain shade average with no noise correction (the biased baseline)."""
-    counts, shades = _shade_cells(data, correlator, xi)
-    return _bootstrap_report(counts, shades, bootstrap_resamples, bootstrap_seed)
+    resamples: int,
+    seed: int,
+) -> list[EstimateReport]:
+    """Correlator estimates from one binning of the support, one per divisor.
 
-
-def estimate_correlator_independent_model(
-    data: TomographyDataset,
-    correlator: Correlator,
-    xi: XiTable,
-    p10,
-    p01,
-    *,
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-    bootstrap_seed: int = 0,
-) -> EstimateReport:
-    """Correlator estimate assuming independent per-qubit readout flips:
-    the shades divided by the model's g(v) (see _g_independent).  Exact
-    when the true noise is independent flips at the assumed rates;
-    crosstalk leaves residual bias, which is the point of carrying this
-    estimator."""
-    g = _g_independent(correlator, p10, p01)
+    Report i is the count-weighted mean of the shades divided by
+    divisors[i], with the sd of `resamples` bootstrap means drawn from a
+    generator seeded with seed + i.  A divisor of ghat(v) (g_hat) gives the
+    mitigated estimate, 1 the unmitigated one and independent_g the
+    independent-flip model's; the stderr treats each divisor as exact.
+    """
+    divisors = [float(g) for g in divisors]
+    for g in divisors:
+        if g == 0.0 or not math.isfinite(g):
+            raise ValueError(f"divisors must be finite and nonzero, got {g}")
     counts, shades = _shade_cells(data, correlator, xi)
-    return _bootstrap_report(counts, shades / g, bootstrap_resamples, bootstrap_seed)
+    records = int(counts.sum())
+    reports = []
+    for i, g in enumerate(divisors):
+        values = shades / g
+        rng = np.random.default_rng(seed + i)
+        means = _resample_means(counts, values, records, resamples, rng)
+        reports.append(
+            EstimateReport(float(counts @ values / records), float(np.std(means, ddof=1)))
+        )
+    return reports
 
 
 def _check_bound_args(epsilon: float, delta: float, g: float) -> None:

@@ -77,17 +77,6 @@ def pauli_operator(direction: Direction) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MeasurementSetting:
-    """Per-qubit measurement directions for one shot."""
-
-    directions: tuple[Direction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.directions)
-
-
-@dataclass(frozen=True)
 class Correlator:
     """A tensor-product observable: identity off the support pattern v,
     a unit-direction Pauli operator mu_i on each support qubit."""

@@ -85,6 +85,8 @@ def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], bytes]:
         key, sep, value = line.partition("=")
         if not sep or not key:
             raise DataFormatError(f"{path}: malformed header line {line!r}")
+        if key in headers:
+            raise DataFormatError(f"{path}: repeated #{key}= header")
         headers[key] = value
         offset = end + 1
     for required in ("n", "type"):

@@ -7,8 +7,8 @@ bins them through int64 codes and a sort.  It reads ghat(w) for every w
 from one Walsh transform of the calibration histogram; `parity_counts`
 counts the two parity cells of one w.  It draws Born outcomes qubit by
 qubit down the outcome tree; the Born oracles rotate the whole state for
-one setting, one qubit at a time, and `born_outcomes` searches the full
-normalised CDF.  Each noise model builds its twirled table Rbar(. | 0) as
+one `MeasurementSetting` (one shot's directions), one qubit at a time,
+and `born_outcomes` searches the full normalised CDF.  Each noise model builds its twirled table Rbar(. | 0) as
 a Markov chain of flips; `transition_row` gives the model's untwirled
 rows R(. | ideal) and `twirl_table` averages all 2^n of them over
 translations.  The dense shadow matrices check the factorised shades and
@@ -19,6 +19,7 @@ are the paper's formulas one record or one block at a time, which the
 tests and acceptance checks evaluate directly.
 """
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +31,6 @@ from xshadow.qsim import (
     IDENTITY_2,
     Correlator,
     Direction,
-    MeasurementSetting,
     apply_single_qubit,
     pauli_operator,
     rotation_gate,
@@ -97,6 +97,17 @@ def independent_model_values(data, correlator, xi, p10, p01):
         corrected = np.stack([inverse @ np.array([ov, -ov]) for ov in overlaps])
         values *= corrected[data.setting_indices[:, qubit], data.outcomes[:, qubit]]
     return values
+
+
+@dataclass(frozen=True)
+class MeasurementSetting:
+    """Per-qubit measurement directions for one shot."""
+
+    directions: tuple[Direction, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.directions)
 
 
 def measurement_probabilities(state, setting):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from oracles import (
+    MeasurementSetting,
     dense_mitigated_shadow,
     dense_shadow,
     mitigated_shade,
@@ -25,10 +26,10 @@ from xshadow.cli import main as cli_main
 from xshadow.noise import crosstalk_model, independent_flip_model
 from xshadow.protocols import (
     calibration_sample_bound,
-    estimate_correlator_independent_model,
-    estimate_correlator_mitigated,
-    estimate_correlator_unmitigated,
-    estimate_g,
+    estimate_correlator,
+    g_hat,
+    g_spectrum,
+    independent_g,
     random_correlators,
     run_calibration,
     run_tomography,
@@ -36,7 +37,6 @@ from xshadow.protocols import (
 )
 from xshadow.qsim import (
     Correlator,
-    MeasurementSetting,
     exact_expectation,
     pauli_directions,
     pauli_operator,
@@ -332,22 +332,18 @@ class TestBiasRemoval:
             BIG_N, [1, 2, 3, 4], 3, seed=CORRELATOR_SEED, directions=pauli_directions()
         )
         truths = [exact_expectation(big_state, c) for c in correlators]
+        spectrum = g_spectrum(big_cal)
 
         within = 0
         reports = []
         for index, (correlator, truth) in enumerate(zip(correlators, truths)):
-            seed = 3 * index
-            mit = estimate_correlator_mitigated(
-                big_tomo, big_cal, correlator, pauli_xi,
-                bootstrap_resamples=200, bootstrap_seed=seed,
+            divisors = (
+                g_hat(spectrum, correlator.pattern),
+                1.0,
+                independent_g(correlator, NOISE_P10, NOISE_P01),
             )
-            unm = estimate_correlator_unmitigated(
-                big_tomo, correlator, pauli_xi,
-                bootstrap_resamples=200, bootstrap_seed=seed + 1,
-            )
-            ind = estimate_correlator_independent_model(
-                big_tomo, correlator, pauli_xi, NOISE_P10, NOISE_P01,
-                bootstrap_resamples=200, bootstrap_seed=seed + 2,
+            mit, unm, ind = estimate_correlator(
+                big_tomo, correlator, pauli_xi, divisors, resamples=200, seed=3 * index
             )
             reports.append((correlator, truth, mit, unm, ind))
             if abs(mit.estimate - truth) <= 4 * mit.stderr:
@@ -365,13 +361,9 @@ class TestBiasRemoval:
                 truth = exact_expectation(big_state, correlator)
                 if abs(truth) <= 0.2:
                     continue
-                unm = estimate_correlator_unmitigated(
-                    big_tomo, correlator, pauli_xi,
-                    bootstrap_resamples=200, bootstrap_seed=1001,
-                )
-                ind = estimate_correlator_independent_model(
-                    big_tomo, correlator, pauli_xi, NOISE_P10, NOISE_P01,
-                    bootstrap_resamples=200, bootstrap_seed=1002,
+                divisors = (1.0, independent_g(correlator, NOISE_P10, NOISE_P01))
+                unm, ind = estimate_correlator(
+                    big_tomo, correlator, pauli_xi, divisors, resamples=200, seed=1001
                 )
                 qualifying.append((correlator, truth, None, unm, ind))
 
@@ -410,10 +402,11 @@ class TestEstimatorConvergence:
             np.round(np.logspace(3, np.log10(BIG_SHOTS // 10), 8)).astype(int)
         )
         resamples = 200
+        spectrum = g_spectrum(big_cal)
         curves = []
         for correlator in correlators:
-            g_hat = estimate_g(big_cal, correlator.pattern)
-            shades = support_shades(big_tomo, correlator, pauli_xi) / g_hat
+            g_v = spectrum[correlator.pattern.value]
+            shades = support_shades(big_tomo, correlator, pauli_xi) / g_v
             truth = exact_expectation(big_state, correlator)
             errors = np.empty((len(sizes), resamples))
             for i, size in enumerate(sizes):
@@ -476,9 +469,9 @@ class TestSampleBounds:
             tomo = run_tomography(
                 state, pauli_directions(), model, tomo_shots, seed=5000 + rep
             )
-            est = estimate_correlator_mitigated(
-                tomo, cal, correlator, pauli_xi,
-                bootstrap_resamples=2, bootstrap_seed=0,
+            (est,) = estimate_correlator(
+                tomo, correlator, pauli_xi,
+                (g_hat(g_spectrum(cal), correlator.pattern),), resamples=2, seed=0,
             )
             if abs(est.estimate - truth) > epsilon:
                 failures += 1

@@ -3,12 +3,14 @@ import hashlib
 import io
 import pathlib
 import re
+import types
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import xshadow
 from xshadow import experiments, storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
@@ -333,6 +335,11 @@ class TestStorage:
             ("#n=-1\n#type=calibration\n000\n", "#n= must be >= 1, got -1"),
             ("#n=-2\n#type=tomography\n#directions=z\nz 0\n", "#n= must be >= 1, got -2"),
             ("#n=0\n#type=calibration\n\n\n", "#n= must be >= 1, got 0"),
+            ("#n=3\n#type=calibration\n#n=2\n01\n", "repeated #n= header"),
+            (
+                "#n=2\n#type=tomography\n#directions=x,y\n#directions=z\nz,z 01\n",
+                "repeated #directions= header",
+            ),
             (
                 "#n=2\n#type=tomography\n#directions=x,z\nx,z 01\nx;z 01\n",
                 "row 1 must be '<labels> <bits>'",
@@ -904,3 +911,30 @@ class TestReadme:
         number = r"[+-]\d\.\d{4}"
         line = rf"{number} \+- \d\.\d{{4}} \(exact {number}\)\n"
         assert re.fullmatch(line, out.getvalue())
+
+
+class TestPackage:
+    def test_public_names(self):
+        """The top level exports the README example's names and the error
+        hierarchy, nothing else: a new export has to be added here."""
+        names = {
+            name
+            for name, value in vars(xshadow).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert names == {
+            "CapabilityError",
+            "ConfigError",
+            "DataFormatError",
+            "NotInformationallyCompleteError",
+            "SingularNoiseError",
+            "UnmitigatableComponentError",
+            "XShadowError",
+            "collect_calibration",
+            "collect_tomography",
+            "compute_xi",
+            "estimate_correlator",
+            "exact_expectation",
+            "load_config",
+            "random_correlators",
+        }

@@ -26,10 +26,10 @@ from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
     calibration_sample_bound,
-    estimate_correlator_independent_model,
-    estimate_correlator_mitigated,
-    estimate_correlator_unmitigated,
-    estimate_g,
+    estimate_correlator,
+    g_hat,
+    g_spectrum,
+    independent_g,
     pack_bits,
     random_correlators,
     run_calibration,
@@ -78,7 +78,7 @@ class TestDatasets:
 
     def test_calibration_record(self):
         ds = CalibrationDataset(3, np.array([[1, 0, 1]], dtype=np.uint8))
-        assert ds.record(0) == BitString.from_text("101")
+        assert pack_bits(ds.outcomes[0]) == BitString.from_text("101").value
 
     def test_tomography_validation(self):
         z = direction_from_label("z")
@@ -110,7 +110,7 @@ class TestDatasets:
                   collected[1].setting_indices, collected[1].outcomes]
         for array in arrays:
             assert array.dtype == np.uint8 and array.flags.f_contiguous
-        assert cal.record(1) == BitString.from_text("110")
+        assert pack_bits(cal.outcomes[1]) == BitString.from_text("110").value
 
     def test_tomography_record(self):
         x = direction_from_label("x")
@@ -121,9 +121,8 @@ class TestDatasets:
             np.array([[1, 0]], dtype=np.uint8),
             np.array([[0, 1]], dtype=np.uint8),
         )
-        setting, outcome = ds.record(0)
-        assert tuple(d.label for d in setting.directions) == ("z", "x")
-        assert outcome.to_text() == "10"
+        assert tuple(ds.directions[i].label for i in ds.setting_indices[0]) == ("z", "x")
+        assert BitString(2, int(pack_bits(ds.outcomes[0]))).to_text() == "10"
 
 
 class TestRunCalibration:
@@ -142,7 +141,7 @@ class TestRunCalibration:
     def test_estimate_g_identity_is_exactly_one(self):
         data = run_calibration(_noiseless(2), 100, seed=0)
         for w in range(4):
-            assert estimate_g(data, BitString(2, w)) == 1.0
+            assert g_spectrum(data)[w] == 1.0
 
     @pytest.mark.parametrize("w_value", [0b001, 0b011, 0b111])
     def test_estimate_g_matches_exact_spectrum(self, w_value):
@@ -153,25 +152,25 @@ class TestRunCalibration:
         truth = walsh_transform(model.twirled_table())[w.value]
         # variance of a +-1 mean
         tol = 4 * np.sqrt((1 - truth**2) / shots)
-        assert estimate_g(data, w) == pytest.approx(truth, abs=tol)
+        assert g_spectrum(data)[w.value] == pytest.approx(truth, abs=tol)
 
     def test_empty_support_component(self):
         data = run_calibration(_noiseless(2), 50, seed=1)
-        assert estimate_g(data, BitString(2, 0)) == 1.0
+        assert g_spectrum(data)[0] == 1.0
 
     @settings(max_examples=40)
     @given(n=st.integers(1, 12), records=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     def test_spectrum_equals_per_wavevector_parity_means(self, n, records, seed):
         bits = np.random.default_rng(seed).integers(0, 2, size=(records, n), dtype=np.uint8)
         cal = CalibrationDataset(n, bits)
-        g = protocols._parity_sums(cal) / records
+        g = g_spectrum(cal)
         for w in range(1 << n):
             assert g[w] == parity_counts(cal, BitString(n, w)) @ [1.0, -1.0] / records
 
     def test_spectrum_above_the_qubit_cap_is_a_capability_error(self):
         cal = CalibrationDataset(13, np.zeros((4, 13), dtype=np.uint8))
         with pytest.raises(CapabilityError):
-            estimate_g(cal, BitString(13, 1))
+            g_spectrum(cal)
 
 
 class TestRunTomography:
@@ -227,8 +226,9 @@ class TestEstimators:
         cal = run_calibration(_noiseless(2), 1000, seed=7)
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b10), {1: z})
-        mit = estimate_correlator_mitigated(data, cal, c, pauli_xi, bootstrap_seed=1)
-        unm = estimate_correlator_unmitigated(data, c, pauli_xi, bootstrap_seed=1)
+        g_v = g_hat(g_spectrum(cal), c.pattern)
+        (mit,) = estimate_correlator(data, c, pauli_xi, (g_v,), resamples=200, seed=1)
+        (unm,) = estimate_correlator(data, c, pauli_xi, (1.0,), resamples=200, seed=1)
         assert mit.estimate == pytest.approx(unm.estimate, abs=1e-12)
         assert mit.stderr == pytest.approx(unm.stderr, abs=1e-12)
 
@@ -242,7 +242,8 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b11), {0: z, 1: x})
         truth = exact_expectation(state, c)
-        mit = estimate_correlator_mitigated(data, cal, c, pauli_xi, bootstrap_seed=3)
+        g_v = g_hat(g_spectrum(cal), c.pattern)
+        (mit,) = estimate_correlator(data, c, pauli_xi, (g_v,), resamples=200, seed=3)
         assert mit.estimate == pytest.approx(truth, abs=5 * mit.stderr)
 
     def test_indep_model_recovers_truth_when_model_is_right(self, pauli_xi):
@@ -253,49 +254,71 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b11), {0: y, 1: z})
         truth = exact_expectation(state, c)
-        ind = estimate_correlator_independent_model(
-            data, c, pauli_xi, [0.1, 0.05], [0.02, 0.07], bootstrap_seed=4
-        )
+        g_ind = independent_g(c, [0.1, 0.05], [0.02, 0.07])
+        (ind,) = estimate_correlator(data, c, pauli_xi, (g_ind,), resamples=200, seed=4)
         assert ind.estimate == pytest.approx(truth, abs=5 * ind.stderr)
 
-    def test_g_floor(self, pauli_xi):
-        state = random_circuit_state(2, 4, seed=3)
-        data = run_tomography(state, pauli_directions(), _noiseless(2), 500, seed=8)
+    def test_g_floor(self):
         # qubit 0 reads 0 and 1 equally often: ghat(01) = 0
         cal = CalibrationDataset(2, np.array([[0, 0], [1, 0], [0, 1], [1, 1]] * 25))
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b01), {0: z})
         with pytest.raises(UnmitigatableComponentError, match="below floor"):
-            estimate_correlator_mitigated(data, cal, c, pauli_xi)
+            g_hat(g_spectrum(cal), c.pattern)
 
-    def test_mitigation_rejects_a_pattern_of_another_size(self, pauli_xi):
+    def test_mitigation_rejects_a_pattern_of_another_size(self):
         cal = run_calibration(_noiseless(2), 20, seed=2)
-        data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
-                              _noiseless(2), 20, seed=3)
         z = direction_from_label("z")
         for n in (1, 3):
             c = Correlator(BitString(n, 1 << (n - 1)), {n - 1: z})
             with pytest.raises(ValueError, match=f"pattern has {n} bits, spectrum has 4 entries"):
-                estimate_correlator_mitigated(data, cal, c, pauli_xi)
+                g_hat(g_spectrum(cal), c.pattern)
 
-    def test_indep_model_rejects_singular_rates(self, pauli_xi):
-        state = random_circuit_state(2, 4, seed=7)
-        data = run_tomography(state, pauli_directions(), _noiseless(2), 100, seed=60)
+    def test_indep_model_rejects_singular_rates(self):
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b11), {0: z, 1: z})
         with pytest.raises(SingularNoiseError, match="qubit 1"):
-            estimate_correlator_independent_model(data, c, pauli_xi, [0.1, 0.3], [0.1, 0.7])
+            independent_g(c, [0.1, 0.3], [0.1, 0.7])
 
     def test_bootstrap_is_seeded(self, pauli_xi):
         state = random_circuit_state(2, 4, seed=6)
         data = run_tomography(state, pauli_directions(), _noiseless(2), 1000, seed=50)
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b01), {0: z})
-        a = estimate_correlator_unmitigated(data, c, pauli_xi, bootstrap_seed=2)
-        b = estimate_correlator_unmitigated(data, c, pauli_xi, bootstrap_seed=2)
-        c2 = estimate_correlator_unmitigated(data, c, pauli_xi, bootstrap_seed=3)
+        a, b, c2 = (
+            estimate_correlator(data, c, pauli_xi, (1.0,), resamples=200, seed=seed)[0]
+            for seed in (2, 2, 3)
+        )
         assert a.stderr == b.stderr
         assert a.stderr != c2.stderr
+
+    def test_divisor_i_is_a_one_divisor_call_at_seed_plus_i(self, pauli_xi):
+        state = random_circuit_state(3, 6, seed=8)
+        model = crosstalk_model(3, 0.07, 0.05, 0.5)
+        data = run_tomography(state, pauli_directions(), model, 5000, seed=70)
+        c = random_correlators(3, [2], 1, seed=71)[0]
+        divisors = (0.8, 1.0, -0.6)
+        reports = estimate_correlator(data, c, pauli_xi, divisors, resamples=50, seed=5)
+        assert len(reports) == len(divisors)
+        for i, g in enumerate(divisors):
+            assert reports[i] == estimate_correlator(
+                data, c, pauli_xi, (g,), resamples=50, seed=5 + i
+            )[0]
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    def test_zero_or_non_finite_divisor_is_refused_before_binning(
+        self, pauli_xi, monkeypatch, bad
+    ):
+        data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
+                              _noiseless(2), 20, seed=3)
+        c = Correlator(BitString(2, 0b01), {0: direction_from_label("z")})
+
+        def no_binning(*args):
+            raise AssertionError("binned before the divisors were checked")
+
+        monkeypatch.setattr(protocols, "_shade_cells", no_binning)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            estimate_correlator(data, c, pauli_xi, (1.0, bad), resamples=2, seed=0)
 
 
 def _tilted_directions():
@@ -334,13 +357,10 @@ class TestCountTableKernel:
         xi = compute_xi(tomo.directions)
         for c in random_correlators(4, [1, 2, 3, 4], 3, seed=24, directions=tomo.directions):
             shades = support_shades(tomo, c, xi)
-            g_hat = estimate_g(cal, c.pattern)
-            mit = estimate_correlator_mitigated(tomo, cal, c, xi, bootstrap_resamples=2)
-            unm = estimate_correlator_unmitigated(tomo, c, xi, bootstrap_resamples=2)
-            ind = estimate_correlator_independent_model(
-                tomo, c, xi, self.P10, self.P01, bootstrap_resamples=2
-            )
-            assert mit.estimate == pytest.approx(np.mean(shades / g_hat), abs=1e-12)
+            g_v = g_hat(g_spectrum(cal), c.pattern)
+            divisors = (g_v, 1.0, independent_g(c, self.P10, self.P01))
+            mit, unm, ind = estimate_correlator(tomo, c, xi, divisors, resamples=2, seed=0)
+            assert mit.estimate == pytest.approx(np.mean(shades / g_v), abs=1e-12)
             assert unm.estimate == pytest.approx(np.mean(shades), abs=1e-12)
             expected = np.mean(independent_model_values(tomo, c, xi, self.P10, self.P01))
             assert ind.estimate == pytest.approx(expected, abs=1e-12)
@@ -350,21 +370,19 @@ class TestCountTableKernel:
         tomo = tomos["pauli"]
         for c in random_correlators(4, [1, 2, 3], 2, seed=25):
             shades = support_shades(tomo, c, pauli_xi)
-            g_hat = estimate_g(cal, c.pattern)
-            for report, per_record in (
-                (estimate_correlator_unmitigated(tomo, c, pauli_xi), shades),
-                (estimate_correlator_mitigated(tomo, cal, c, pauli_xi), shades / g_hat),
-            ):
+            g_v = g_hat(g_spectrum(cal), c.pattern)
+            unm, mit = estimate_correlator(tomo, c, pauli_xi, (1.0, g_v), resamples=200, seed=0)
+            for report, per_record in ((unm, shades), (mit, shades / g_v)):
                 plain_se = np.std(per_record, ddof=1) / np.sqrt(len(tomo))
-                assert report.resamples == 200
                 assert report.stderr == pytest.approx(plain_se, rel=0.2)
 
     def test_blocked_draws_keep_the_stream(self, noisy_data, pauli_xi, monkeypatch):
         _, tomos = noisy_data
         c = random_correlators(4, [3], 1, seed=26)[0]
-        whole = estimate_correlator_unmitigated(tomos["pauli"], c, pauli_xi, bootstrap_seed=9)
+        kw = {"resamples": 200, "seed": 9}
+        whole = estimate_correlator(tomos["pauli"], c, pauli_xi, (1.0,), **kw)
         monkeypatch.setattr(protocols, "_DRAW_BLOCK", 1000)  # a few resamples per block
-        blocked = estimate_correlator_unmitigated(tomos["pauli"], c, pauli_xi, bootstrap_seed=9)
+        blocked = estimate_correlator(tomos["pauli"], c, pauli_xi, (1.0,), **kw)
         assert blocked == whole
 
     @settings(max_examples=25)
@@ -380,15 +398,14 @@ class TestCountTableKernel:
         )
         shuffled_cal = CalibrationDataset(cal.n, cal.outcomes[rng.permutation(len(cal))])
         c = random_correlators(4, [degree], 1, seed=seed, directions=tomo.directions)[0]
-        kw = {"bootstrap_resamples": 20, "bootstrap_seed": seed}
-        for estimate in (
-            lambda t, k: estimate_correlator_mitigated(t, k, c, xi, **kw),
-            lambda t, k: estimate_correlator_unmitigated(t, c, xi, **kw),
-            lambda t, k: estimate_correlator_independent_model(
-                t, c, xi, self.P10, self.P01, **kw
-            ),
-        ):
-            assert estimate(shuffled, shuffled_cal) == estimate(tomo, cal)
+        g_ind = independent_g(c, self.P10, self.P01)
+        reports = [
+            estimate_correlator(
+                t, c, xi, (g_hat(g_spectrum(k), c.pattern), 1.0, g_ind), resamples=20, seed=seed
+            )
+            for t, k in ((shuffled, shuffled_cal), (tomo, cal))
+        ]
+        assert reports[0] == reports[1]
 
     @settings(max_examples=60)
     @given(
@@ -432,11 +449,11 @@ class TestCountTableKernel:
             np.zeros((3, n), dtype=np.uint8),
         )
         fits = Correlator(BitString(n, (1 << 24) - 1), {q: z for q in range(24)})
-        report = estimate_correlator_unmitigated(data, fits, pauli_xi, bootstrap_resamples=2)
+        (report,) = estimate_correlator(data, fits, pauli_xi, (1.0,), resamples=2, seed=0)
         assert report.estimate == 3.0**24  # z measured along z: overlap 3, outcome 0
         overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
         with pytest.raises(CapabilityError):
-            estimate_correlator_unmitigated(data, overflows, pauli_xi)
+            estimate_correlator(data, overflows, pauli_xi, (1.0,), resamples=2, seed=0)
 
 
 def _born_case(n, direction_set, shots, seed):

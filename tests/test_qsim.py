@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import ideal_outcome_sample, measurement_probabilities
+from oracles import MeasurementSetting, ideal_outcome_sample, measurement_probabilities
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError
@@ -10,7 +10,6 @@ from xshadow.qsim import (
     SIGMA_Z,
     Correlator,
     Direction,
-    MeasurementSetting,
     StateVector,
     direction_from_label,
     exact_expectation,

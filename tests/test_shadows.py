@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from oracles import (
+    MeasurementSetting,
     dense_mitigated_shadow,
     dense_shadow,
     fourier_shadow_trace,
@@ -22,7 +23,6 @@ from xshadow.qsim import (
     SIGMA_Z,
     Correlator,
     Direction,
-    MeasurementSetting,
     direction_from_label,
     pauli_directions,
     pauli_operator,
