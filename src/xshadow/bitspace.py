@@ -29,13 +29,6 @@ class BitString:
         if not 0 <= self.value < (1 << self.n):
             raise ValueError(f"value {self.value} out of range for {self.n} bits")
 
-    @classmethod
-    def from_text(cls, text: str) -> BitString:
-        """Parse left-padded binary text; length determines n."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a binary string: {text!r}")
-        return cls(len(text), int(text, 2))
-
     def to_text(self) -> str:
         return format(self.value, f"0{self.n}b")
 

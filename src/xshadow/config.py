@@ -16,6 +16,7 @@ arrays cannot pass silently.  Example::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -78,7 +79,16 @@ class ExperimentConfig:
         return crosstalk_model(self.n, block.p10, block.p01, block.gamma)
 
     def build_state(self) -> StateVector:
-        return random_circuit_state(self.n, self.depth, self.circuit_seed)
+        return _circuit_state(self.n, self.depth, self.circuit_seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _circuit_state(n: int, depth: int, seed: int) -> StateVector:
+    """random_circuit_state, built once for the consecutive build_state
+    calls of one run; every caller shares its read-only amplitudes."""
+    state = random_circuit_state(n, depth, seed)
+    state.amplitudes.flags.writeable = False
+    return state
 
 
 def _require_int(value: Any, key: str, minimum: int, maximum: int | None = None) -> int:

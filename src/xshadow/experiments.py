@@ -1,18 +1,20 @@
 """End-to-end experiment drivers built on the estimation core.
 
 Everything here is deterministic given the config: dataset collection
-seeds, correlator draws, bootstrap replicates and subsample draws all
-come from seeds named in the config file, so rerunning a command
-reproduces its outputs byte for byte.
+seeds, correlator draws, bootstrap replicates and the study's wavevector
+picks all come from seeds named in the config file, so rerunning a
+command reproduces its outputs byte for byte.
 
 The report makes one estimate_correlator call per correlator: one
 binning of its support, bootstrapped three times, divided by ghat(v), 1
 and the independent model's g(v); ghat comes from one spectrum per
-calibration.  Both convergence studies reduce each curve to record
-counts per value, the values and the exact truth, and share one
-pooled-RMS helper: the calibration study's values are the two
-parities, and the tomography study's are the distinct mitigated values
-of the support cells.
+calibration.  Both convergence studies reduce each curve to the mean
+and variance of one record's value and the exact truth, and share one
+pooled-RMS helper that takes the exact expected squared error of a
+mean of s records drawn with replacement, variance / s + bias^2, so
+neither draws a subsample: the calibration study's record values are
+the two parities, with mean ghat(w) and variance 1 - ghat(w)^2, and the
+tomography study's are the mitigated values of the support cells.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from .config import ExperimentConfig
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
-    _PARITY_SIGNS,
     _outcome_counts,
-    _parity_sums,
-    _resample_means,
     _shade_cells,
     estimate_correlator,
     g_hat,
@@ -170,51 +169,37 @@ def subsample_grid(records: int, points: int, minimum: int) -> list[int]:
     return sizes
 
 
+def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the value of one record drawn from a count table."""
+    mean = counts @ values / counts.sum()
+    return float(mean), float(counts @ (values - mean) ** 2 / counts.sum())
+
+
 def _pooled_study(
-    curves: Sequence[tuple[int, np.ndarray, np.ndarray, float]],
+    curves: Sequence[tuple[int, float, float, float]],
     sizes: Sequence[int],
-    resamples: int,
-    rng: np.random.Generator,
     group_column: str,
 ) -> tuple[list[dict[str, object]], dict[int, float]]:
     """RMS error of the subsample mean per group, with its log-log slope.
 
-    Each curve is (group, counts, values, truth): how many records carry
-    each value.  A replicate draws `size` records with replacement, a
-    multinomial over the values, which at size <= records/10 behaves like
-    a fresh dataset; squared errors are pooled over a group's curves and
-    replicates before the square root.
+    Each curve is (group, mean, variance, truth) of one record's value.
+    A mean of `size` records drawn with replacement, which at size <=
+    records/10 behaves like a fresh dataset, has expected squared error
+    variance / size + (mean - truth)^2 exactly; it is averaged over a
+    group's curves before the square root.
     """
-    pooled: dict[int, list[list[np.ndarray]]] = {}
-    for group, counts, values, truth in curves:
-        errors = [
-            (_resample_means(counts, values, size, resamples, rng) - truth) ** 2
-            for size in sizes
-        ]
-        pooled.setdefault(group, []).append(errors)
+    inverse_sizes = 1.0 / np.asarray(sizes, dtype=float)
+    pooled: dict[int, list[np.ndarray]] = {}
+    for group, mean, variance, truth in curves:
+        pooled.setdefault(group, []).append(variance * inverse_sizes + (mean - truth) ** 2)
     rows: list[dict[str, object]] = []
     slopes: dict[int, float] = {}
     for group in sorted(pooled):
-        rms = np.sqrt(np.mean(pooled[group], axis=(0, 2)))  # (curves, sizes, resamples)
+        rms = np.sqrt(np.mean(pooled[group], axis=0))  # (curves, sizes)
         for size, value in zip(sizes, rms):
             rows.append({"size": size, group_column: group, "rms": float(value)})
         slopes[group] = fit_loglog_slope(sizes, rms)
     return rows, slopes
-
-
-def _merge_equal_values(counts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One cell per distinct value, ascending, with the summed record
-    counts of the cells that carry it.
-
-    A subsample mean sees a draw only through how many records carry each
-    value, and summing a multinomial's coordinates over a partition gives
-    the multinomial over the merged cells, so the law of every replicate
-    is unchanged.  Only values that compare equal merge (0.0 with -0.0):
-    the half overlaps carry rounding error, and values that differ in the
-    last digit are different values.
-    """
-    values, group = np.unique(values, return_inverse=True)
-    return np.bincount(group, weights=counts).astype(np.int64), values
 
 
 def _pick_wavevectors(
@@ -237,7 +222,8 @@ def g_rms_rows(
 
     Returns tidy rows (size, weight, rms) and the fitted log-log slope
     per weight.  Truth is the exact Fourier component of the twirled
-    configured noise model.
+    configured noise model.  A record's parity (-1)^(w.s) has mean ghat(w)
+    and variance 1 - ghat(w)^2.
     """
     g_exact = walsh_transform(config.build_noise_model().twirled_table())
     rng = np.random.default_rng(config.study_seed)
@@ -245,13 +231,12 @@ def g_rms_rows(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
     )
     sizes = subsample_grid(len(cal), config.grid_points, config.grid_min)
-    sums = _parity_sums(cal)
-    curves = []
-    for w in wavevectors:
-        # the two parity cells hold (M + S) / 2 and (M - S) / 2 records
-        counts = (len(cal) + _PARITY_SIGNS * sums[w.value]).astype(np.int64) // 2
-        curves.append((len(w.support()), counts, _PARITY_SIGNS, g_exact[w.value]))
-    return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "weight")
+    spectrum = g_spectrum(cal)
+    curves = [
+        (len(w.support()), spectrum[w.value], 1.0 - spectrum[w.value] ** 2, g_exact[w.value])
+        for w in wavevectors
+    ]
+    return _pooled_study(curves, sizes, "weight")
 
 
 def correlator_rms_rows(
@@ -260,16 +245,13 @@ def correlator_rms_rows(
     """Convergence of the mitigated estimator with tomography size.
 
     Mitigated values are fixed once (using ghat(v) from the full
-    calibration set, refused below G_FLOOR as in comparison_rows), and
-    the support cells that carry equal values are merged before any
-    draw, so a subsample costs one binomial per distinct value instead of
-    one per cell.  Subsample means then isolate the statistical error.
-    Pooled per correlator degree.
+    calibration set, refused below G_FLOOR as in comparison_rows): the
+    support's shade table divided by ghat(v), whose moments give the
+    exact error of a subsample mean.  Pooled per correlator degree.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
     correlators = build_correlators(config, config.correlators_per_degree_study)
-    rng = np.random.default_rng(config.study_seed + 1)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
     spectrum = g_spectrum(cal)
@@ -277,13 +259,19 @@ def correlator_rms_rows(
     for correlator in correlators:
         g_v = g_hat(spectrum, correlator.pattern)
         counts, shades = _shade_cells(tomo, correlator, xi)
-        counts, values = _merge_equal_values(counts, shades / g_v)
-        curves.append((correlator.degree, counts, values, exact_expectation(state, correlator)))
-    return _pooled_study(curves, sizes, config.bootstrap_resamples, rng, "degree")
+        mean, variance = _moments(counts, shades / g_v)
+        curves.append((correlator.degree, mean, variance, exact_expectation(state, correlator)))
+    return _pooled_study(curves, sizes, "degree")
 
 
 def fit_loglog_slope(sizes: Sequence[int], rms: Sequence[float]) -> float:
-    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(np.asarray(rms, float)), 1)[0])
+    """Least-squares slope of log(rms) against log(size); NaN when any rms
+    is 0, as when a noiseless calibration matches its truth exactly, since
+    no line passes through log(0)."""
+    rms = np.asarray(rms, float)
+    if np.any(rms == 0.0):
+        return math.nan
+    return float(np.polyfit(np.log(np.asarray(sizes, float)), np.log(rms), 1)[0])
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[str, str]:

@@ -23,8 +23,8 @@ every w is one Walsh transform of the calibration's outcome histogram
 indep columns: it bins the support once and divides the table of
 unmitigated shades by each g(v) it is handed, ghat(v) (g_hat), 1 or the
 independent-flip model's prod (1 - p10 - p01) (independent_g).
-Bootstrap and subsample draws are multinomial over the cells, exactly
-the law of drawing records with replacement.
+Bootstrap draws are multinomial over the cells, exactly the law of
+drawing records with replacement.
 """
 
 from __future__ import annotations
@@ -172,15 +172,11 @@ def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
     return np.bincount(pack_bits(cal.outcomes), minlength=1 << cal.n)
 
 
-def _parity_sums(cal: CalibrationDataset) -> np.ndarray:
-    """ghat(w) times the record count for every w; exact (integer partial sums < 2^53)."""
-    return walsh_transform(_outcome_counts(cal))
-
-
 def g_spectrum(cal: CalibrationDataset) -> np.ndarray:
     """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over the
-    records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS."""
-    return _parity_sums(cal) / len(cal)
+    records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS.
+    The Walsh transform of the counts is exact (integer partial sums < 2^53)."""
+    return walsh_transform(_outcome_counts(cal)) / len(cal)
 
 
 def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

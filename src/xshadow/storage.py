@@ -74,7 +74,8 @@ def _bit_block(outcomes: np.ndarray) -> np.ndarray:
     return block
 
 
-def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], bytes]:
+def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], memoryview]:
+    """The header keys and values, and a view of the body: no copy of it."""
     headers: dict[str, str] = {}
     offset = 0
     while payload[offset : offset + 1] == b"#":
@@ -98,7 +99,7 @@ def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], bytes]:
         raise DataFormatError(f"{path}: #n= must be an integer") from None
     if n < 1:
         raise DataFormatError(f"{path}: #n= must be >= 1, got {n}")
-    return headers, payload[offset:]
+    return headers, memoryview(payload)[offset:]
 
 
 def _parse_seed(headers: dict[str, str], path: str) -> int | None:
@@ -111,7 +112,7 @@ def _parse_seed(headers: dict[str, str], path: str) -> int | None:
 
 
 def _decode_rows(
-    body: bytes, width: int, n: int, what: str, path: str
+    body: memoryview, width: int, n: int, what: str, path: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the body into rows of width - 1 bytes and a newline, the last
     n of them bits written MSB first.  Returns the raw (M, width) rows and
@@ -265,8 +266,3 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable[Mapping[str, obj
 def write_report(path: str, rows: Iterable[Mapping[str, object]]) -> None:
     """Write the three-estimator comparison table."""
     write_csv(path, REPORT_COLUMNS, rows)
-
-
-def read_csv(path: str) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

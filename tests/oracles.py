@@ -16,9 +16,13 @@ their Fourier-space mitigation against the full 2^n x 2^n operators.  The
 single-record shades (`unmitigated_shade`, `mitigated_shade` with its
 `dot_mod2_sign`), `fourier_shadow_trace`, `kappa` and `median_of_means`
 are the paper's formulas one record or one block at a time, which the
-tests and acceptance checks evaluate directly.
+tests and acceptance checks evaluate directly.  The convergence studies
+take the exact expected squared error of a subsample mean;
+`monte_carlo_study` draws the subsamples instead.  `bitstring_from_text`
+and `read_csv` parse the text forms the library only writes.
 """
 
+import csv
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +31,7 @@ import numpy as np
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from xshadow.noise import ChainCrosstalkModel
+from xshadow.protocols import _resample_means
 from xshadow.qsim import (
     IDENTITY_2,
     Correlator,
@@ -329,3 +334,34 @@ def median_of_means(values, groups: int) -> float:
     if not 1 <= groups <= values.size:
         raise ValueError(f"groups must lie in [1, {values.size}], got {groups}")
     return float(np.median([block.mean() for block in np.array_split(values, groups)]))
+
+
+def bitstring_from_text(text: str) -> BitString:
+    """Parse left-padded binary text; length determines n."""
+    if not text or set(text) - {"0", "1"}:
+        raise ValueError(f"not a binary string: {text!r}")
+    return BitString(len(text), int(text, 2))
+
+
+def read_csv(path: str) -> list[dict[str, str]]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def monte_carlo_study(curves, sizes, resamples, rng):
+    """Squared errors of `resamples` subsample means per curve and size.
+
+    Each curve is (group, counts, values, truth): how many records carry
+    each value.  A replicate draws `size` records with replacement, a
+    multinomial over the cells.  Returns group -> (curves, sizes,
+    resamples) array; the mean over axes 0 and 2 is the pooled squared
+    error whose square root the convergence studies report.
+    """
+    pooled = {}
+    for group, counts, values, truth in curves:
+        errors = [
+            (_resample_means(counts, values, size, resamples, rng) - truth) ** 2
+            for size in sizes
+        ]
+        pooled.setdefault(group, []).append(errors)
+    return {group: np.array(errors) for group, errors in pooled.items()}

@@ -1,17 +1,25 @@
 import contextlib
 import hashlib
 import io
+import itertools
+import json
+import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
+from oracles import monte_carlo_study, parity_counts, read_csv
 
 import xshadow
-from xshadow import experiments, storage
+from xshadow import config as config_module, experiments, storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
@@ -25,18 +33,28 @@ from xshadow.experiments import (
     run_experiment,
     subsample_grid,
 )
+from xshadow.bitspace import walsh_transform
 from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
+    _shade_cells,
+    g_hat,
+    g_spectrum,
     run_calibration,
     run_tomography,
 )
 from xshadow.noise import crosstalk_model
-from xshadow.qsim import Direction, direction_from_label, pauli_directions, random_circuit_state
+from xshadow.qsim import (
+    Direction,
+    direction_from_label,
+    exact_expectation,
+    pauli_directions,
+    random_circuit_state,
+)
+from xshadow.shadows import compute_xi
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
-    read_csv,
     read_tomography,
     write_calibration,
     write_csv,
@@ -188,6 +206,12 @@ class TestStorage:
         assert tuple(d.label for d in back.directions) == ("x", "y", "z")
         assert np.array_equal(back.setting_indices, ds.setting_indices)
         assert np.array_equal(back.outcomes, ds.outcomes)
+
+    def test_body_is_a_view_of_the_file_bytes(self):
+        payload = b"#n=2\n#type=calibration\n01\n10\n"
+        headers, body = storage._parse_headers(payload, "cal.txt")
+        assert headers == {"n": "2", "type": "calibration"}
+        assert body.obj is payload and bytes(body) == b"01\n10\n"
 
     def test_tomography_row_orientation(self, tmp_path):
         # qubit 0 leads the label list but trails the bitstring
@@ -622,30 +646,38 @@ class TestExperiments:
                 assert a.read() == b.read(), name
 
 
-# mitigated values with ties, signed zeros and values a few ulps apart
-_STUDY_VALUES = (0.0, -0.0, 1.5, -1.5, 3.0, 2.9999999999999987, 1e-16, -1e-16)
+def _enumerated_squared_error(counts, values, truth, size):
+    """E[(mean of `size` records drawn with replacement - truth)^2], summed
+    over every multinomial outcome of the draw."""
+    probabilities = counts / counts.sum()
+    total = 0.0
+    for draw in itertools.product(range(size + 1), repeat=len(counts)):
+        if sum(draw) != size:
+            continue
+        weight = math.factorial(size) / math.prod(math.factorial(k) for k in draw)
+        weight *= math.prod(p**k for p, k in zip(probabilities, draw))
+        total += weight * (np.dot(draw, values) / size - truth) ** 2
+    return total
 
 
-class TestStudyValueMerge:
-    @settings(max_examples=60)
+class TestClosedFormStudy:
     @given(
         cells=st.lists(
-            st.tuples(st.integers(1, 10**6), st.sampled_from(_STUDY_VALUES)),
-            min_size=1,
-            max_size=40,
-        )
+            st.tuples(st.integers(1, 50), st.floats(-3.0, 3.0)), min_size=1, max_size=3
+        ),
+        truth=st.floats(-1.0, 1.0),
     )
-    def test_merge_sums_the_counts_of_equal_values(self, cells):
+    def test_closed_form_matches_multinomial_enumeration(self, cells, truth):
         counts = np.array([count for count, _ in cells], dtype=np.int64)
         values = np.array([value for _, value in cells])
-        merged_counts, merged_values = experiments._merge_equal_values(counts, values)
-        assert merged_counts.dtype == np.int64
-        assert np.all(np.diff(merged_values) > 0)
-        for count, value in zip(merged_counts, merged_values):
-            assert count == counts[values == value].sum()
-        assert merged_counts.sum() == counts.sum()
+        sizes = [1, 2, 3, 4, 5, 6]
+        mean, variance = experiments._moments(counts, values)
+        rows, _ = experiments._pooled_study([(0, mean, variance, truth)], sizes, "group")
+        for size, row in zip(sizes, rows):
+            exact = _enumerated_squared_error(counts, values, truth, size)
+            assert abs(row["rms"] ** 2 - exact) <= 1e-12
 
-    def test_study_resamples_distinct_values(self, monkeypatch):
+    def test_monte_carlo_study_agrees_within_four_standard_errors(self):
         config = _config(
             calibration_shots=5000,
             tomography_shots=5000,
@@ -653,20 +685,107 @@ class TestStudyValueMerge:
             correlators_per_degree_study=2,
             grid_points=3,
             grid_min=100,
+        )
+        cal, tomo = collect_calibration(config), collect_tomography(config)
+        sizes = subsample_grid(5000, config.grid_points, config.grid_min)
+        g_exact = walsh_transform(config.build_noise_model().twirled_table())
+        wavevectors = experiments._pick_wavevectors(
+            config.n,
+            config.study_weights,
+            config.wavevectors_per_weight,
+            np.random.default_rng(config.study_seed),
+        )
+        cal_curves = [
+            (len(w.support()), parity_counts(cal, w), np.array([1.0, -1.0]), g_exact[w.value])
+            for w in wavevectors
+        ]
+        xi = compute_xi(config.build_directions())
+        spectrum = g_spectrum(cal)
+        tomo_curves = []
+        for correlator in experiments.build_correlators(config, config.correlators_per_degree_study):
+            counts, shades = _shade_cells(tomo, correlator, xi)
+            g_v = g_hat(spectrum, correlator.pattern)
+            truth = exact_expectation(config.build_state(), correlator)
+            tomo_curves.append((correlator.degree, counts, shades / g_v, truth))
+        studies = [
+            (cal_curves, experiments.g_rms_rows(config, cal)[0], "weight"),
+            (tomo_curves, correlator_rms_rows(config, tomo, cal)[0], "degree"),
+        ]
+        rng = np.random.default_rng(2024)
+        resamples = 200
+        for curves, rows, column in studies:
+            for group, errors in monte_carlo_study(curves, sizes, resamples, rng).items():
+                pooled = errors.mean(axis=(0, 2))
+                # replicates of one curve are i.i.d.; curves are independent
+                stderr = np.sqrt(errors.var(axis=2, ddof=1).sum(axis=0) / resamples) / len(errors)
+                closed = [row["rms"] ** 2 for row in rows if row[column] == group]
+                assert np.all(np.abs(pooled - closed) <= 4 * stderr), (column, group)
+
+    def test_noiseless_calibration_slope_is_nan_without_warnings(self, tmp_path):
+        config = _config(
+            noise={"model": "independent", "p10": 0.0, "p01": 0.0},
+            calibration_shots=3000,
+            tomography_shots=3000,
+            grid_points=3,
+            grid_min=100,
             bootstrap_resamples=10,
         )
-        handed = []
-        original = experiments._resample_means
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = run_experiment(config, str(tmp_path / "exp"))
+        assert {float(r["rms"]) for r in read_csv(paths["calibration_rms"])} == {0.0}
+        slopes = {(r["section"], r["key"]): r["value"] for r in read_csv(paths["summary"])}
+        for (section, _), value in slopes.items():
+            if section == "calibration_rms_slope":
+                assert value == "nan"
+            elif section == "tomography_rms_slope":
+                assert -0.75 < float(value) < -0.25
 
-        def recording(counts, values, *args):
-            handed.append(values)
-            return original(counts, values, *args)
 
-        monkeypatch.setattr(experiments, "_resample_means", recording)
-        correlator_rms_rows(config, collect_tomography(config), collect_calibration(config))
-        assert len(handed) == 4 * 3  # curves x grid sizes
-        for values in handed:
-            assert np.unique(values).size == values.size
+class TestSharedState:
+    def test_run_experiment_builds_the_circuit_state_once(self, small_config, tmp_path, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return random_circuit_state(*args)
+
+        config_module._circuit_state.cache_clear()
+        monkeypatch.setattr(config_module, "random_circuit_state", counting)
+        try:
+            run_experiment(small_config, str(tmp_path / "exp"))
+            state = small_config.build_state()
+        finally:
+            config_module._circuit_state.cache_clear()
+        assert built == [(small_config.n, small_config.depth, small_config.circuit_seed)]
+        assert not state.amplitudes.flags.writeable
+        fresh = random_circuit_state(small_config.n, small_config.depth, small_config.circuit_seed)
+        assert np.array_equal(state.amplitudes, fresh.amplitudes)
+
+    def test_traced_experiment_reports_study_and_state_spans(self, tmp_path):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        config = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 3\ndepth: 4\nnoise:\n  model: chain_crosstalk\n  p10: 0.07\n  p01: 0.05\n"
+            "  gamma: 0.5\ncalibration_shots: 2000\ntomography_shots: 2000\n"
+            "bootstrap_resamples: 10\ngrid_points: 3\ngrid_min: 100\n",
+        )
+        spans = tmp_path / "spans.json"
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans), "run", "root",
+             "experiment", "--config", config, "--out", str(tmp_path / "out")],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        names = {span["name"] for span in json.loads(spans.read_text())}
+        assert {
+            "experiments.g_rms_rows",
+            "experiments.correlator_rms_rows",
+            "qsim.random_circuit_state",
+        } <= names
 
 
 class TestFrozenReport:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    bitstring_from_text,
     born_outcomes,
     independent_model_values,
     median_of_means,
@@ -78,7 +79,7 @@ class TestDatasets:
 
     def test_calibration_record(self):
         ds = CalibrationDataset(3, np.array([[1, 0, 1]], dtype=np.uint8))
-        assert pack_bits(ds.outcomes[0]) == BitString.from_text("101").value
+        assert pack_bits(ds.outcomes[0]) == bitstring_from_text("101").value
 
     def test_tomography_validation(self):
         z = direction_from_label("z")
@@ -110,7 +111,7 @@ class TestDatasets:
                   collected[1].setting_indices, collected[1].outcomes]
         for array in arrays:
             assert array.dtype == np.uint8 and array.flags.f_contiguous
-        assert pack_bits(cal.outcomes[1]) == BitString.from_text("110").value
+        assert pack_bits(cal.outcomes[1]) == bitstring_from_text("110").value
 
     def test_tomography_record(self):
         x = direction_from_label("x")
