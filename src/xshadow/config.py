@@ -1,8 +1,8 @@
 """Experiment configuration loading and validation.
 
-Config files are YAML: a flat mapping of scalar keys plus one nested
-`noise` block.  Unknown keys anywhere are rejected so typos in rate
-arrays cannot pass silently.  Example::
+Config files are UTF-8 YAML: a flat mapping of scalar keys plus one
+nested `noise` block.  Unknown and repeated keys anywhere are rejected so
+typos in rate arrays cannot pass silently.  Example::
 
     n: 8
     depth: 20
@@ -204,11 +204,32 @@ def parse_config(raw: Any) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key repeated within one mapping,
+    where SafeLoader keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag == "tag:yaml.org,2002:str":
+                if key_node.value in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping",
+                        node.start_mark,
+                        f"found repeated key {key_node.value!r}",
+                        key_node.start_mark,
+                    )
+                seen.add(key_node.value)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a YAML config file."""
+    """Read and validate a UTF-8 YAML config file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_config(raw)

@@ -5,9 +5,10 @@ seeds, correlator draws, bootstrap replicates and the study's wavevector
 picks all come from seeds named in the config file, so rerunning a
 command reproduces its outputs byte for byte.
 
-The report makes one estimate_correlator call per correlator: one
-binning of its support, bootstrapped three times, divided by ghat(v), 1
-and the independent model's g(v); ghat comes from one spectrum per
+The report bins the tomography records once per maximal correlator
+support (protocols._shade_tables) and bootstraps each correlator's table
+three times, divided by ghat(v), 1 and the independent model's g(v),
+exactly as estimate_correlator does; ghat comes from one spectrum per
 calibration.  Both convergence studies reduce each curve to the mean
 and variance of one record's value and the exact truth, and share one
 pooled-RMS helper that takes the exact expected squared error of a
@@ -32,9 +33,9 @@ from .config import ExperimentConfig
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
+    _bootstrap_reports,
     _outcome_counts,
-    _shade_cells,
-    estimate_correlator,
+    _shade_tables,
     g_hat,
     g_spectrum,
     independent_g,
@@ -117,41 +118,47 @@ def comparison_rows(
     """Three-estimator comparison of the configured correlators against
     the exact state expectation.
 
-    The mitigated, unmitigated and indep columns are one estimate_correlator
-    call over the divisors ghat(v), 1 and the independent model's g(v),
-    with seeds bootstrap_seed + 3*index + 0, 1, 2.
+    Every divisor is found before any binning.  One _shade_tables call
+    bins the records once per maximal support; each correlator's table is
+    then bootstrapped as estimate_correlator would over the divisors
+    ghat(v), 1 and the independent model's g(v), with seeds
+    bootstrap_seed + 3*index + 0, 1, 2, so its columns equal that call's.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
     correlators = build_correlators(config)
     spectrum = g_spectrum(cal)
-    rows: list[dict[str, object]] = []
-    for index, correlator in enumerate(correlators):
-        g_v = g_hat(spectrum, correlator.pattern)
-        g_ind = independent_g(correlator, config.noise.p10, config.noise.p01)
-        mit, unm, ind = estimate_correlator(
-            tomo,
-            correlator,
-            xi,
-            (g_v, 1.0, g_ind),
-            resamples=config.bootstrap_resamples,
-            seed=config.bootstrap_seed + 3 * index,
+    divisors = [
+        (
+            g_hat(spectrum, correlator.pattern),
+            1.0,
+            independent_g(correlator, config.noise.p10, config.noise.p01),
         )
-        rows.append(
-            {
-                "correlator_id": f"c{index:02d}",
-                "degree": correlator.degree,
-                "pattern": correlator.pattern.to_text(),
-                "truth": exact_expectation(state, correlator),
-                "mitigated": mit.estimate,
-                "mitigated_se": mit.stderr,
-                "unmitigated": unm.estimate,
-                "unmitigated_se": unm.stderr,
-                "indep": ind.estimate,
-                "indep_se": ind.stderr,
-                "g_hat": g_v,
-            }
+        for correlator in correlators
+    ]
+    rows: list = [None] * len(correlators)  # filled in container order
+    for index, counts, shades in _shade_tables(tomo, correlators, xi):
+        correlator = correlators[index]
+        mit, unm, ind = _bootstrap_reports(
+            counts,
+            shades,
+            divisors[index],
+            config.bootstrap_resamples,
+            config.bootstrap_seed + 3 * index,
         )
+        rows[index] = {
+            "correlator_id": f"c{index:02d}",
+            "degree": correlator.degree,
+            "pattern": correlator.pattern.to_text(),
+            "truth": exact_expectation(state, correlator),
+            "mitigated": mit.estimate,
+            "mitigated_se": mit.stderr,
+            "unmitigated": unm.estimate,
+            "unmitigated_se": unm.stderr,
+            "indep": ind.estimate,
+            "indep_se": ind.stderr,
+            "g_hat": divisors[index][0],
+        }
     return rows
 
 
@@ -246,8 +253,9 @@ def correlator_rms_rows(
 
     Mitigated values are fixed once (using ghat(v) from the full
     calibration set, refused below G_FLOOR as in comparison_rows): the
-    support's shade table divided by ghat(v), whose moments give the
-    exact error of a subsample mean.  Pooled per correlator degree.
+    support's shade table, from one _shade_tables call, divided by ghat(v),
+    whose moments give the exact error of a subsample mean.  Pooled per
+    correlator degree.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
@@ -255,12 +263,12 @@ def correlator_rms_rows(
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
     spectrum = g_spectrum(cal)
-    curves = []
-    for correlator in correlators:
-        g_v = g_hat(spectrum, correlator.pattern)
-        counts, shades = _shade_cells(tomo, correlator, xi)
-        mean, variance = _moments(counts, shades / g_v)
-        curves.append((correlator.degree, mean, variance, exact_expectation(state, correlator)))
+    g_vs = [g_hat(spectrum, correlator.pattern) for correlator in correlators]
+    curves = [None] * len(correlators)  # filled in container order, pooled in list order
+    for index, counts, shades in _shade_tables(tomo, correlators, xi):
+        correlator = correlators[index]
+        mean, variance = _moments(counts, shades / g_vs[index])
+        curves[index] = (correlator.degree, mean, variance, exact_expectation(state, correlator))
     return _pooled_study(curves, sizes, "degree")
 
 

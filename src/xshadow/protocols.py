@@ -19,10 +19,12 @@ Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters; ghat(w) for
 every w is one Walsh transform of the calibration's outcome histogram
-(g_spectrum).  One estimator serves the mitigated, unmitigated and
-indep columns: it bins the support once and divides the table of
-unmitigated shades by each g(v) it is handed, ghat(v) (g_hat), 1 or the
-independent-flip model's prod (1 - p10 - p01) (independent_g).
+(g_spectrum).  The shade kernel (_shade_tables) bins the records once per
+maximal support of a batch of correlators and reads each support nested
+in it off that table.  One estimator serves the mitigated, unmitigated
+and indep columns: it divides a support's table of unmitigated shades by
+each g(v) it is handed, ghat(v) (g_hat), 1 or the independent-flip
+model's prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
 drawing records with replacement.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -283,27 +285,18 @@ def run_tomography(
     return TomographyDataset(n, directions, settings, outcomes, seed=seed)
 
 
-def _shade_cells(
-    data: TomographyDataset, correlator: Correlator, xi: XiTable
+def _record_cells(
+    data: TomographyDataset, support: tuple[int, ...], base: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin records on the correlator's support and weigh each cell.
+    """Bin every record on the support, one pass over the records.
 
     A record's cell is its (setting, bit) pair on every support qubit,
     coded in mixed radix with digit 2*setting + bit per qubit, base 2k, in
     the narrowest unsigned dtype.  A code space no larger than the record
     count is counted by bincount, a larger one sorted.  Returns each
-    observed cell's record count and unmitigated shade, the product of
-    (-1)^bit * overlap(nu, mu) over the support, in code order.
+    observed cell's code and record count, in code order.
     """
-    if correlator.n != data.n:
-        raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
-    if len(data) == 0:
-        raise ValueError("empty tomography dataset")
-    support = correlator.pattern.support()
-    base = 2 * len(data.directions)
     space = base ** len(support)
-    if space > 1 << 64:
-        raise CapabilityError(f"{base}^{len(support)} support cells overflow a 64-bit code")
     dtype = np.min_scalar_type(space - 1)
     codes = np.zeros(len(data), dtype=dtype)
     digit = np.empty(len(data), dtype=dtype)  # one buffer: no temporaries per qubit
@@ -315,14 +308,88 @@ def _shade_cells(
     if space <= len(data):
         table = np.bincount(codes, minlength=space)
         cells = np.flatnonzero(table)
-        counts = table[cells]
-    else:
-        cells, counts = np.unique(codes, return_counts=True)
-    shades = np.ones(len(cells))
-    for j, qubit in enumerate(support):
-        mu = correlator.observables[qubit]
-        overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
-        shades *= np.outer(overlaps, _PARITY_SIGNS).ravel()[cells // base**j % base]
+        return cells, table[cells]
+    return np.unique(codes, return_counts=True)
+
+
+def _merged_cells(
+    cells: np.ndarray, counts: np.ndarray, positions: Sequence[int], base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells and counts of a sub-support, read off its container's table.
+
+    The sub-support's qubits are the container's digits at `positions`
+    (ascending), so each container cell re-coded on those digits is the
+    sub-support cell of its records; equal codes have their counts summed.
+    Integer arithmetic throughout, and the result is in code order, so it
+    equals binning the records on the sub-support.
+    """
+    codes = np.zeros_like(cells)
+    for j, position in enumerate(positions):
+        codes += cells // base**position % base * base**j
+    merged, inverse = np.unique(codes, return_inverse=True)
+    sums = np.zeros(len(merged), dtype=counts.dtype)
+    np.add.at(sums, inverse, counts)
+    return merged, sums
+
+
+def _shade_tables(
+    data: TomographyDataset, correlators: Sequence[Correlator], xi: XiTable
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Count table and unmitigated shades of every correlator's support.
+
+    Supports are planned in descending degree (ties in list order): one
+    inside an already planned support, its container, is read off the
+    container's table (_merged_cells); any other becomes a container and
+    its records are binned (_record_cells).  So the records are binned
+    once per distinct maximal support.  A cell's shade is the product of
+    (-1)^bit * overlap(nu, mu) over the support.  Yields (index, counts,
+    shades) per correlator, index into `correlators`, one container at a
+    time, so at most one container's table is held besides the one
+    yielded.  Every support is checked before any binning.
+    """
+    for correlator in correlators:
+        if correlator.n != data.n:
+            raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
+    if len(data) == 0:
+        raise ValueError("empty tomography dataset")
+    base = 2 * len(data.directions)
+    containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
+    for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
+        degree = correlators[index].degree
+        if base**degree > 1 << 64:
+            raise CapabilityError(f"{base}^{degree} support cells overflow a 64-bit code")
+        pattern = correlators[index].pattern.value
+        for outer, members in containers:
+            if pattern & ~outer == 0:
+                members.append(index)
+                break
+        else:
+            containers.append((pattern, [index]))
+    for outer, members in containers:
+        outer_support = BitString(data.n, outer).support()
+        table = _record_cells(data, outer_support, base)
+        for index in members:
+            correlator = correlators[index]
+            support = correlator.pattern.support()
+            if support == outer_support:
+                cells, counts = table
+            else:
+                positions = [outer_support.index(q) for q in support]
+                cells, counts = _merged_cells(*table, positions, base)
+            shades = np.ones(len(cells))
+            for j, qubit in enumerate(support):
+                mu = correlator.observables[qubit]
+                overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+                shades *= np.outer(overlaps, _PARITY_SIGNS).ravel()[cells // base**j % base]
+            yield index, counts, shades
+
+
+def _shade_cells(
+    data: TomographyDataset, correlator: Correlator, xi: XiTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record counts and unmitigated shades of one correlator's observed
+    support cells, in code order: _shade_tables for a batch of one."""
+    ((_, counts, shades),) = _shade_tables(data, [correlator], xi)
     return counts, shades
 
 
@@ -407,6 +474,14 @@ def estimate_correlator(
         if g == 0.0 or not math.isfinite(g):
             raise ValueError(f"divisors must be finite and nonzero, got {g}")
     counts, shades = _shade_cells(data, correlator, xi)
+    return _bootstrap_reports(counts, shades, divisors, resamples, seed)
+
+
+def _bootstrap_reports(
+    counts: np.ndarray, shades: np.ndarray, divisors: Sequence[float], resamples: int, seed: int
+) -> list[EstimateReport]:
+    """estimate_correlator's reports from a support's count table, for
+    divisors already checked to be finite and nonzero."""
     records = int(counts.sum())
     reports = []
     for i, g in enumerate(divisors):

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import monte_carlo_study, parity_counts, read_csv
 
 import xshadow
-from xshadow import config as config_module, experiments, storage
+from xshadow import config as config_module, experiments, protocols, storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
@@ -38,8 +38,10 @@ from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
     _shade_cells,
+    estimate_correlator,
     g_hat,
     g_spectrum,
+    independent_g,
     run_calibration,
     run_tomography,
 )
@@ -176,6 +178,33 @@ class TestConfig:
         path = _write_yaml(tmp_path / "bad.yaml", "n: [unclosed\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("n: 3\ndepth: 2\nn: 5\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.05\n", "n"),
+            (
+                "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 0.1\n  p10: 0.2\n"
+                "  p01: 0.05\n",
+                "p10",
+            ),
+            ('{"n": 3, "depth": 2, "depth": 4, "noise": {"model": "independent", '
+             '"p10": 0.1, "p01": 0.05}}', "depth"),
+        ],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, text, key):
+        # a YAML loader keeps the last of two equal keys, so n: 3 ... n: 5 would load n=5
+        path = _write_yaml(tmp_path / "dup.yaml", text)
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            load_config(path)
+
+    def test_non_utf8_file_is_refused(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"n: 3\ndepth: 2  # caf\xe9\nnoise:\n  model: independent\n"
+                         b"  p10: 0.1\n  p01: 0.05\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text") as info:
+            load_config(str(path))
+        assert str(path) in str(info.value)
 
 
 class TestStorage:
@@ -644,6 +673,67 @@ class TestExperiments:
         for name, path in first.items():
             with open(path, "rb") as a, open(second[name], "rb") as b:
                 assert a.read() == b.read(), name
+
+
+class TestBatchedReport:
+    """The report bins the records once per maximal correlator support and
+    reads nested supports off that table; its rows must be those of one
+    estimate_correlator call per correlator."""
+
+    @pytest.fixture(scope="class")
+    def nested_case(self):
+        # 15 correlators of degrees 1-3 on 5 qubits: many supports nest
+        config = _config(
+            n=5,
+            noise={"model": "independent", "p10": [0.1, 0.05, 0.08, 0.02, 0.06], "p01": 0.04},
+            calibration_shots=3000,
+            tomography_shots=4000,
+            correlator_degrees=[1, 2, 3],
+            correlators_per_degree=5,
+            bootstrap_resamples=20,
+            bootstrap_seed=17,
+        )
+        return config, collect_calibration(config), collect_tomography(config)
+
+    def test_rows_equal_per_correlator_estimate_calls(self, nested_case):
+        config, cal, tomo = nested_case
+        xi = compute_xi(config.build_directions())
+        spectrum = g_spectrum(cal)
+        rows = comparison_rows(config, tomo, cal)
+        correlators = experiments.build_correlators(config)
+        assert len(rows) == len(correlators) == 15
+        for index, (row, correlator) in enumerate(zip(rows, correlators)):
+            g_v = g_hat(spectrum, correlator.pattern)
+            g_ind = independent_g(correlator, config.noise.p10, config.noise.p01)
+            mit, unm, ind = estimate_correlator(
+                tomo,
+                correlator,
+                xi,
+                (g_v, 1.0, g_ind),
+                resamples=config.bootstrap_resamples,
+                seed=config.bootstrap_seed + 3 * index,
+            )
+            assert row["pattern"] == correlator.pattern.to_text()
+            assert row["g_hat"] == g_v
+            assert (row["mitigated"], row["mitigated_se"]) == (mit.estimate, mit.stderr)
+            assert (row["unmitigated"], row["unmitigated_se"]) == (unm.estimate, unm.stderr)
+            assert (row["indep"], row["indep_se"]) == (ind.estimate, ind.stderr)
+
+    def test_one_record_pass_per_maximal_support(self, nested_case, monkeypatch):
+        config, cal, tomo = nested_case
+        binned = []
+        record_cells = protocols._record_cells
+
+        def counting(data, support, base):
+            binned.append(support)
+            return record_cells(data, support, base)
+
+        monkeypatch.setattr(protocols, "_record_cells", counting)
+        comparison_rows(config, tomo, cal)
+        supports = {c.pattern.support() for c in experiments.build_correlators(config)}
+        maximal = {s for s in supports if not any(set(s) < set(t) for t in supports)}
+        assert len(maximal) < len(supports)  # the case has nested supports to reuse
+        assert sorted(binned) == sorted(maximal)
 
 
 def _enumerated_squared_error(counts, values, truth, size):

@@ -317,7 +317,9 @@ class TestEstimators:
         def no_binning(*args):
             raise AssertionError("binned before the divisors were checked")
 
-        monkeypatch.setattr(protocols, "_shade_cells", no_binning)
+        monkeypatch.setattr(protocols, "_shade_tables", no_binning)
+        with pytest.raises(AssertionError, match="binned"):  # the patch is on the binning path
+            estimate_correlator(data, c, pauli_xi, (1.0,), resamples=2, seed=0)
         with pytest.raises(ValueError, match="finite and nonzero"):
             estimate_correlator(data, c, pauli_xi, (1.0, bad), resamples=2, seed=0)
 
@@ -413,15 +415,35 @@ class TestCountTableKernel:
         n=st.integers(1, 8),
         direction_set=st.sampled_from(["pauli", "tilted"]),
         records=st.integers(1, 400),
-        degree_draw=st.integers(0, 7),
+        picks=st.lists(
+            st.tuples(st.sampled_from(["fresh", "equal", "nested"]), st.integers(1, 255)),
+            min_size=1,
+            max_size=6,
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
-    # one example on each side of the bincount rule: 6^2 <= 300 < 6^4
-    @example(n=4, direction_set="pauli", records=300, degree_draw=1, seed=1)
-    @example(n=4, direction_set="pauli", records=300, degree_draw=3, seed=1)
-    def test_cells_equal_the_sorted_int64_route(
-        self, n, direction_set, records, degree_draw, seed
-    ):
+    # one correlator on each side of the bincount rule: 6^2 <= 300 < 6^4
+    @example(n=4, direction_set="pauli", records=300, picks=[("fresh", 0b0011)], seed=1)
+    @example(n=4, direction_set="pauli", records=300, picks=[("fresh", 0b1111)], seed=1)
+    # a container on each side of the rule (6^4 > 50, 6^3 <= 400) with nested
+    # and equal members, beside disjoint and overlapping supports
+    @example(
+        n=5,
+        direction_set="pauli",
+        records=50,
+        picks=[("fresh", 0b01111), ("nested", 0b00101), ("nested", 0b00001), ("equal", 1),
+               ("fresh", 0b10000)],
+        seed=3,
+    )
+    @example(
+        n=6,
+        direction_set="pauli",
+        records=400,
+        picks=[("nested", 0b000110), ("fresh", 0b111000), ("nested", 0b101000),
+               ("fresh", 0b000011), ("equal", 1)],
+        seed=4,
+    )
+    def test_cells_equal_the_sorted_int64_route(self, n, direction_set, records, picks, seed):
         directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
         xi = compute_xi(directions)
         rng = np.random.default_rng(seed)
@@ -431,13 +453,35 @@ class TestCountTableKernel:
             rng.integers(0, len(directions), size=(records, n), dtype=np.uint8),
             rng.integers(0, 2, size=(records, n), dtype=np.uint8),
         )
-        degree = 1 + degree_draw % n
-        c = random_correlators(n, [degree], 1, seed=seed, directions=directions)[0]
-        counts, shades = protocols._shade_cells(data, c, xi)
-        expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
-        assert counts.dtype == expected_counts.dtype and shades.dtype == expected_shades.dtype
-        assert np.array_equal(counts, expected_counts)
-        assert np.array_equal(shades, expected_shades)
+        patterns = []
+        for kind, bits in picks:
+            pattern = bits % (1 << n) or 1
+            if patterns and kind == "equal":
+                pattern = patterns[-1]
+            elif patterns and kind == "nested":  # a nonempty part of the last support
+                pattern = patterns[-1] & pattern or patterns[-1] & -patterns[-1]
+            patterns.append(pattern)
+        correlators = [
+            Correlator(
+                BitString(n, pattern),
+                {
+                    q: directions[int(rng.integers(len(directions)))]
+                    for q in BitString(n, pattern).support()
+                },
+            )
+            for pattern in patterns
+        ]
+        tables = {
+            index: (counts, shades)
+            for index, counts, shades in protocols._shade_tables(data, correlators, xi)
+        }
+        assert sorted(tables) == list(range(len(correlators)))
+        for index, c in enumerate(correlators):
+            counts, shades = tables[index]
+            expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
+            assert counts.dtype == expected_counts.dtype and shades.dtype == expected_shades.dtype
+            assert np.array_equal(counts, expected_counts)
+            assert np.array_equal(shades, expected_shades)
 
     def test_cell_code_overflow_is_a_capability_error(self, pauli_xi):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
