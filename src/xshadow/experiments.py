@@ -8,7 +8,8 @@ command reproduces its outputs byte for byte.
 The report bins the tomography records once per maximal correlator
 support (protocols._shade_tables) and bootstraps each correlator's table
 three times, divided by ghat(v), 1 and the independent model's g(v),
-exactly as estimate_correlator does; ghat comes from one spectrum per
+exactly as estimate_correlator does, with all of the report's bootstrap
+streams drawn side by side; ghat comes from one spectrum per
 calibration.  Both convergence studies reduce each curve to the mean
 and variance of one record's value and the exact truth, and share one
 pooled-RMS helper that takes the exact expected squared error of a
@@ -123,6 +124,8 @@ def comparison_rows(
     then bootstrapped as estimate_correlator would over the divisors
     ghat(v), 1 and the independent model's g(v), with seeds
     bootstrap_seed + 3*index + 0, 1, 2, so its columns equal that call's.
+    All tables are held until one _bootstrap_reports call has drawn the
+    3 x correlators streams, the large ones on every usable CPU.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
@@ -136,29 +139,28 @@ def comparison_rows(
         )
         for correlator in correlators
     ]
-    rows: list = [None] * len(correlators)  # filled in container order
+    tables: list = [None] * len(correlators)  # filled in container order
     for index, counts, shades in _shade_tables(tomo, correlators, xi):
-        correlator = correlators[index]
-        mit, unm, ind = _bootstrap_reports(
-            counts,
-            shades,
-            divisors[index],
-            config.bootstrap_resamples,
-            config.bootstrap_seed + 3 * index,
+        tables[index] = (counts, shades, divisors[index], config.bootstrap_seed + 3 * index)
+    reports = _bootstrap_reports(tables, config.bootstrap_resamples)
+    rows = []
+    for index, correlator in enumerate(correlators):
+        mit, unm, ind = reports[3 * index : 3 * index + 3]
+        rows.append(
+            {
+                "correlator_id": f"c{index:02d}",
+                "degree": correlator.degree,
+                "pattern": correlator.pattern.to_text(),
+                "truth": exact_expectation(state, correlator),
+                "mitigated": mit.estimate,
+                "mitigated_se": mit.stderr,
+                "unmitigated": unm.estimate,
+                "unmitigated_se": unm.stderr,
+                "indep": ind.estimate,
+                "indep_se": ind.stderr,
+                "g_hat": divisors[index][0],
+            }
         )
-        rows[index] = {
-            "correlator_id": f"c{index:02d}",
-            "degree": correlator.degree,
-            "pattern": correlator.pattern.to_text(),
-            "truth": exact_expectation(state, correlator),
-            "mitigated": mit.estimate,
-            "mitigated_se": mit.stderr,
-            "unmitigated": unm.estimate,
-            "unmitigated_se": unm.stderr,
-            "indep": ind.estimate,
-            "indep_se": ind.stderr,
-            "g_hat": divisors[index][0],
-        }
     return rows
 
 

@@ -26,12 +26,17 @@ and indep columns: it divides a support's table of unmitigated shades by
 each g(v) it is handed, ghat(v) (g_hat), 1 or the independent-flip
 model's prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
-drawing records with replacement.
+drawing records with replacement.  Every (table, divisor) pair is one
+bootstrap stream with its own seed, so the streams are independent: the
+large ones run on every usable CPU (_bootstrap_streams), and no result
+depends on which CPU drew it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -53,8 +58,15 @@ from .shadows import G_FLOOR, XiTable
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
 
-# multinomial cell counts held at once by one resampling block (8 MiB)
+# multinomial cell counts held at once by one resampling block (8 MiB);
+# pinned by the frozen report digests (see _resample_means)
 _DRAW_BLOCK = 1 << 20
+
+# a bootstrap stream of at least this many cell counts (resamples x cells)
+# is large: it may run on a worker thread, since Generator.multinomial
+# draws without the GIL; a smaller one runs inline, as a thread's
+# hand-off costs more than its draws
+_LARGE_STREAM = 1 << 14
 
 # amplitudes or flag-table entries one chunk of shots may hold while
 # descending the outcome tree: 2^20 // max(2^n, k) shots per chunk, as a
@@ -353,6 +365,7 @@ def _shade_tables(
     if len(data) == 0:
         raise ValueError("empty tomography dataset")
     base = 2 * len(data.directions)
+    weights: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
     containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
     for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
         degree = correlators[index].degree
@@ -379,8 +392,10 @@ def _shade_tables(
             shades = np.ones(len(cells))
             for j, qubit in enumerate(support):
                 mu = correlator.observables[qubit]
-                overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
-                shades *= np.outer(overlaps, _PARITY_SIGNS).ravel()[cells // base**j % base]
+                if mu not in weights:
+                    overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+                    weights[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
+                shades *= weights[mu][cells // base**j % base]
             yield index, counts, shades
 
 
@@ -404,8 +419,12 @@ def _resample_means(
 
     A draw is a multinomial over cells weighted by their record counts,
     exactly the law of drawing the records themselves.  Blocks of at most
-    _DRAW_BLOCK cell counts bound memory; numpy draws the rows of one call
-    in sequence, so blocking leaves the stream as is.
+    _DRAW_BLOCK cell counts bound memory.  numpy draws the rows of one call
+    in sequence, so blocking leaves the integer draws as they are, but not
+    always the means: the BLAS product `draws @ values` equals an unblocked
+    one only when every block boundary falls on a multiple of 4 rows (so
+    measured with OpenBLAS, whose matrix-vector kernel groups rows by 4).
+    Hence _DRAW_BLOCK, like the seeds, is part of the pinned stream.
     """
     if resamples < 2:
         raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
@@ -474,24 +493,96 @@ def estimate_correlator(
         if g == 0.0 or not math.isfinite(g):
             raise ValueError(f"divisors must be finite and nonzero, got {g}")
     counts, shades = _shade_cells(data, correlator, xi)
-    return _bootstrap_reports(counts, shades, divisors, resamples, seed)
+    return _bootstrap_reports([(counts, shades, divisors, seed)], resamples)
 
 
 def _bootstrap_reports(
-    counts: np.ndarray, shades: np.ndarray, divisors: Sequence[float], resamples: int, seed: int
+    tables: Sequence[tuple[np.ndarray, np.ndarray, Sequence[float], int]], resamples: int
 ) -> list[EstimateReport]:
-    """estimate_correlator's reports from a support's count table, for
-    divisors already checked to be finite and nonzero."""
-    records = int(counts.sum())
+    """estimate_correlator's reports for every (counts, shades, divisors,
+    seed) table in turn, for divisors already checked to be finite and
+    nonzero: divisor i of a table is bootstrapped from seed + i, and every
+    stream of every table is drawn by one _bootstrap_streams call."""
+    streams = [
+        (counts, shades / g, resamples, seed + i)
+        for counts, shades, divisors, seed in tables
+        for i, g in enumerate(divisors)
+    ]
     reports = []
-    for i, g in enumerate(divisors):
-        values = shades / g
-        rng = np.random.default_rng(seed + i)
-        means = _resample_means(counts, values, records, resamples, rng)
+    for (counts, values, _, _), means in zip(streams, _bootstrap_streams(streams)):
+        records = int(counts.sum())
         reports.append(
             EstimateReport(float(counts @ values / records), float(np.std(means, ddof=1)))
         )
     return reports
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bootstrap_streams(
+    streams: Sequence[tuple[np.ndarray, np.ndarray, int, int]],
+) -> list[np.ndarray]:
+    """Bootstrap means of every (counts, values, resamples, seed) stream,
+    in list order: _resample_means over all of a table's records, drawn
+    from a generator seeded with seed.
+
+    Each stream owns its generator, so a stream's means do not depend on
+    the thread that draws it or on the order of the draws.  Streams of at
+    least _LARGE_STREAM cell counts are pulled, largest first, from one
+    shared list by this thread and by up to _usable_cpus() - 1 worker
+    threads, which start only when there is a large stream; this thread
+    draws the smaller ones inline before it pulls.  Every worker is joined
+    before this returns or raises, and an exception raised by a worker's
+    draw is raised here.
+    """
+    means: list = [None] * len(streams)
+    sizes = [resamples * len(counts) for counts, _, resamples, _ in streams]
+    large = [i for i, size in enumerate(sizes) if size >= _LARGE_STREAM]
+    large.sort(key=sizes.__getitem__)  # pop() takes the largest left
+    lock = threading.Lock()  # guards `large` and `failures`
+    failures: list[Exception] = []
+
+    def draw(index: int) -> None:
+        counts, values, resamples, seed = streams[index]
+        rng = np.random.default_rng(seed)
+        means[index] = _resample_means(counts, values, int(counts.sum()), resamples, rng)
+
+    def pull() -> None:
+        while True:
+            with lock:
+                if failures or not large:
+                    return
+                index = large.pop()
+            try:
+                draw(index)
+            except Exception as error:  # raised again by the calling thread
+                with lock:
+                    failures.append(error)
+                return
+
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(min(len(large), _usable_cpus() - 1)):
+            worker = threading.Thread(target=pull)
+            worker.start()
+            workers.append(worker)
+        for index, size in enumerate(sizes):
+            if size < _LARGE_STREAM:
+                draw(index)
+        pull()
+    finally:
+        with lock:
+            large.clear()  # idle workers stop; busy ones finish their draw
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[0]
+    return means
 
 
 def _check_bound_args(epsilon: float, delta: float, g: float) -> None:

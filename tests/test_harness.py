@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import types
 import warnings
 
@@ -53,7 +54,7 @@ from xshadow.qsim import (
     pauli_directions,
     random_circuit_state,
 )
-from xshadow.shadows import compute_xi
+from xshadow.shadows import XiTable, compute_xi
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
@@ -735,6 +736,19 @@ class TestBatchedReport:
         assert len(maximal) < len(supports)  # the case has nested supports to reuse
         assert sorted(binned) == sorted(maximal)
 
+    def test_each_overlap_is_computed_once(self, nested_case, monkeypatch):
+        config, cal, tomo = nested_case
+        computed = []
+        half_overlap = XiTable.half_overlap
+
+        def counting(xi, label, observable):
+            computed.append((label, observable))
+            return half_overlap(xi, label, observable)
+
+        monkeypatch.setattr(XiTable, "half_overlap", counting)
+        comparison_rows(config, tomo, cal)
+        assert computed and len(computed) == len(set(computed))
+
 
 def _enumerated_squared_error(counts, values, truth, size):
     """E[(mean of `size` records drawn with replacement - truth)^2], summed
@@ -878,6 +892,26 @@ class TestSharedState:
         } <= names
 
 
+# degree-5 tables of a few thousand cells make large bootstrap streams,
+# degrees 1 and 3 small ones: the report draws on both routes
+THREADED_REPORT = {
+    "n": 5,
+    "noise": {
+        "model": "independent",
+        "p10": [0.1, 0.05, 0.08, 0.02, 0.06],
+        "p01": 0.04,
+    },
+    "directions": ["x", "y", "z"],
+    "calibration_shots": 3000,
+    "tomography_shots": 5000,
+    "correlator_degrees": [1, 3, 5],
+    "correlators_per_degree": 2,
+    "bootstrap_resamples": 30,
+    "bootstrap_seed": 11,
+    "correlator_seed": 5,
+}
+
+
 class TestFrozenReport:
     """SHA-256 of report.csv (comparison_rows, then write_report), pinned so
     that any change to the estimators, their bootstrap seeds or the CSV
@@ -892,22 +926,7 @@ class TestFrozenReport:
                 "098955b0e94f850b293bd09da8a0a501db3d2adeaf42e40ceb9ad2ac3d92377d",
             ),
             (
-                {
-                    "n": 5,
-                    "noise": {
-                        "model": "independent",
-                        "p10": [0.1, 0.05, 0.08, 0.02, 0.06],
-                        "p01": 0.04,
-                    },
-                    "directions": ["x", "y", "z"],
-                    "calibration_shots": 3000,
-                    "tomography_shots": 5000,
-                    "correlator_degrees": [1, 3, 5],
-                    "correlators_per_degree": 2,
-                    "bootstrap_resamples": 30,
-                    "bootstrap_seed": 11,
-                    "correlator_seed": 5,
-                },
+                THREADED_REPORT,
                 "41c8db6a2f73b82b48c713dcc0e15b40b3f98c39299ebf655d3989d11d544c72",
             ),
         ],
@@ -919,6 +938,137 @@ class TestFrozenReport:
         path = tmp_path / "report.csv"
         write_report(str(path), comparison_rows(config, tomo, cal))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestBootstrapThreads:
+    """Bootstrap streams of at least protocols._LARGE_STREAM cell counts
+    are drawn on every usable CPU, the smaller ones inline; no output may
+    depend on the number of CPUs, and no thread may outlive the call."""
+
+    @pytest.fixture(scope="class")
+    def threaded_case(self):
+        config = _config(**THREADED_REPORT, grid_points=3, grid_min=100)  # grids for run_experiment
+        return config, collect_calibration(config), collect_tomography(config)
+
+    @staticmethod
+    def _record(monkeypatch, cpus):
+        """Make `cpus` CPUs usable (None: this process's own) and record
+        the workers started and (cells x resamples, on the main thread)
+        of every stream drawn."""
+        started, draws = [], []
+        resample_means = protocols._resample_means
+
+        class Worker(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def recording(counts, values, size, resamples, rng):
+            on_main = threading.current_thread() is threading.main_thread()
+            draws.append((resamples * len(counts), on_main))
+            return resample_means(counts, values, size, resamples, rng)
+
+        threads = types.SimpleNamespace(Thread=Worker, Lock=threading.Lock)
+        monkeypatch.setattr(protocols, "threading", threads)
+        monkeypatch.setattr(protocols, "_resample_means", recording)
+        if cpus is not None:
+            monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
+        return started, draws
+
+    def test_results_do_not_depend_on_the_cpu_count(self, threaded_case, monkeypatch):
+        config, cal, tomo = threaded_case
+        xi = compute_xi(config.build_directions())
+        correlator = experiments.build_correlators(config)[-1]  # degree 5
+        results = []
+        for cpus in (1, None, 4):  # 4: more threads than this machine may have cores
+            usable = cpus or protocols._usable_cpus()
+            calls = [
+                lambda: comparison_rows(config, tomo, cal),
+                lambda: estimate_correlator(
+                    tomo, correlator, xi, (1.0, 0.5), resamples=30, seed=3
+                ),
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for call in calls:
+                    before = threading.active_count()
+                    with monkeypatch.context() as patch:
+                        started, draws = self._record(patch, cpus)
+                        results.append(call())
+                    assert threading.active_count() == before
+                    assert not any(worker.is_alive() for worker in started)
+                    large = [on_main for size, on_main in draws if size >= protocols._LARGE_STREAM]
+                    small = [on_main for size, on_main in draws if size < protocols._LARGE_STREAM]
+                    assert large and all(small), cpus  # both routes; small ones inline
+                    assert len(started) == min(len(large), usable - 1), cpus
+                    if cpus == 1:
+                        assert all(large)
+            finally:
+                sys.setswitchinterval(interval)
+        assert len(results) == 6
+        assert results[0] == results[2] == results[4]
+        assert results[1] == results[3] == results[5]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_failing_stream_is_raised_after_every_worker_is_joined(
+        self, threaded_case, monkeypatch, tmp_path, cpus
+    ):
+        config, cal, tomo = threaded_case
+        index = len(experiments.build_correlators(config)) - 1  # degree 5
+        failing = np.random.default_rng(config.bootstrap_seed + 3 * index + 1).bit_generator.state
+        error = RuntimeError("bootstrap stream failed")
+        failed = []
+        resample_means = protocols._resample_means
+
+        def failing_draw(counts, values, size, resamples, rng):
+            if rng.bit_generator.state == failing:
+                failed.append(resamples * len(counts))
+                raise error
+            return resample_means(counts, values, size, resamples, rng)
+
+        monkeypatch.setattr(protocols, "_resample_means", failing_draw)
+        monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            comparison_rows(config, tomo, cal)
+        assert raised.value is error
+        assert threading.active_count() == before
+        assert len(failed) == 1 and failed[0] >= protocols._LARGE_STREAM
+        out = tmp_path / "exp"
+        with pytest.raises(RuntimeError):
+            run_experiment(config, str(out))
+        assert not out.exists()
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_experiment_files_do_not_depend_on_the_cpu_count(self, tmp_path):
+        """One run pinned to a single CPU, one on every CPU this process
+        may use; degrees 3 and 4 at 100 resamples make large streams."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        config = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 4\ndepth: 4\nnoise:\n  model: chain_crosstalk\n  p10: 0.07\n  p01: 0.05\n"
+            "  gamma: 0.5\ncalibration_shots: 5000\ntomography_shots: 5000\n"
+            "bootstrap_resamples: 100\ngrid_points: 3\ngrid_min: 100\n",
+        )
+        cpu = min(os.sched_getaffinity(0))
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            subprocess.run(
+                [sys.executable, "-m", "xshadow.cli", "experiment", "--config", config,
+                 "--out", str(tmp_path / name)],
+                check=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": path},
+                preexec_fn=pin,
+                timeout=120,
+            )
+        names = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert len(names) == 6
+        for name in names:
+            pinned = (tmp_path / "one" / name).read_bytes()
+            assert pinned == (tmp_path / "all" / name).read_bytes(), name
 
 
 class TestCli:

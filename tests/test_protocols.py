@@ -388,6 +388,18 @@ class TestCountTableKernel:
         blocked = estimate_correlator(tomos["pauli"], c, pauli_xi, (1.0,), **kw)
         assert blocked == whole
 
+    def test_blocked_integer_draws_keep_the_stream(self, monkeypatch):
+        """Blocks of 5 rows, not a multiple of BLAS's 4-row groups: the
+        integer draws must still be the unblocked call's.  The values 18^j
+        encode a draw of 17 records over 4 cells in one exact float."""
+        counts = np.array([3, 5, 2, 7])
+        values = 18.0 ** np.arange(4)
+        expected = np.random.default_rng(4).multinomial(17, counts / counts.sum(), 23)
+        monkeypatch.setattr(protocols, "_DRAW_BLOCK", 5 * len(counts))
+        means = protocols._resample_means(counts, values, 17, 23, np.random.default_rng(4))
+        codes = np.rint(means * 17).astype(np.int64)
+        assert np.array_equal(codes[:, None] // 18 ** np.arange(4) % 18, expected)
+
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 4))
     def test_estimates_ignore_record_order(self, noisy_data, seed, degree):
