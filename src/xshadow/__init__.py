@@ -23,7 +23,7 @@ from .exceptions import (
     XShadowError,
 )
 from .experiments import collect_calibration, collect_tomography
-from .protocols import estimate_correlator, random_correlators
+from .protocols import estimate_correlators, random_correlators
 from .qsim import exact_expectation
 from .shadows import compute_xi
 

@@ -17,7 +17,7 @@ import sys
 import click
 
 from . import experiments, storage
-from .config import load_config
+from .config import ExperimentConfig, load_config
 from .exceptions import XShadowError
 from .protocols import calibration_sample_bound, tomography_sample_bound
 
@@ -34,6 +34,20 @@ def _guarded(fn):
     return wrapper
 
 
+def _overridden(
+    config: ExperimentConfig, shots: int | None, seed: int | None, *datasets: str
+) -> ExperimentConfig:
+    """`config` with --shots and --seed applied to each named dataset
+    ("calibration", "tomography"); the i-th one's seed becomes seed + i."""
+    overrides: dict[str, object] = {}
+    for offset, dataset in enumerate(datasets):
+        if shots is not None:
+            overrides[f"{dataset}_shots"] = shots
+        if seed is not None:
+            overrides[f"{dataset}_seed"] = seed + offset
+    return dataclasses.replace(config, **overrides)
+
+
 @click.group()
 def main() -> None:
     """Readout-noise-robust classical shadow toolkit."""
@@ -42,13 +56,13 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
-@click.option("--shots", type=int, default=None, help="override calibration_shots")
+@click.option("--shots", type=click.IntRange(min=1), default=None, help="override calibration_shots")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override calibration_seed")
 @_guarded
 def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Collect a twirled calibration dataset and print its digest."""
-    config = load_config(config_path)
-    dataset = experiments.collect_calibration(config, shots, seed)
+    config = _overridden(load_config(config_path), shots, seed, "calibration")
+    dataset = experiments.collect_calibration(config)
     storage.write_calibration(out, dataset)
     click.echo(experiments.calibration_summary(dataset))
     click.echo(f"wrote {out}")
@@ -57,13 +71,13 @@ def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
-@click.option("--shots", type=int, default=None, help="override tomography_shots")
+@click.option("--shots", type=click.IntRange(min=1), default=None, help="override tomography_shots")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override tomography_seed")
 @_guarded
 def tomography(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Collect a tomography dataset for the configured random state."""
-    config = load_config(config_path)
-    dataset = experiments.collect_tomography(config, shots, seed)
+    config = _overridden(load_config(config_path), shots, seed, "tomography")
+    dataset = experiments.collect_tomography(config)
     storage.write_tomography(out, dataset)
     click.echo(f"records={len(dataset)} n={dataset.n}")
     click.echo(f"wrote {out}")
@@ -123,21 +137,12 @@ def complexity(epsilon: float, delta: float, g: float, kappa: float, degree: int
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False), help="output directory")
-@click.option("--shots", type=int, default=None, help="override both dataset sizes")
+@click.option("--shots", type=click.IntRange(min=1), default=None, help="override both dataset sizes")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override collection seeds (seed, seed+1)")
 @_guarded
 def experiment(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
     """Run collection, estimation, and both convergence studies."""
-    config = load_config(config_path)
-    overrides: dict[str, object] = {}
-    if shots is not None:
-        overrides["calibration_shots"] = shots
-        overrides["tomography_shots"] = shots
-    if seed is not None:
-        overrides["calibration_seed"] = seed
-        overrides["tomography_seed"] = seed + 1
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _overridden(load_config(config_path), shots, seed, "calibration", "tomography")
     paths = experiments.run_experiment(config, out)
     for name in sorted(paths):
         click.echo(f"wrote {paths[name]}")

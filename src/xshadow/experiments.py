@@ -5,18 +5,18 @@ seeds, correlator draws, bootstrap replicates and the study's wavevector
 picks all come from seeds named in the config file, so rerunning a
 command reproduces its outputs byte for byte.
 
-The report bins the tomography records once per maximal correlator
-support (protocols._shade_tables) and bootstraps each correlator's table
-three times, divided by ghat(v), 1 and the independent model's g(v),
-exactly as estimate_correlator does, with all of the report's bootstrap
-streams drawn side by side; ghat comes from one spectrum per
-calibration.  Both convergence studies reduce each curve to the mean
-and variance of one record's value and the exact truth, and share one
-pooled-RMS helper that takes the exact expected squared error of a
-mean of s records drawn with replacement, variance / s + bias^2, so
-neither draws a subsample: the calibration study's record values are
-the two parities, with mean ghat(w) and variance 1 - ghat(w)^2, and the
-tomography study's are the mitigated values of the support cells.
+The report is one protocols.estimate_correlators call: it bins the
+tomography records once per maximal correlator support and bootstraps
+each correlator's table three times, divided by ghat(v), 1 and the
+independent model's g(v), with all of its streams drawn side by side;
+ghat comes from one spectrum per calibration.  Both convergence studies
+reduce each curve to the mean and variance of one record's value and
+the exact truth, and share one pooled-RMS helper that takes the exact
+expected squared error of a mean of s records drawn with replacement,
+variance / s + bias^2, so neither draws a subsample: the calibration
+study's record values are the two parities, with mean ghat(w) and
+variance 1 - ghat(w)^2, and the tomography study's are the mitigated
+values of the support cells.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .config import ExperimentConfig
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
-    _bootstrap_reports,
     _outcome_counts,
     _shade_tables,
+    estimate_correlators,
     g_hat,
     g_spectrum,
     independent_g,
@@ -57,28 +57,18 @@ _SUMMARY_TOP_OUTCOMES = 8
 _SUMMARY_MAX_WEIGHT = 2
 
 
-def collect_calibration(
-    config: ExperimentConfig, shots: int | None = None, seed: int | None = None
-) -> CalibrationDataset:
+def collect_calibration(config: ExperimentConfig) -> CalibrationDataset:
     model = config.build_noise_model()
-    return run_calibration(
-        model,
-        shots if shots is not None else config.calibration_shots,
-        seed if seed is not None else config.calibration_seed,
-    )
+    return run_calibration(model, config.calibration_shots, config.calibration_seed)
 
 
-def collect_tomography(
-    config: ExperimentConfig, shots: int | None = None, seed: int | None = None
-) -> TomographyDataset:
-    state = config.build_state()
-    model = config.build_noise_model()
+def collect_tomography(config: ExperimentConfig) -> TomographyDataset:
     return run_tomography(
-        state,
+        config.build_state(),
         config.build_directions(),
-        model,
-        shots if shots is not None else config.tomography_shots,
-        seed if seed is not None else config.tomography_seed,
+        config.build_noise_model(),
+        config.tomography_shots,
+        config.tomography_seed,
     )
 
 
@@ -119,13 +109,11 @@ def comparison_rows(
     """Three-estimator comparison of the configured correlators against
     the exact state expectation.
 
-    Every divisor is found before any binning.  One _shade_tables call
-    bins the records once per maximal support; each correlator's table is
-    then bootstrapped as estimate_correlator would over the divisors
-    ghat(v), 1 and the independent model's g(v), with seeds
-    bootstrap_seed + 3*index + 0, 1, 2, so its columns equal that call's.
-    All tables are held until one _bootstrap_reports call has drawn the
-    3 x correlators streams, the large ones on every usable CPU.
+    One estimate_correlators call over the divisors ghat(v), 1 and the
+    independent model's g(v) of every correlator, seeded with
+    bootstrap_seed: the divisors are found and checked before any binning,
+    the records are binned once per maximal support, and every bootstrap
+    stream is drawn side by side.
     """
     xi = compute_xi(config.build_directions())
     state = config.build_state()
@@ -139,29 +127,26 @@ def comparison_rows(
         )
         for correlator in correlators
     ]
-    tables: list = [None] * len(correlators)  # filled in container order
-    for index, counts, shades in _shade_tables(tomo, correlators, xi):
-        tables[index] = (counts, shades, divisors[index], config.bootstrap_seed + 3 * index)
-    reports = _bootstrap_reports(tables, config.bootstrap_resamples)
-    rows = []
-    for index, correlator in enumerate(correlators):
-        mit, unm, ind = reports[3 * index : 3 * index + 3]
-        rows.append(
-            {
-                "correlator_id": f"c{index:02d}",
-                "degree": correlator.degree,
-                "pattern": correlator.pattern.to_text(),
-                "truth": exact_expectation(state, correlator),
-                "mitigated": mit.estimate,
-                "mitigated_se": mit.stderr,
-                "unmitigated": unm.estimate,
-                "unmitigated_se": unm.stderr,
-                "indep": ind.estimate,
-                "indep_se": ind.stderr,
-                "g_hat": divisors[index][0],
-            }
+    resamples, seed = config.bootstrap_resamples, config.bootstrap_seed
+    reports = estimate_correlators(tomo, correlators, xi, divisors, resamples=resamples, seed=seed)
+    return [
+        {
+            "correlator_id": f"c{index:02d}",
+            "degree": correlator.degree,
+            "pattern": correlator.pattern.to_text(),
+            "truth": exact_expectation(state, correlator),
+            "mitigated": mit.estimate,
+            "mitigated_se": mit.stderr,
+            "unmitigated": unm.estimate,
+            "unmitigated_se": unm.stderr,
+            "indep": ind.estimate,
+            "indep_se": ind.stderr,
+            "g_hat": g_v,
+        }
+        for index, (correlator, (g_v, _, _), (mit, unm, ind)) in enumerate(
+            zip(correlators, divisors, reports)
         )
-    return rows
+    ]
 
 
 def subsample_grid(records: int, points: int, minimum: int) -> list[int]:
@@ -266,11 +251,12 @@ def correlator_rms_rows(
 
     spectrum = g_spectrum(cal)
     g_vs = [g_hat(spectrum, correlator.pattern) for correlator in correlators]
-    curves = [None] * len(correlators)  # filled in container order, pooled in list order
-    for index, counts, shades in _shade_tables(tomo, correlators, xi):
-        correlator = correlators[index]
-        mean, variance = _moments(counts, shades / g_vs[index])
-        curves[index] = (correlator.degree, mean, variance, exact_expectation(state, correlator))
+    curves = [
+        (correlator.degree, *_moments(counts, shades / g_v), exact_expectation(state, correlator))
+        for correlator, g_v, (counts, shades) in zip(
+            correlators, g_vs, _shade_tables(tomo, correlators, xi)
+        )
+    ]
     return _pooled_study(curves, sizes, "degree")
 
 

@@ -21,10 +21,11 @@ count of each (setting, bit) cell of the support enters; ghat(w) for
 every w is one Walsh transform of the calibration's outcome histogram
 (g_spectrum).  The shade kernel (_shade_tables) bins the records once per
 maximal support of a batch of correlators and reads each support nested
-in it off that table.  One estimator serves the mitigated, unmitigated
-and indep columns: it divides a support's table of unmitigated shades by
-each g(v) it is handed, ghat(v) (g_hat), 1 or the independent-flip
-model's prod (1 - p10 - p01) (independent_g).
+in it off that table.  One estimator, estimate_correlators, serves one
+correlator or many and the mitigated, unmitigated and indep columns
+alike: it divides a support's table of unmitigated shades by each g(v)
+it is handed, ghat(v) (g_hat), 1 or the independent-flip model's
+prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
 drawing records with replacement.  Every (table, divisor) pair is one
 bootstrap stream with its own seed, so the streams are independent: the
@@ -38,7 +39,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +97,18 @@ def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
     return bits
 
 
+def _uint8_digits(values, limit: int, what: str) -> np.ndarray:
+    """`values` as a column-major uint8 array.  Every entry must be an
+    integer in [0, limit); this is checked before the cast, which would
+    turn 256 into 0 and -1 into 255."""
+    values = np.asarray(values)
+    if values.size and (
+        values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= limit
+    ):
+        raise ValueError(f"{what} must be integers in [0, {limit})")
+    return np.asarray(values, dtype=np.uint8, order="F")
+
+
 @dataclass(frozen=True)
 class CalibrationDataset:
     """Twirl-corrected calibration bitstrings as a column-major (M, n) uint8 array."""
@@ -105,7 +118,7 @@ class CalibrationDataset:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        outcomes = np.asarray(self.outcomes, dtype=np.uint8, order="F")
+        outcomes = _uint8_digits(self.outcomes, 2, "outcome bits")
         if outcomes.ndim != 2 or outcomes.shape[1] != self.n:
             raise ValueError(f"expected an (M, {self.n}) bit array, got {outcomes.shape}")
         object.__setattr__(self, "outcomes", outcomes)
@@ -133,16 +146,14 @@ class TomographyDataset:
 
     def __post_init__(self) -> None:
         _check_direction_count(len(self.directions))
-        settings = np.asarray(self.setting_indices, dtype=np.uint8, order="F")
-        outcomes = np.asarray(self.outcomes, dtype=np.uint8, order="F")
+        settings = _uint8_digits(self.setting_indices, len(self.directions), "setting indices")
+        outcomes = _uint8_digits(self.outcomes, 2, "outcome bits")
         if settings.ndim != 2 or settings.shape[1] != self.n:
             raise ValueError(f"expected an (M, {self.n}) setting array, got {settings.shape}")
         if outcomes.shape != settings.shape:
             raise ValueError(
                 f"outcome shape {outcomes.shape} does not match settings {settings.shape}"
             )
-        if settings.size and settings.max() >= len(self.directions):
-            raise ValueError("setting index outside the direction set")
         object.__setattr__(self, "setting_indices", settings)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -346,18 +357,17 @@ def _merged_cells(
 
 def _shade_tables(
     data: TomographyDataset, correlators: Sequence[Correlator], xi: XiTable
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Count table and unmitigated shades of every correlator's support.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Count table and unmitigated shades of every correlator's support, in
+    correlator order.
 
     Supports are planned in descending degree (ties in list order): one
     inside an already planned support, its container, is read off the
     container's table (_merged_cells); any other becomes a container and
     its records are binned (_record_cells).  So the records are binned
     once per distinct maximal support.  A cell's shade is the product of
-    (-1)^bit * overlap(nu, mu) over the support.  Yields (index, counts,
-    shades) per correlator, index into `correlators`, one container at a
-    time, so at most one container's table is held besides the one
-    yielded.  Every support is checked before any binning.
+    (-1)^bit * overlap(nu, mu) over the support.  Every support is checked
+    before any binning.
     """
     for correlator in correlators:
         if correlator.n != data.n:
@@ -378,6 +388,7 @@ def _shade_tables(
                 break
         else:
             containers.append((pattern, [index]))
+    tables: list = [None] * len(correlators)
     for outer, members in containers:
         outer_support = BitString(data.n, outer).support()
         table = _record_cells(data, outer_support, base)
@@ -396,16 +407,8 @@ def _shade_tables(
                     overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
                     weights[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
                 shades *= weights[mu][cells // base**j % base]
-            yield index, counts, shades
-
-
-def _shade_cells(
-    data: TomographyDataset, correlator: Correlator, xi: XiTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Record counts and unmitigated shades of one correlator's observed
-    support cells, in code order: _shade_tables for a batch of one."""
-    ((_, counts, shades),) = _shade_tables(data, [correlator], xi)
-    return counts, shades
+            tables[index] = (counts, shades)
+    return tables
 
 
 def _resample_means(
@@ -426,8 +429,6 @@ def _resample_means(
     measured with OpenBLAS, whose matrix-vector kernel groups rows by 4).
     Hence _DRAW_BLOCK, like the seeds, is part of the pinned stream.
     """
-    if resamples < 2:
-        raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
     probabilities = counts / counts.sum()
     block = max(1, _DRAW_BLOCK // len(counts))
     draws = [
@@ -471,50 +472,50 @@ def independent_g(correlator: Correlator, p10, p01) -> float:
     return float(np.prod(eigenvalues))
 
 
-def estimate_correlator(
+def estimate_correlators(
     data: TomographyDataset,
-    correlator: Correlator,
+    correlators: Sequence[Correlator],
     xi: XiTable,
-    divisors: Sequence[float],
+    divisors: Sequence[Sequence[float]],
     *,
     resamples: int,
     seed: int,
-) -> list[EstimateReport]:
-    """Correlator estimates from one binning of the support, one per divisor.
+) -> list[list[EstimateReport]]:
+    """Estimates of every correlator from one binning per maximal support,
+    one per divisor.
 
-    Report i is the count-weighted mean of the shades divided by
-    divisors[i], with the sd of `resamples` bootstrap means drawn from a
-    generator seeded with seed + i.  A divisor of ghat(v) (g_hat) gives the
-    mitigated estimate, 1 the unmitigated one and independent_g the
-    independent-flip model's; the stderr treats each divisor as exact.
+    divisors[j] lists correlator j's divisors, every list of one length m.
+    Report i of correlator j is the count-weighted mean of the shades
+    divided by divisors[j][i], with the sd of `resamples` bootstrap means
+    drawn from a generator seeded with seed + m*j + i.  A divisor of
+    ghat(v) (g_hat) gives the mitigated estimate, 1 the unmitigated one and
+    independent_g the independent-flip model's; the stderr treats each
+    divisor as exact.  The divisors and `resamples` are checked before any
+    binning, and every stream is drawn by one _bootstrap_streams call.
     """
-    divisors = [float(g) for g in divisors]
-    for g in divisors:
-        if g == 0.0 or not math.isfinite(g):
-            raise ValueError(f"divisors must be finite and nonzero, got {g}")
-    counts, shades = _shade_cells(data, correlator, xi)
-    return _bootstrap_reports([(counts, shades, divisors, seed)], resamples)
-
-
-def _bootstrap_reports(
-    tables: Sequence[tuple[np.ndarray, np.ndarray, Sequence[float], int]], resamples: int
-) -> list[EstimateReport]:
-    """estimate_correlator's reports for every (counts, shades, divisors,
-    seed) table in turn, for divisors already checked to be finite and
-    nonzero: divisor i of a table is bootstrapped from seed + i, and every
-    stream of every table is drawn by one _bootstrap_streams call."""
+    divisors = [[float(g) for g in row] for row in divisors]
+    if len(divisors) != len(correlators):
+        raise ValueError(f"{len(divisors)} divisor lists for {len(correlators)} correlators")
+    m = len(divisors[0]) if divisors else 0
+    for row in divisors:
+        if len(row) != m:
+            raise ValueError(f"every correlator needs {m} divisors, got {len(row)}")
+        for g in row:
+            if g == 0.0 or not math.isfinite(g):
+                raise ValueError(f"divisors must be finite and nonzero, got {g}")
+    if resamples < 2:
+        raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
+    tables = _shade_tables(data, correlators, xi)
     streams = [
-        (counts, shades / g, resamples, seed + i)
-        for counts, shades, divisors, seed in tables
-        for i, g in enumerate(divisors)
+        (counts, shades / g, resamples, seed + m * j + i)
+        for j, ((counts, shades), row) in enumerate(zip(tables, divisors))
+        for i, g in enumerate(row)
     ]
-    reports = []
-    for (counts, values, _, _), means in zip(streams, _bootstrap_streams(streams)):
-        records = int(counts.sum())
-        reports.append(
-            EstimateReport(float(counts @ values / records), float(np.std(means, ddof=1)))
-        )
-    return reports
+    reports = [
+        EstimateReport(float(counts @ values / int(counts.sum())), float(np.std(means, ddof=1)))
+        for (counts, values, _, _), means in zip(streams, _bootstrap_streams(streams))
+    ]
+    return [reports[m * j : m * j + m] for j in range(len(correlators))]
 
 
 def _usable_cpus() -> int:

@@ -26,7 +26,7 @@ from xshadow.cli import main as cli_main
 from xshadow.noise import crosstalk_model, independent_flip_model
 from xshadow.protocols import (
     calibration_sample_bound,
-    estimate_correlator,
+    estimate_correlators,
     g_hat,
     g_spectrum,
     independent_g,
@@ -334,20 +334,22 @@ class TestBiasRemoval:
         truths = [exact_expectation(big_state, c) for c in correlators]
         spectrum = g_spectrum(big_cal)
 
-        within = 0
-        reports = []
-        for index, (correlator, truth) in enumerate(zip(correlators, truths)):
-            divisors = (
+        divisors = [
+            (
                 g_hat(spectrum, correlator.pattern),
                 1.0,
                 independent_g(correlator, NOISE_P10, NOISE_P01),
             )
-            mit, unm, ind = estimate_correlator(
-                big_tomo, correlator, pauli_xi, divisors, resamples=200, seed=3 * index
-            )
-            reports.append((correlator, truth, mit, unm, ind))
-            if abs(mit.estimate - truth) <= 4 * mit.stderr:
-                within += 1
+            for correlator in correlators
+        ]
+        estimates = estimate_correlators(
+            big_tomo, correlators, pauli_xi, divisors, resamples=200, seed=0
+        )
+        reports = [
+            (correlator, truth, mit, unm, ind)
+            for correlator, truth, (mit, unm, ind) in zip(correlators, truths, estimates)
+        ]
+        within = sum(abs(mit.estimate - truth) <= 4 * mit.stderr for _, truth, mit, _, _ in reports)
 
         # a strong correlator: degree >= 2 and a truth value well away from zero
         qualifying = [r for r in reports if r[0].degree >= 2 and abs(r[1]) > 0.2]
@@ -362,8 +364,8 @@ class TestBiasRemoval:
                 if abs(truth) <= 0.2:
                     continue
                 divisors = (1.0, independent_g(correlator, NOISE_P10, NOISE_P01))
-                unm, ind = estimate_correlator(
-                    big_tomo, correlator, pauli_xi, divisors, resamples=200, seed=1001
+                ((unm, ind),) = estimate_correlators(
+                    big_tomo, [correlator], pauli_xi, [divisors], resamples=200, seed=1001
                 )
                 qualifying.append((correlator, truth, None, unm, ind))
 
@@ -469,9 +471,9 @@ class TestSampleBounds:
             tomo = run_tomography(
                 state, pauli_directions(), model, tomo_shots, seed=5000 + rep
             )
-            (est,) = estimate_correlator(
-                tomo, correlator, pauli_xi,
-                (g_hat(g_spectrum(cal), correlator.pattern),), resamples=2, seed=0,
+            ((est,),) = estimate_correlators(
+                tomo, [correlator], pauli_xi,
+                [(g_hat(g_spectrum(cal), correlator.pattern),)], resamples=2, seed=0,
             )
             if abs(est.estimate - truth) > epsilon:
                 failures += 1

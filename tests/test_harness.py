@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -38,8 +39,7 @@ from xshadow.bitspace import walsh_transform
 from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
-    _shade_cells,
-    estimate_correlator,
+    estimate_correlators,
     g_hat,
     g_spectrum,
     independent_g,
@@ -254,7 +254,8 @@ class TestStorage:
         )
         path = str(tmp_path / "t.txt")
         write_tomography(path, ds)
-        body = [line for line in open(path) if not line.startswith("#")]
+        with open(path) as fh:
+            body = [line for line in fh if not line.startswith("#")]
         assert body == ["x,z 01\n"]
 
     def test_multichar_labels_are_refused(self, tmp_path):
@@ -431,7 +432,8 @@ class TestStorage:
         row = {col: 0 for col in REPORT_COLUMNS}
         path = str(tmp_path / "r.csv")
         write_report(path, [row])
-        header = open(path).readline().strip()
+        with open(path) as fh:
+            header = fh.readline().strip()
         assert header == (
             "correlator_id,degree,pattern,truth,mitigated,mitigated_se,"
             "unmitigated,unmitigated_se,indep,indep_se,g_hat"
@@ -580,16 +582,36 @@ def small_config():
 
 
 class TestExperiments:
-    def test_collect_shapes_and_overrides(self, small_config):
-        cal = collect_calibration(small_config, shots=500, seed=99)
+    def test_collect_shapes_and_overrides(self, small_config, tmp_path):
+        cal = collect_calibration(
+            dataclasses.replace(small_config, calibration_shots=500, calibration_seed=99)
+        )
         assert len(cal) == 500
         assert cal.seed == 99
-        tomo = collect_tomography(small_config, shots=400)
+        tomo = collect_tomography(dataclasses.replace(small_config, tomography_shots=400))
         assert len(tomo) == 400
         assert tomo.seed == small_config.tomography_seed
+        # the CLI applies --shots and --seed the same way for every command
+        path = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 2\ndepth: 4\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.05\n"
+            "calibration_shots: 300\ntomography_shots: 300\ntomography_seed: 6\n",
+        )
+        for command, shots, seed, expected in (
+            ("calibrate", "500", "99", (500, 99)),
+            ("tomography", "400", None, (400, 6)),
+            ("tomography", None, "7", (300, 7)),
+        ):
+            out = tmp_path / f"{command}-{shots}-{seed}.txt"
+            args = [command, "--config", path, "--out", str(out)]
+            args += ["--shots", shots] * (shots is not None) + ["--seed", seed] * (seed is not None)
+            assert CliRunner().invoke(main, args).exit_code == 0
+            read = read_calibration if command == "calibrate" else read_tomography
+            dataset = read(str(out))
+            assert (len(dataset), dataset.seed) == expected
 
     def test_summary_contents(self, small_config):
-        cal = collect_calibration(small_config, shots=2000)
+        cal = collect_calibration(dataclasses.replace(small_config, calibration_shots=2000))
         text = calibration_summary(cal)
         assert "records=2000 n=2" in text
         assert "top outcomes:" in text
@@ -678,8 +700,8 @@ class TestExperiments:
 
 class TestBatchedReport:
     """The report bins the records once per maximal correlator support and
-    reads nested supports off that table; its rows must be those of one
-    estimate_correlator call per correlator."""
+    reads nested supports off that table; a batch's reports must be those
+    of one batch of one per correlator."""
 
     @pytest.fixture(scope="class")
     def nested_case(self):
@@ -696,26 +718,35 @@ class TestBatchedReport:
         )
         return config, collect_calibration(config), collect_tomography(config)
 
-    def test_rows_equal_per_correlator_estimate_calls(self, nested_case):
+    def test_batch_equals_batches_of_one_at_offset_seeds(self, nested_case):
+        """Report i of correlator j draws from seed + m*j + i, so the rows
+        equal per-correlator batches of one at bootstrap_seed + 3*j."""
         config, cal, tomo = nested_case
         xi = compute_xi(config.build_directions())
         spectrum = g_spectrum(cal)
         rows = comparison_rows(config, tomo, cal)
         correlators = experiments.build_correlators(config)
         assert len(rows) == len(correlators) == 15
-        for index, (row, correlator) in enumerate(zip(rows, correlators)):
-            g_v = g_hat(spectrum, correlator.pattern)
-            g_ind = independent_g(correlator, config.noise.p10, config.noise.p01)
-            mit, unm, ind = estimate_correlator(
-                tomo,
-                correlator,
-                xi,
-                (g_v, 1.0, g_ind),
-                resamples=config.bootstrap_resamples,
-                seed=config.bootstrap_seed + 3 * index,
+        divisors = [
+            (
+                g_hat(spectrum, correlator.pattern),
+                1.0,
+                independent_g(correlator, config.noise.p10, config.noise.p01),
             )
+            for correlator in correlators
+        ]
+        kw = {"resamples": config.bootstrap_resamples}
+        batch = estimate_correlators(
+            tomo, correlators, xi, divisors, seed=config.bootstrap_seed, **kw
+        )
+        for j, (row, correlator) in enumerate(zip(rows, correlators)):
+            (alone,) = estimate_correlators(
+                tomo, [correlator], xi, [divisors[j]], seed=config.bootstrap_seed + 3 * j, **kw
+            )
+            assert batch[j] == alone
+            mit, unm, ind = alone
             assert row["pattern"] == correlator.pattern.to_text()
-            assert row["g_hat"] == g_v
+            assert row["g_hat"] == divisors[j][0]
             assert (row["mitigated"], row["mitigated_se"]) == (mit.estimate, mit.stderr)
             assert (row["unmitigated"], row["unmitigated_se"]) == (unm.estimate, unm.stderr)
             assert (row["indep"], row["indep_se"]) == (ind.estimate, ind.stderr)
@@ -806,8 +837,10 @@ class TestClosedFormStudy:
         xi = compute_xi(config.build_directions())
         spectrum = g_spectrum(cal)
         tomo_curves = []
-        for correlator in experiments.build_correlators(config, config.correlators_per_degree_study):
-            counts, shades = _shade_cells(tomo, correlator, xi)
+        correlators = experiments.build_correlators(config, config.correlators_per_degree_study)
+        for correlator, (counts, shades) in zip(
+            correlators, protocols._shade_tables(tomo, correlators, xi)
+        ):
             g_v = g_hat(spectrum, correlator.pattern)
             truth = exact_expectation(config.build_state(), correlator)
             tomo_curves.append((correlator.degree, counts, shades / g_v, truth))
@@ -978,14 +1011,15 @@ class TestBootstrapThreads:
     def test_results_do_not_depend_on_the_cpu_count(self, threaded_case, monkeypatch):
         config, cal, tomo = threaded_case
         xi = compute_xi(config.build_directions())
-        correlator = experiments.build_correlators(config)[-1]  # degree 5
+        correlators = experiments.build_correlators(config)
+        pair = [correlators[0], correlators[-1]]  # degrees 1 and 5
         results = []
         for cpus in (1, None, 4):  # 4: more threads than this machine may have cores
             usable = cpus or protocols._usable_cpus()
             calls = [
                 lambda: comparison_rows(config, tomo, cal),
-                lambda: estimate_correlator(
-                    tomo, correlator, xi, (1.0, 0.5), resamples=30, seed=3
+                lambda: estimate_correlators(
+                    tomo, pair, xi, [(1.0, 0.5)] * 2, resamples=30, seed=3
                 ),
             ]
             interval = sys.getswitchinterval()
@@ -1212,6 +1246,19 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_non_positive_shots_override_writes_nothing(
+        self, config_file, tmp_path, command, shots
+    ):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, [command, "--config", config_file, "--out", str(out), "--shots", shots]
+        )
+        assert result.exit_code == 2
+        assert "--shots" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
     def test_negative_seed_override_writes_nothing(self, config_file, tmp_path, command):
         out = tmp_path / "out"
         result = CliRunner().invoke(
@@ -1292,7 +1339,7 @@ class TestPackage:
             "collect_calibration",
             "collect_tomography",
             "compute_xi",
-            "estimate_correlator",
+            "estimate_correlators",
             "exact_expectation",
             "load_config",
             "random_correlators",

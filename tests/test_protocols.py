@@ -27,7 +27,7 @@ from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
     calibration_sample_bound,
-    estimate_correlator,
+    estimate_correlators,
     g_hat,
     g_spectrum,
     independent_g,
@@ -97,6 +97,28 @@ class TestDatasets:
                 np.zeros((2, 2), dtype=np.uint8),
                 np.zeros((1, 2), dtype=np.uint8),
             )
+
+    @pytest.mark.parametrize(
+        "settings,outcomes,message",
+        [
+            ([[256, 0]], [[0, 0]], "setting indices"),  # a uint8 cast makes it 0
+            ([[-1, 0]], [[0, 0]], "setting indices"),  # ... and this 255
+            ([[0, 0]], [[2, 0]], "outcome bits"),  # digit 2*0 + 2 is setting 1's
+            ([[0, 0]], [[-1, 0]], "outcome bits"),
+            ([[0.0, 0.0]], [[0, 0]], "setting indices"),
+        ],
+    )
+    def test_out_of_range_values_are_refused_before_the_uint8_cast(
+        self, settings, outcomes, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset(2, pauli_directions(), np.array(settings), np.array(outcomes))
+
+    @pytest.mark.parametrize("bit", [-1, 2, 256])
+    def test_out_of_range_calibration_bits_are_refused(self, bit):
+        outcomes = np.array([[0, 1], [1, bit]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"outcome bits must be integers in \[0, 2\)"):
+            CalibrationDataset(2, outcomes)
 
     def test_arrays_are_column_major(self):
         rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)  # row-major, wider int
@@ -228,8 +250,8 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b10), {1: z})
         g_v = g_hat(g_spectrum(cal), c.pattern)
-        (mit,) = estimate_correlator(data, c, pauli_xi, (g_v,), resamples=200, seed=1)
-        (unm,) = estimate_correlator(data, c, pauli_xi, (1.0,), resamples=200, seed=1)
+        ((mit,),) = estimate_correlators(data, [c], pauli_xi, [(g_v,)], resamples=200, seed=1)
+        ((unm,),) = estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=200, seed=1)
         assert mit.estimate == pytest.approx(unm.estimate, abs=1e-12)
         assert mit.stderr == pytest.approx(unm.stderr, abs=1e-12)
 
@@ -244,7 +266,7 @@ class TestEstimators:
         c = Correlator(BitString(2, 0b11), {0: z, 1: x})
         truth = exact_expectation(state, c)
         g_v = g_hat(g_spectrum(cal), c.pattern)
-        (mit,) = estimate_correlator(data, c, pauli_xi, (g_v,), resamples=200, seed=3)
+        ((mit,),) = estimate_correlators(data, [c], pauli_xi, [(g_v,)], resamples=200, seed=3)
         assert mit.estimate == pytest.approx(truth, abs=5 * mit.stderr)
 
     def test_indep_model_recovers_truth_when_model_is_right(self, pauli_xi):
@@ -256,7 +278,7 @@ class TestEstimators:
         c = Correlator(BitString(2, 0b11), {0: y, 1: z})
         truth = exact_expectation(state, c)
         g_ind = independent_g(c, [0.1, 0.05], [0.02, 0.07])
-        (ind,) = estimate_correlator(data, c, pauli_xi, (g_ind,), resamples=200, seed=4)
+        ((ind,),) = estimate_correlators(data, [c], pauli_xi, [(g_ind,)], resamples=200, seed=4)
         assert ind.estimate == pytest.approx(truth, abs=5 * ind.stderr)
 
     def test_g_floor(self):
@@ -287,7 +309,7 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b01), {0: z})
         a, b, c2 = (
-            estimate_correlator(data, c, pauli_xi, (1.0,), resamples=200, seed=seed)[0]
+            estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=200, seed=seed)[0][0]
             for seed in (2, 2, 3)
         )
         assert a.stderr == b.stderr
@@ -299,11 +321,11 @@ class TestEstimators:
         data = run_tomography(state, pauli_directions(), model, 5000, seed=70)
         c = random_correlators(3, [2], 1, seed=71)[0]
         divisors = (0.8, 1.0, -0.6)
-        reports = estimate_correlator(data, c, pauli_xi, divisors, resamples=50, seed=5)
+        (reports,) = estimate_correlators(data, [c], pauli_xi, [divisors], resamples=50, seed=5)
         assert len(reports) == len(divisors)
         for i, g in enumerate(divisors):
-            assert reports[i] == estimate_correlator(
-                data, c, pauli_xi, (g,), resamples=50, seed=5 + i
+            assert [reports[i]] == estimate_correlators(
+                data, [c], pauli_xi, [(g,)], resamples=50, seed=5 + i
             )[0]
 
     @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
@@ -319,9 +341,35 @@ class TestEstimators:
 
         monkeypatch.setattr(protocols, "_shade_tables", no_binning)
         with pytest.raises(AssertionError, match="binned"):  # the patch is on the binning path
-            estimate_correlator(data, c, pauli_xi, (1.0,), resamples=2, seed=0)
+            estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=2, seed=0)
         with pytest.raises(ValueError, match="finite and nonzero"):
-            estimate_correlator(data, c, pauli_xi, (1.0, bad), resamples=2, seed=0)
+            estimate_correlators(data, [c, c], pauli_xi, [(1.0,), (bad,)], resamples=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "divisors,resamples,message",
+        [
+            ([(1.0, 2.0), (1.0,)], 2, "every correlator needs 2 divisors, got 1"),
+            ([(1.0,), (1.0,), (1.0,)], 2, "3 divisor lists for 2 correlators"),
+            ([(1.0,)], 2, "1 divisor lists for 2 correlators"),
+            ([(1.0,), (1.0,)], 1, "need >= 2 bootstrap resamples, got 1"),
+        ],
+    )
+    def test_malformed_batch_is_refused_before_binning(
+        self, pauli_xi, monkeypatch, divisors, resamples, message
+    ):
+        data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
+                              _noiseless(2), 20, seed=3)
+        z = direction_from_label("z")
+        correlators = [Correlator(BitString(2, 1 << q), {q: z}) for q in range(2)]
+
+        def no_binning(*args):
+            raise AssertionError("binned before the batch was checked")
+
+        monkeypatch.setattr(protocols, "_shade_tables", no_binning)
+        with pytest.raises(ValueError, match=message):
+            estimate_correlators(
+                data, correlators, pauli_xi, divisors, resamples=resamples, seed=0
+            )
 
 
 def _tilted_directions():
@@ -362,7 +410,9 @@ class TestCountTableKernel:
             shades = support_shades(tomo, c, xi)
             g_v = g_hat(g_spectrum(cal), c.pattern)
             divisors = (g_v, 1.0, independent_g(c, self.P10, self.P01))
-            mit, unm, ind = estimate_correlator(tomo, c, xi, divisors, resamples=2, seed=0)
+            ((mit, unm, ind),) = estimate_correlators(
+                tomo, [c], xi, [divisors], resamples=2, seed=0
+            )
             assert mit.estimate == pytest.approx(np.mean(shades / g_v), abs=1e-12)
             assert unm.estimate == pytest.approx(np.mean(shades), abs=1e-12)
             expected = np.mean(independent_model_values(tomo, c, xi, self.P10, self.P01))
@@ -374,7 +424,9 @@ class TestCountTableKernel:
         for c in random_correlators(4, [1, 2, 3], 2, seed=25):
             shades = support_shades(tomo, c, pauli_xi)
             g_v = g_hat(g_spectrum(cal), c.pattern)
-            unm, mit = estimate_correlator(tomo, c, pauli_xi, (1.0, g_v), resamples=200, seed=0)
+            ((unm, mit),) = estimate_correlators(
+                tomo, [c], pauli_xi, [(1.0, g_v)], resamples=200, seed=0
+            )
             for report, per_record in ((unm, shades), (mit, shades / g_v)):
                 plain_se = np.std(per_record, ddof=1) / np.sqrt(len(tomo))
                 assert report.stderr == pytest.approx(plain_se, rel=0.2)
@@ -383,9 +435,9 @@ class TestCountTableKernel:
         _, tomos = noisy_data
         c = random_correlators(4, [3], 1, seed=26)[0]
         kw = {"resamples": 200, "seed": 9}
-        whole = estimate_correlator(tomos["pauli"], c, pauli_xi, (1.0,), **kw)
+        whole = estimate_correlators(tomos["pauli"], [c], pauli_xi, [(1.0,)], **kw)
         monkeypatch.setattr(protocols, "_DRAW_BLOCK", 1000)  # a few resamples per block
-        blocked = estimate_correlator(tomos["pauli"], c, pauli_xi, (1.0,), **kw)
+        blocked = estimate_correlators(tomos["pauli"], [c], pauli_xi, [(1.0,)], **kw)
         assert blocked == whole
 
     def test_blocked_integer_draws_keep_the_stream(self, monkeypatch):
@@ -415,8 +467,8 @@ class TestCountTableKernel:
         c = random_correlators(4, [degree], 1, seed=seed, directions=tomo.directions)[0]
         g_ind = independent_g(c, self.P10, self.P01)
         reports = [
-            estimate_correlator(
-                t, c, xi, (g_hat(g_spectrum(k), c.pattern), 1.0, g_ind), resamples=20, seed=seed
+            estimate_correlators(
+                t, [c], xi, [(g_hat(g_spectrum(k), c.pattern), 1.0, g_ind)], resamples=20, seed=seed
             )
             for t, k in ((shuffled, shuffled_cal), (tomo, cal))
         ]
@@ -483,13 +535,9 @@ class TestCountTableKernel:
             )
             for pattern in patterns
         ]
-        tables = {
-            index: (counts, shades)
-            for index, counts, shades in protocols._shade_tables(data, correlators, xi)
-        }
-        assert sorted(tables) == list(range(len(correlators)))
-        for index, c in enumerate(correlators):
-            counts, shades = tables[index]
+        tables = protocols._shade_tables(data, correlators, xi)
+        assert len(tables) == len(correlators)  # in correlator order, not container order
+        for c, (counts, shades) in zip(correlators, tables):
             expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
             assert counts.dtype == expected_counts.dtype and shades.dtype == expected_shades.dtype
             assert np.array_equal(counts, expected_counts)
@@ -506,11 +554,11 @@ class TestCountTableKernel:
             np.zeros((3, n), dtype=np.uint8),
         )
         fits = Correlator(BitString(n, (1 << 24) - 1), {q: z for q in range(24)})
-        (report,) = estimate_correlator(data, fits, pauli_xi, (1.0,), resamples=2, seed=0)
+        ((report,),) = estimate_correlators(data, [fits], pauli_xi, [(1.0,)], resamples=2, seed=0)
         assert report.estimate == 3.0**24  # z measured along z: overlap 3, outcome 0
         overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
         with pytest.raises(CapabilityError):
-            estimate_correlator(data, overflows, pauli_xi, (1.0,), resamples=2, seed=0)
+            estimate_correlators(data, [overflows], pauli_xi, [(1.0,)], resamples=2, seed=0)
 
 
 def _born_case(n, direction_set, shots, seed):
