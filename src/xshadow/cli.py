@@ -6,12 +6,18 @@ prints shot-count bounds, and `experiment` runs the whole pipeline
 into a directory.  All outputs are deterministic functions of the
 config file and the explicit seed overrides; nothing writes wall-clock
 timestamps, so reruns are byte-identical.
+
+`run`, the entry point of the `xshadow` script and of `python -m
+xshadow.cli`, calls gc.freeze() before `main`, so that the exiting
+process does not free numpy, click and yaml object by object: the OS
+frees them anyway.  In-process callers (tests, tracing) call `main`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import sys
 
 import click
@@ -148,5 +154,11 @@ def experiment(config_path: str, out: str, shots: int | None, seed: int | None) 
         click.echo(f"wrote {paths[name]}")
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Freeze every object made so far, then run the command line."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

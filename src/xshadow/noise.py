@@ -102,15 +102,24 @@ class ChainCrosstalkModel(NoiseModel):
         return _flip_chain_table(0.5 * (self.p10 + self.p01), boosted)
 
     def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        bits = np.asarray(ideal_bits, dtype=np.uint8)
-        out = bits.copy()
-        prev = np.zeros(bits.shape[0], dtype=bool)
-        for i in range(self.n):  # chain is sampled in qubit order 0..n-1
-            base = np.where(bits[:, i] == 1, self.p10[i], self.p01[i])
-            rate = np.where(prev, np.minimum(1.0, base + self.gamma), base)
-            flips = rng.random(bits.shape[0]) < rate
-            out[:, i] ^= flips.astype(np.uint8)
-            prev = flips
+        """Flip a column-major copy of the bits one qubit at a time, in
+        order 0..n-1, drawing one uniform per shot and qubit.  A shot's
+        rate is rates[2*prev + bit] of the qubit's table: base p01 or p10
+        by the ideal bit, boosted if qubit i-1 flipped."""
+        out = np.array(ideal_bits, dtype=np.uint8, order="F")
+        shots = out.shape[0]
+        uniforms = np.empty(shots)
+        flips = np.zeros(shots, dtype=np.uint8)  # qubit i-1's flips; none before qubit 0
+        cell = np.empty(shots, dtype=np.uint8)
+        for i in range(self.n):
+            p01, p10 = self.p01[i], self.p10[i]
+            rates = np.array([p01, p10, min(1.0, p01 + self.gamma), min(1.0, p10 + self.gamma)])
+            column = out[:, i]
+            np.multiply(flips, 2, out=cell)
+            cell += column
+            rng.random(out=uniforms)
+            np.less(uniforms, rates[cell], out=flips)
+            column ^= flips
         return out
 
 

@@ -82,10 +82,15 @@ _MAX_DIRECTIONS = 256
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Collapse an (..., n) bit array to integer values (column 0 = LSB)."""
     bits = np.asarray(bits)
-    values = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for i in range(bits.shape[-1]):  # one column at a time: no (..., n) int64 temporary
-        values |= bits[..., i].astype(np.int64) << i
-    return values
+    n = bits.shape[-1]
+    # accumulate in the narrowest unsigned dtype, one column at a time
+    dtype = np.min_scalar_type((1 << n) - 1)
+    values = np.zeros(bits.shape[:-1], dtype=dtype)
+    column = np.empty_like(values)
+    for i in range(n):
+        np.left_shift(bits[..., i], i, out=column, dtype=dtype, casting="unsafe")
+        values |= column
+    return values.astype(np.int64)
 
 
 def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
@@ -309,26 +314,26 @@ def run_tomography(
 
 
 def _record_cells(
-    data: TomographyDataset, support: tuple[int, ...], base: int
+    digits: np.ndarray, support: tuple[int, ...], base: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin every record on the support, one pass over the records.
 
-    A record's cell is its (setting, bit) pair on every support qubit,
-    coded in mixed radix with digit 2*setting + bit per qubit, base 2k, in
-    the narrowest unsigned dtype.  A code space no larger than the record
-    count is counted by bincount, a larger one sorted.  Returns each
-    observed cell's code and record count, in code order.
+    `digits` is the (M, n) digit table of _shade_tables.  A record's cell
+    is its (setting, bit) pair on every support qubit, coded in mixed radix
+    with the qubit's digit 2*setting + bit at place j of the support, base
+    2k, in the narrowest unsigned dtype; the code is formed by Horner's
+    rule from the last support qubit down.  A code space no larger than
+    the record count is counted by bincount, a larger one sorted.  Returns
+    each observed cell's code and record count, in code order.
     """
     space = base ** len(support)
     dtype = np.min_scalar_type(space - 1)
-    codes = np.zeros(len(data), dtype=dtype)
-    digit = np.empty(len(data), dtype=dtype)  # one buffer: no temporaries per qubit
-    for j, qubit in enumerate(support):
-        np.multiply(data.setting_indices[:, qubit], 2, out=digit, dtype=dtype, casting="unsafe")
-        digit += data.outcomes[:, qubit]
-        digit *= dtype.type(base**j)
-        codes += digit
-    if space <= len(data):
+    codes = np.zeros(len(digits), dtype=dtype)
+    for j, qubit in enumerate(reversed(support)):  # every partial code is < space
+        if j:
+            codes *= dtype.type(base)
+        codes += digits[:, qubit]
+    if space <= len(digits):
         table = np.bincount(codes, minlength=space)
         cells = np.flatnonzero(table)
         return cells, table[cells]
@@ -364,10 +369,10 @@ def _shade_tables(
     Supports are planned in descending degree (ties in list order): one
     inside an already planned support, its container, is read off the
     container's table (_merged_cells); any other becomes a container and
-    its records are binned (_record_cells).  So the records are binned
-    once per distinct maximal support.  A cell's shade is the product of
-    (-1)^bit * overlap(nu, mu) over the support.  Every support is checked
-    before any binning.
+    its records are binned (_record_cells), all from one table of digits.
+    So the records are binned once per distinct maximal support.  A cell's
+    shade is the product of (-1)^bit * overlap(nu, mu) over the support.
+    Every support is checked before any binning.
     """
     for correlator in correlators:
         if correlator.n != data.n:
@@ -388,10 +393,15 @@ def _shade_tables(
                 break
         else:
             containers.append((pattern, [index]))
+    # every record's digit 2*setting + bit on every qubit, column-major, in
+    # the narrowest unsigned dtype (uint8 for k <= 128)
+    digits = np.empty(data.setting_indices.shape, np.min_scalar_type(base - 1), order="F")
+    np.multiply(data.setting_indices, 2, out=digits, dtype=digits.dtype, casting="unsafe")
+    digits += data.outcomes
     tables: list = [None] * len(correlators)
     for outer, members in containers:
         outer_support = BitString(data.n, outer).support()
-        table = _record_cells(data, outer_support, base)
+        table = _record_cells(digits, outer_support, base)
         for index in members:
             correlator = correlators[index]
             support = correlator.pattern.support()

@@ -137,13 +137,15 @@ class StateVector:
 
 
 def apply_single_qubit(amplitudes: np.ndarray, gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 gate to one qubit of a dense amplitude vector."""
-    tensor = amplitudes.reshape([2] * n)
-    axis = n - 1 - qubit  # C-order: axis 0 is the most significant bit
-    tensor = np.moveaxis(tensor, axis, 0)
-    tensor = np.tensordot(gate, tensor, axes=(1, 0))
-    tensor = np.moveaxis(tensor, 0, axis)
-    return np.ascontiguousarray(tensor).reshape(1 << n)
+    """Apply a 2x2 gate to one qubit of a dense amplitude vector.
+
+    The amplitudes are copied once into a (2, 2^(n-1)) matrix whose row b
+    holds those with the qubit's bit equal to b, in ascending order of the
+    other bits; the gate multiplies it from the left, and the product is
+    copied back into amplitude order."""
+    shape = (1 << (n - 1 - qubit), 2, 1 << qubit)  # (higher bits, the qubit, lower bits)
+    rows = amplitudes.reshape(shape).transpose(1, 0, 2).reshape(2, -1)
+    return np.dot(gate, rows).reshape(2, *shape[::2]).transpose(1, 0, 2).reshape(1 << n)
 
 
 def _apply_cz(amplitudes: np.ndarray, a: int, b: int, n: int) -> np.ndarray:

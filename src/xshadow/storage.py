@@ -40,6 +40,9 @@ TOMOGRAPHY_TYPE = "tomography"
 # one printable ASCII character: tomography rows then have a fixed width,
 # and no label reads as a separator (space, comma) or starts a header (#)
 _LABEL_CHARACTERS = frozenset(map(chr, range(0x21, 0x7F))) - {",", "#"}
+# rows decoded at a time: a block's bytes and its decoded columns stay in
+# cache while the row-major file is turned into column-major arrays
+_BLOCK_ROWS = 1 << 14
 
 REPORT_COLUMNS = (
     "correlator_id",
@@ -116,9 +119,10 @@ def _decode_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the body into rows of width - 1 bytes and a newline, the last
     n of them bits written MSB first.  Returns the raw (M, width) rows and
-    the bits as the dataset's column-major uint8 (M, n) array.  Each check
-    runs on the whole array and looks for the first bad row only once it
-    has failed, so a valid file pays for no per-row mask."""
+    the bits as the dataset's column-major uint8 (M, n) array, decoded in
+    blocks of _BLOCK_ROWS rows.  Each check runs on the whole array and
+    looks for the first bad row only once it has failed, so a valid file
+    pays for no per-row mask."""
     raw = np.frombuffer(body, dtype=np.uint8)
     if len(body) % width or not np.all(raw[width - 1 :: width] == ord("\n")):
         ends = np.flatnonzero(raw == ord("\n"))
@@ -130,8 +134,11 @@ def _decode_rows(
         )
     raw = raw.reshape(-1, width)
     bits = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
-    np.subtract(np.flip(raw[:, width - 1 - n : width - 1], axis=1), ord("0"), out=bits)
-    if np.any(bits > 1):
+    digits = np.flip(raw[:, width - 1 - n : width - 1], axis=1)
+    for start in range(0, len(raw), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)  # transposed: inner loops run down columns
+        np.subtract(digits[block].T, ord("0"), out=bits[block].T)
+    if bits.max(initial=0) > 1:
         row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
         raise DataFormatError(f"{path}: rows must contain only 0 and 1; row {row} does not")
     return raw, bits
@@ -225,18 +232,18 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
         raise DataFormatError(
             f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
         )
-    lookup = np.full(256, -1, dtype=np.int16)
+    # label byte -> setting index; 255, above the index of any of the 92
+    # labels, marks every other byte
+    lookup = np.full(256, 255, dtype=np.uint8)
     lookup[np.frombuffer("".join(labels).encode(), dtype=np.uint8)] = np.arange(len(labels))
+    codes = raw[:, 0 : 2 * n : 2]
     settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
-    for qubit in range(n):
-        column = lookup[raw[:, 2 * qubit]]
-        if np.any(column < 0):
-            codes = raw[:, 0 : 2 * n : 2]
-            row, where = np.argwhere(lookup[codes] < 0)[0]
-            raise DataFormatError(
-                f"{path}: row {row} has unknown label {chr(codes[row, where])!r}"
-            )
-        settings[:, qubit] = column
+    for start in range(0, len(raw), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        np.take(lookup, codes[block].T, out=settings[block].T)
+    if settings.max(initial=0) >= len(labels):
+        row, where = np.argwhere(settings >= len(labels))[0]
+        raise DataFormatError(f"{path}: row {row} has unknown label {chr(codes[row, where])!r}")
     return TomographyDataset(
         n=n,
         directions=directions,

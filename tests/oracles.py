@@ -7,8 +7,12 @@ bins them through int64 codes and a sort.  It reads ghat(w) for every w
 from one Walsh transform of the calibration histogram; `parity_counts`
 counts the two parity cells of one w.  It draws Born outcomes qubit by
 qubit down the outcome tree; the Born oracles rotate the whole state for
-one `MeasurementSetting` (one shot's directions), one qubit at a time,
-and `born_outcomes` searches the full normalised CDF.  Each noise model builds its twirled table Rbar(. | 0) as
+one `MeasurementSetting` (one shot's directions), one qubit at a time
+through `tensordot_single_qubit`, the tensordot form of the library's
+gate application, and `born_outcomes` searches the full normalised CDF.
+`chain_sample_bits` is the row-major chain-crosstalk sampler with a
+`np.where` rate per qubit that the column-major one must reproduce draw
+for draw.  Each noise model builds its twirled table Rbar(. | 0) as
 a Markov chain of flips; `transition_row` gives the model's untwirled
 rows R(. | ideal) and `twirl_table` averages all 2^n of them over
 translations.  The dense shadow matrices check the factorised shades and
@@ -32,14 +36,7 @@ from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from xshadow.noise import ChainCrosstalkModel
 from xshadow.protocols import _resample_means
-from xshadow.qsim import (
-    IDENTITY_2,
-    Correlator,
-    Direction,
-    apply_single_qubit,
-    pauli_operator,
-    rotation_gate,
-)
+from xshadow.qsim import IDENTITY_2, Correlator, Direction, pauli_operator, rotation_gate
 from xshadow.shadows import G_FLOOR, XiTable
 
 DENSE_MAX_QUBITS = 4
@@ -115,6 +112,18 @@ class MeasurementSetting:
         return len(self.directions)
 
 
+def tensordot_single_qubit(amplitudes, gate, qubit, n):
+    """A 2x2 gate applied to one qubit: the qubit's axis of the [2]*n
+    amplitude tensor is moved to the front, contracted with the gate by
+    np.tensordot and moved back."""
+    tensor = amplitudes.reshape([2] * n)
+    axis = n - 1 - qubit  # C-order: axis 0 is the most significant bit
+    tensor = np.moveaxis(tensor, axis, 0)
+    tensor = np.tensordot(gate, tensor, axes=(1, 0))
+    tensor = np.moveaxis(tensor, 0, axis)
+    return np.ascontiguousarray(tensor).reshape(1 << n)
+
+
 def measurement_probabilities(state, setting):
     """Born probabilities over bitstrings after rotating each qubit into
     its measurement basis."""
@@ -122,7 +131,7 @@ def measurement_probabilities(state, setting):
         raise ValueError(f"setting has {setting.n} directions for n={state.n}")
     amps = state.amplitudes
     for qubit, direction in enumerate(setting.directions):
-        amps = apply_single_qubit(amps, rotation_gate(direction), qubit, state.n)
+        amps = tensordot_single_qubit(amps, rotation_gate(direction), qubit, state.n)
     probs = np.abs(amps) ** 2
     return probs / probs.sum()
 
@@ -169,6 +178,23 @@ def _chain_row(model, ideal):
         probs *= np.where(flipped, rate, 1.0 - rate)
         prev = flipped
     return probs
+
+
+def chain_sample_bits(model, ideal_bits, rng):
+    """The chain-crosstalk channel's readout of (M, n) ideal bits: a
+    row-major copy flipped one qubit at a time, with each shot's rate
+    chosen by np.where from its ideal bit and from whether qubit i-1
+    flipped, and one rng.random(M) call per qubit."""
+    bits = np.asarray(ideal_bits, dtype=np.uint8)
+    out = bits.copy()
+    prev = np.zeros(bits.shape[0], dtype=bool)
+    for i in range(model.n):
+        base = np.where(bits[:, i] == 1, model.p10[i], model.p01[i])
+        rate = np.where(prev, np.minimum(1.0, base + model.gamma), base)
+        flips = rng.random(bits.shape[0]) < rate
+        out[:, i] ^= flips.astype(np.uint8)
+        prev = flips
+    return out
 
 
 def transition_row(model, ideal):

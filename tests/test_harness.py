@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import monte_carlo_study, parity_counts, read_csv
 
 import xshadow
-from xshadow import config as config_module, experiments, protocols, storage
+from xshadow import cli, config as config_module, experiments, protocols, storage
 from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
@@ -416,6 +417,40 @@ class TestStorage:
         with pytest.raises(DataFormatError, match=needle):
             reader(str(path))
 
+    @pytest.mark.parametrize(
+        "row", [storage._BLOCK_ROWS, 2 * storage._BLOCK_ROWS + 3], ids=["block-start", "partial"]
+    )
+    @pytest.mark.parametrize(
+        "kind,column,byte,needle",
+        [
+            ("cal", 1, "2", "rows must contain only 0 and 1; row {row} does not"),
+            ("tomo", 7, "2", "rows must contain only 0 and 1; row {row} does not"),
+            ("tomo", 2, "w", "row {row} has unknown label 'w'"),
+        ],
+        ids=["cal-bit", "tomo-bit", "tomo-label"],
+    )
+    def test_bad_row_is_located_in_any_decode_block(
+        self, tmp_path, row, kind, column, byte, needle
+    ):
+        # two whole decode blocks and a partial one of 5 rows, n = 3
+        records = 2 * storage._BLOCK_ROWS + 5
+        zeros = np.zeros((records, 3), dtype=np.uint8)
+        path = tmp_path / f"{kind}.txt"
+        if kind == "cal":
+            write_calibration(str(path), CalibrationDataset(3, zeros))
+            width = 4
+        else:
+            write_tomography(str(path), TomographyDataset(3, pauli_directions(), zeros, zeros))
+            width = 10
+        payload = bytearray(path.read_bytes())
+        body_start = len(payload) - records * width
+        payload[body_start + row * width + column] = ord(byte)
+        path.write_bytes(bytes(payload))
+        reader = read_calibration if kind == "cal" else read_tomography
+        with pytest.raises(DataFormatError) as error:
+            reader(str(path))
+        assert str(error.value) == f"{path}: " + needle.format(row=row)
+
     def test_csv_round_trip(self, tmp_path):
         rows = [
             {"a": 1, "b": 0.125, "c": "x"},
@@ -756,9 +791,9 @@ class TestBatchedReport:
         binned = []
         record_cells = protocols._record_cells
 
-        def counting(data, support, base):
+        def counting(digits, support, base):
             binned.append(support)
-            return record_cells(data, support, base)
+            return record_cells(digits, support, base)
 
         monkeypatch.setattr(protocols, "_record_cells", counting)
         comparison_rows(config, tomo, cal)
@@ -949,7 +984,15 @@ class TestFrozenReport:
     """SHA-256 of report.csv (comparison_rows, then write_report), pinned so
     that any change to the estimators, their bootstrap seeds or the CSV
     format shows up.  A moved hash is a behaviour change to investigate,
-    not to re-pin."""
+    not to re-pin.
+
+    The digests also depend on the BLAS's accumulation order in the
+    bootstrap's `draws @ values`: they were pinned with OpenBLAS 0.3.31,
+    whose matrix-vector kernel groups rows by 4, so that blocks of rows
+    that are not a multiple of 4 give other last bits.  No formulation
+    independent of the library keeps them (numpy's pairwise sum and
+    math.fsum each move most of the means), so read a failure on a machine
+    with another BLAS with this in mind."""
 
     @pytest.mark.parametrize(
         "overrides,digest",
@@ -1191,6 +1234,26 @@ class TestCli:
         )
         assert result.exit_code == 1
         assert "qubit counts disagree" in result.output
+
+    def test_run_freezes_the_heap_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main"))
+        cli.run()
+        assert calls == ["freeze", "main"]
+
+    def test_script_and_module_entries_are_run(self):
+        root = pathlib.Path(__file__).parents[1]
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^xshadow = "(.*)"$', pyproject, re.M).group(1) == "xshadow.cli:run"
+        source = (root / "src" / "xshadow" / "cli.py").read_text(encoding="utf-8")
+        assert source.endswith('if __name__ == "__main__":\n    run()\n')
+
+    def test_cli_runner_leaves_the_heap_unfrozen(self):
+        before = gc.get_freeze_count()
+        result = CliRunner().invoke(main, ["complexity", "--epsilon", "0.1", "--delta", "0.05"])
+        assert result.exit_code == 0
+        assert gc.get_freeze_count() == before
 
     def test_complexity_output(self):
         runner = CliRunner()

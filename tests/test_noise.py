@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import transition_row, twirl_table
+from oracles import chain_sample_bits, transition_row, twirl_table
 
 from xshadow.bitspace import walsh_transform
 from xshadow.exceptions import CapabilityError
@@ -105,6 +105,27 @@ class TestChainCrosstalkModel:
         for s in range(8):
             tol = 4 * np.sqrt(row[s] * (1 - row[s]) / draws) + 1e-9
             assert counts[s] == pytest.approx(row[s], abs=tol)
+
+    @pytest.mark.parametrize(
+        "p10,p01,gamma",
+        [
+            (0.07, 0.05, 0.5),
+            ([0.9, 0.1, 0.6, 0.3], 0.7, 0.6),  # p10 + gamma and p01 + gamma clamp at 1
+            (0.2, 0.1, 0.0),
+            (1.0, 0.0, 0.3),
+        ],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sampler_equals_the_row_major_oracle(self, p10, p01, gamma, order):
+        """Same bits and the same generator stream as the np.where sampler."""
+        model = crosstalk_model(4, p10, p01, gamma)
+        ideal = np.random.default_rng(3).integers(0, 2, (5003, 4), dtype=np.uint8)
+        ideal = np.asarray(ideal, order=order)
+        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+        observed = model.sample_bits(ideal, rng)
+        assert np.array_equal(observed, chain_sample_bits(model, ideal, oracle_rng))
+        assert observed.dtype == np.uint8 and observed.flags.f_contiguous
+        assert rng.random() == oracle_rng.random()  # both drew the same count
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):

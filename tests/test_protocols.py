@@ -71,6 +71,15 @@ class TestBitPacking:
         bits = np.array([[1, 0, 0], [0, 0, 1]], dtype=np.uint8)
         assert np.array_equal(pack_bits(bits), [1, 4])
 
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63])
+    def test_int64_values_at_every_accumulator_width(self, n):
+        """pack_bits accumulates in the narrowest unsigned dtype for n bits."""
+        bits = np.random.default_rng(n).integers(0, 2, size=(40, n), dtype=np.uint8)
+        bits[0] = 1  # the largest n-bit value
+        packed = pack_bits(np.asfortranarray(bits))
+        assert packed.dtype == np.int64
+        assert packed.tolist() == [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+
 
 class TestDatasets:
     def test_calibration_shape_validation(self):
@@ -540,6 +549,29 @@ class TestCountTableKernel:
         for c, (counts, shades) in zip(correlators, tables):
             expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
             assert counts.dtype == expected_counts.dtype and shades.dtype == expected_shades.dtype
+            assert np.array_equal(counts, expected_counts)
+            assert np.array_equal(shades, expected_shades)
+
+    def test_cells_equal_the_sorted_int64_route_past_uint8_digits(self):
+        """More than 128 directions: digits 2*setting + bit no longer fit
+        uint8, so the digit table is uint16."""
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(130, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+        xi = compute_xi(directions)
+        data = TomographyDataset(
+            3,
+            directions,
+            np.column_stack([np.arange(500) % 130, rng.integers(0, 130, (500, 2))]),
+            rng.integers(0, 2, size=(500, 3)),
+        )
+        correlators = [
+            Correlator(BitString(3, v), {q: directions[q] for q in BitString(3, v).support()})
+            for v in (0b111, 0b001, 0b110, 0b100)
+        ]
+        for c, (counts, shades) in zip(correlators, protocols._shade_tables(data, correlators, xi)):
+            expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
             assert np.array_equal(counts, expected_counts)
             assert np.array_equal(shades, expected_shades)
 

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from oracles import MeasurementSetting, ideal_outcome_sample, measurement_probabilities
+from oracles import (
+    MeasurementSetting,
+    ideal_outcome_sample,
+    measurement_probabilities,
+    tensordot_single_qubit,
+)
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError
@@ -8,9 +13,11 @@ from xshadow.qsim import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    EXACT_SIM_MAX_QUBITS,
     Correlator,
     Direction,
     StateVector,
+    apply_single_qubit,
     direction_from_label,
     exact_expectation,
     pauli_directions,
@@ -101,6 +108,24 @@ class TestStateVector:
     def test_normalization(self, n, depth):
         state = random_circuit_state(n, depth, seed=3)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestApplySingleQubit:
+    def test_equals_the_tensordot_form_bit_for_bit(self):
+        """One transposed copy and np.dot(gate, .) make the product that
+        np.tensordot makes, so every amplitude is equal, for every n up to
+        the simulation cap and every qubit."""
+        rng = np.random.default_rng(11)
+        for n in range(1, EXACT_SIM_MAX_QUBITS + 1):
+            amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            for qubit in range(n):
+                direction = _random_direction(rng)
+                for gate in (rotation_gate(direction), pauli_operator(direction), SIGMA_Z):
+                    applied = apply_single_qubit(amplitudes, gate, qubit, n)
+                    assert applied.shape == (1 << n,) and applied.flags.c_contiguous
+                    assert np.array_equal(
+                        applied, tensordot_single_qubit(amplitudes, gate, qubit, n)
+                    )
 
 
 class TestMeasurement:
