@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .exceptions import ConfigError
-from .noise import NoiseModel, crosstalk_model, independent_flip_model
+from .noise import ChainCrosstalkModel, IndependentFlipModel, NoiseModel
 from .qsim import (
     EXACT_SIM_MAX_QUBITS,
     Direction,
@@ -75,8 +75,8 @@ class ExperimentConfig:
     def build_noise_model(self) -> NoiseModel:
         block = self.noise
         if block.model == "independent":
-            return independent_flip_model(self.n, block.p10, block.p01)
-        return crosstalk_model(self.n, block.p10, block.p01, block.gamma)
+            return IndependentFlipModel(self.n, block.p10, block.p01)
+        return ChainCrosstalkModel(self.n, block.p10, block.p01, block.gamma)
 
     def build_state(self) -> StateVector:
         return _circuit_state(self.n, self.depth, self.circuit_seed)

@@ -122,12 +122,3 @@ class ChainCrosstalkModel(NoiseModel):
             column ^= flips
         return out
 
-
-def independent_flip_model(n: int, p10, p01) -> IndependentFlipModel:
-    """Independent per-qubit flips; rates may be scalars or length-n arrays."""
-    return IndependentFlipModel(n, p10, p01)
-
-
-def crosstalk_model(n: int, p10, p01, gamma: float) -> ChainCrosstalkModel:
-    """Chain-correlated flips; gamma in [0, 1) sets the conditional boost."""
-    return ChainCrosstalkModel(n, p10, p01, gamma)

@@ -29,15 +29,15 @@ prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
 drawing records with replacement.  Every (table, divisor) pair is one
 bootstrap stream with its own seed, so the streams are independent: the
-large ones run on every usable CPU (_bootstrap_streams), and no result
-depends on which CPU drew it.
+large ones are queued on a standard-library thread pool, imported only
+when one is needed, and the calling thread draws whatever no worker has
+started (_bootstrap_streams); no result depends on which CPU drew it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,6 +178,22 @@ class EstimateReport:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
 
+def _twirled_readout(ideal: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Read the (M, n) ideal bits out through the X-twirled channel.
+
+    Draw the (M, n) masks t, flip the bits by them, push them through the
+    model's channel and flip the readout back by t.  Draw order: t, then
+    the channel's samples.  The flips run in place on the two fresh
+    arrays, t being flipped ^ ideal, so no third (M, n) array is made.
+    """
+    flipped = rng.integers(0, 2, size=ideal.shape, dtype=np.uint8)
+    flipped ^= ideal
+    observed = model.sample_bits(flipped, rng)
+    observed ^= flipped
+    observed ^= ideal
+    return observed
+
+
 def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationDataset:
     """Collect twirled calibration records from the all-zeros state.
 
@@ -188,9 +204,8 @@ def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationData
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
-    t = rng.integers(0, 2, size=(shots, model.n), dtype=np.uint8)
-    observed = model.sample_bits(t, rng)
-    return CalibrationDataset(model.n, np.bitwise_xor(observed, t, order="F"), seed=seed)
+    zeros = np.broadcast_to(np.uint8(0), (shots, model.n))
+    return CalibrationDataset(model.n, _twirled_readout(zeros, model, rng), seed=seed)
 
 
 def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
@@ -302,14 +317,10 @@ def run_tomography(
     rng = np.random.default_rng(seed)
     settings = np.asfortranarray(rng.integers(0, k, size=(shots, n), dtype=np.uint8))
     born = rng.random(shots)
-    masks = rng.integers(0, 2, size=(shots, n), dtype=np.uint8)
 
     gates = np.array([rotation_gate(d) for d in directions])
-    ideal_values = _tree_outcomes(state.amplitudes, gates, settings, born)
-
-    pre_noise = unpack_bits(ideal_values, n) ^ masks
-    observed = model.sample_bits(pre_noise, rng)
-    outcomes = np.bitwise_xor(observed, masks, order="F")  # the dataset's layout: no copy
+    ideal_values = _tree_outcomes(state.amplitudes, gates, settings, born)  # draws nothing
+    outcomes = _twirled_readout(unpack_bits(ideal_values, n), model, rng)
     return TomographyDataset(n, directions, settings, outcomes, seed=seed)
 
 
@@ -544,55 +555,42 @@ def _bootstrap_streams(
 
     Each stream owns its generator, so a stream's means do not depend on
     the thread that draws it or on the order of the draws.  Streams of at
-    least _LARGE_STREAM cell counts are pulled, largest first, from one
-    shared list by this thread and by up to _usable_cpus() - 1 worker
-    threads, which start only when there is a large stream; this thread
-    draws the smaller ones inline before it pulls.  Every worker is joined
-    before this returns or raises, and an exception raised by a worker's
-    draw is raised here.
+    least _LARGE_STREAM cell counts are queued, largest first, on a
+    ThreadPoolExecutor of up to _usable_cpus() - 1 workers; without a
+    large stream or a second CPU no thread starts, and every stream is
+    drawn here.  This thread draws the small streams inline, then walks
+    the queue from its smallest end: a draw that no worker has started is
+    cancelled and drawn here, any other is awaited, and an exception it
+    raised is raised here.  The workers are joined before this returns or
+    raises; after a failure, the draws no worker has begun are dropped.
+    concurrent.futures is imported only once a pool is needed, so
+    importing this module does not pay for it.
     """
-    means: list = [None] * len(streams)
+
+    def draw(stream: tuple[np.ndarray, np.ndarray, int, int]) -> np.ndarray:
+        counts, values, resamples, seed = stream
+        rng = np.random.default_rng(seed)
+        return _resample_means(counts, values, int(counts.sum()), resamples, rng)
+
     sizes = [resamples * len(counts) for counts, _, resamples, _ in streams]
     large = [i for i, size in enumerate(sizes) if size >= _LARGE_STREAM]
-    large.sort(key=sizes.__getitem__)  # pop() takes the largest left
-    lock = threading.Lock()  # guards `large` and `failures`
-    failures: list[Exception] = []
+    large.sort(key=sizes.__getitem__, reverse=True)
+    workers = min(len(large), _usable_cpus() - 1)
+    if workers < 1:
+        return [draw(stream) for stream in streams]
+    from concurrent.futures import ThreadPoolExecutor
 
-    def draw(index: int) -> None:
-        counts, values, resamples, seed = streams[index]
-        rng = np.random.default_rng(seed)
-        means[index] = _resample_means(counts, values, int(counts.sum()), resamples, rng)
-
-    def pull() -> None:
-        while True:
-            with lock:
-                if failures or not large:
-                    return
-                index = large.pop()
-            try:
-                draw(index)
-            except Exception as error:  # raised again by the calling thread
-                with lock:
-                    failures.append(error)
-                return
-
-    workers: list[threading.Thread] = []
+    means: list = [None] * len(streams)
+    pool = ThreadPoolExecutor(workers)
     try:
-        for _ in range(min(len(large), _usable_cpus() - 1)):
-            worker = threading.Thread(target=pull)
-            worker.start()
-            workers.append(worker)
-        for index, size in enumerate(sizes):
+        queued = [(i, pool.submit(draw, streams[i])) for i in large]
+        for i, size in enumerate(sizes):
             if size < _LARGE_STREAM:
-                draw(index)
-        pull()
+                means[i] = draw(streams[i])
+        for i, future in reversed(queued):
+            means[i] = draw(streams[i]) if future.cancel() else future.result()
     finally:
-        with lock:
-            large.clear()  # idle workers stop; busy ones finish their draw
-        for worker in workers:
-            worker.join()
-    if failures:
-        raise failures[0]
+        pool.shutdown(cancel_futures=True)  # after a failure, no queued draw starts
     return means
 
 

@@ -227,11 +227,6 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
     between = raw[:, 1 : 2 * n : 2]
     separators = np.frombuffer(b"," * (n - 1) + b" ", dtype=np.uint8)
-    if not np.all(between == separators):
-        row = int(np.flatnonzero((between != separators).any(axis=1))[0])
-        raise DataFormatError(
-            f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
-        )
     # label byte -> setting index; 255, above the index of any of the 92
     # labels, marks every other byte
     lookup = np.full(256, 255, dtype=np.uint8)
@@ -240,6 +235,11 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
     for start in range(0, len(raw), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
+        if not np.all(between[block] == separators):
+            row = start + int(np.flatnonzero((between[block] != separators).any(axis=1))[0])
+            raise DataFormatError(
+                f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
+            )
         np.take(lookup, codes[block].T, out=settings[block].T)
     if settings.max(initial=0) >= len(labels):
         row, where = np.argwhere(settings >= len(labels))[0]

@@ -23,7 +23,7 @@ from oracles import (
 
 from xshadow.bitspace import BitString, walsh_transform
 from xshadow.cli import main as cli_main
-from xshadow.noise import crosstalk_model, independent_flip_model
+from xshadow.noise import ChainCrosstalkModel, IndependentFlipModel
 from xshadow.protocols import (
     calibration_sample_bound,
     estimate_correlators,
@@ -75,7 +75,7 @@ def pauli_xi():
 
 @pytest.fixture(scope="module")
 def big_model():
-    return crosstalk_model(BIG_N, NOISE_P10, NOISE_P01, GAMMA)
+    return ChainCrosstalkModel(BIG_N, NOISE_P10, NOISE_P01, GAMMA)
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +136,9 @@ class TestShadowUnbiasedness:
             size = 1 << n
             settings = list(itertools.product(dirs, repeat=n))
             models = [
-                independent_flip_model(n, 0.0, 0.0),
-                independent_flip_model(n, NOISE_P10, NOISE_P01),
-                crosstalk_model(n, NOISE_P10, NOISE_P01, GAMMA),
+                IndependentFlipModel(n, 0.0, 0.0),
+                IndependentFlipModel(n, NOISE_P10, NOISE_P01),
+                ChainCrosstalkModel(n, NOISE_P10, NOISE_P01, GAMMA),
             ]
             projectors = {}
             plain_shadows = {}
@@ -205,7 +205,7 @@ class TestFourierShortcut:
         n = 3
         rng = np.random.default_rng(2)
         dirs = pauli_directions()
-        model = crosstalk_model(n, NOISE_P10, NOISE_P01, GAMMA)
+        model = ChainCrosstalkModel(n, NOISE_P10, NOISE_P01, GAMMA)
         table = model.twirled_table()
         g = walsh_transform(table)
         worst = 0.0
@@ -239,7 +239,7 @@ class TestClosedFormSpectrum:
         n = 6
         worst = 0.0
         for eta in (0.05, 0.1, 0.2):
-            g = walsh_transform(independent_flip_model(n, eta, eta).twirled_table())
+            g = walsh_transform(IndependentFlipModel(n, eta, eta).twirled_table())
             for w in range(1 << n):
                 expected = (1.0 - 2.0 * eta) ** bin(w).count("1")
                 worst = max(worst, abs(g[w] - expected))
@@ -276,11 +276,13 @@ class TestComponentConvergence:
             for pi, support in enumerate(combos):
                 w = BitString(BIG_N, sum(1 << q for q in support))
                 parity = np.bitwise_xor.reduce(big_cal.outcomes[:, list(support)], axis=1)
-                signs = 1.0 - 2.0 * parity.astype(np.float64)
                 inv_true = 1.0 / g_true[w.value]
                 for i, size in enumerate(sizes):
                     for b in range(resamples):
-                        mean = signs[rng.integers(0, BIG_SHOTS, size)].mean()
+                        # mean of (-1)^parity over the drawn records: the sum of
+                        # +-1.0 is an exact integer, so this is that mean bit for bit
+                        ones = np.count_nonzero(parity[rng.integers(0, BIG_SHOTS, size)])
+                        mean = (size - 2 * ones) / size
                         square_errors[i, pi * resamples + b] = (1.0 / mean - inv_true) ** 2
             rms[weight] = np.sqrt(square_errors.mean(axis=1))
         slopes = {
@@ -442,7 +444,7 @@ class TestSampleBounds:
 
         n = 2
         eta = 0.05
-        model = independent_flip_model(n, eta, eta)
+        model = IndependentFlipModel(n, eta, eta)
         state = random_circuit_state(n, 8, seed=42)
         z = pauli_directions()[2]
         correlator = Correlator(BitString(n, 0b11), {0: z, 1: z})

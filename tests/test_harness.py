@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import types
 import warnings
 
@@ -47,7 +48,7 @@ from xshadow.protocols import (
     run_calibration,
     run_tomography,
 )
-from xshadow.noise import crosstalk_model
+from xshadow.noise import ChainCrosstalkModel
 from xshadow.qsim import (
     Direction,
     direction_from_label,
@@ -426,8 +427,9 @@ class TestStorage:
             ("cal", 1, "2", "rows must contain only 0 and 1; row {row} does not"),
             ("tomo", 7, "2", "rows must contain only 0 and 1; row {row} does not"),
             ("tomo", 2, "w", "row {row} has unknown label 'w'"),
+            ("tomo", 3, ";", "row {row} must be '<labels> <bits>' with 3 comma-separated labels"),
         ],
-        ids=["cal-bit", "tomo-bit", "tomo-label"],
+        ids=["cal-bit", "tomo-bit", "tomo-label", "tomo-separator"],
     )
     def test_bad_row_is_located_in_any_decode_block(
         self, tmp_path, row, kind, column, byte, needle
@@ -498,7 +500,7 @@ def storage_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def valid_files(storage_dir):
     """The bytes of a valid n=3 calibration file and tomography file."""
-    model = crosstalk_model(3, 0.07, 0.05, 0.5)
+    model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
     state = random_circuit_state(3, 4, 3)
     write_calibration(str(storage_dir / "cal.txt"), run_calibration(model, 8, seed=1))
     tomo = run_tomography(state, pauli_directions(), model, 8, seed=2)
@@ -1029,33 +1031,28 @@ class TestBootstrapThreads:
     @staticmethod
     def _record(monkeypatch, cpus):
         """Make `cpus` CPUs usable (None: this process's own) and record
-        the workers started and (cells x resamples, on the main thread)
-        of every stream drawn."""
-        started, draws = [], []
+        (cells x resamples, drawing thread, threads alive) of every stream
+        drawn."""
+        draws = []
         resample_means = protocols._resample_means
 
-        class Worker(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
         def recording(counts, values, size, resamples, rng):
-            on_main = threading.current_thread() is threading.main_thread()
-            draws.append((resamples * len(counts), on_main))
+            draws.append(
+                (resamples * len(counts), threading.current_thread(), threading.active_count())
+            )
             return resample_means(counts, values, size, resamples, rng)
 
-        threads = types.SimpleNamespace(Thread=Worker, Lock=threading.Lock)
-        monkeypatch.setattr(protocols, "threading", threads)
         monkeypatch.setattr(protocols, "_resample_means", recording)
         if cpus is not None:
             monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
-        return started, draws
+        return draws
 
     def test_results_do_not_depend_on_the_cpu_count(self, threaded_case, monkeypatch):
         config, cal, tomo = threaded_case
         xi = compute_xi(config.build_directions())
         correlators = experiments.build_correlators(config)
         pair = [correlators[0], correlators[-1]]  # degrees 1 and 5
+        main = threading.main_thread()
         results = []
         for cpus in (1, None, 4):  # 4: more threads than this machine may have cores
             usable = cpus or protocols._usable_cpus()
@@ -1071,21 +1068,44 @@ class TestBootstrapThreads:
                 for call in calls:
                     before = threading.active_count()
                     with monkeypatch.context() as patch:
-                        started, draws = self._record(patch, cpus)
+                        draws = self._record(patch, cpus)
                         results.append(call())
                     assert threading.active_count() == before
-                    assert not any(worker.is_alive() for worker in started)
-                    large = [on_main for size, on_main in draws if size >= protocols._LARGE_STREAM]
-                    small = [on_main for size, on_main in draws if size < protocols._LARGE_STREAM]
-                    assert large and all(small), cpus  # both routes; small ones inline
-                    assert len(started) == min(len(large), usable - 1), cpus
+                    large = [t for size, t, _ in draws if size >= protocols._LARGE_STREAM]
+                    small = [t for size, t, _ in draws if size < protocols._LARGE_STREAM]
+                    assert large and all(t is main for t in small), cpus  # small ones inline
+                    workers = {t for t in large if t is not main}
+                    assert not any(worker.is_alive() for worker in workers)
+                    # threads started, whether or not they drew
+                    started = max(alive for _, _, alive in draws) - before
+                    assert len(workers) <= started <= min(len(large), usable - 1), cpus
                     if cpus == 1:
-                        assert all(large)
+                        assert started == 0
             finally:
                 sys.setswitchinterval(interval)
         assert len(results) == 6
         assert results[0] == results[2] == results[4]
         assert results[1] == results[3] == results[5]
+
+    @staticmethod
+    def _fail_stream(monkeypatch, seed):
+        """Make the draw of the stream seeded with `seed` raise; returns the
+        error and the (cells x resamples, on the main thread, threads
+        alive) of that draw."""
+        failing = np.random.default_rng(seed).bit_generator.state
+        error = RuntimeError("bootstrap stream failed")
+        failed = []
+        resample_means = protocols._resample_means
+
+        def failing_draw(counts, values, size, resamples, rng):
+            if rng.bit_generator.state == failing:
+                on_main = threading.current_thread() is threading.main_thread()
+                failed.append((resamples * len(counts), on_main, threading.active_count()))
+                raise error
+            return resample_means(counts, values, size, resamples, rng)
+
+        monkeypatch.setattr(protocols, "_resample_means", failing_draw)
+        return error, failed
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_a_failing_stream_is_raised_after_every_worker_is_joined(
@@ -1093,30 +1113,47 @@ class TestBootstrapThreads:
     ):
         config, cal, tomo = threaded_case
         index = len(experiments.build_correlators(config)) - 1  # degree 5
-        failing = np.random.default_rng(config.bootstrap_seed + 3 * index + 1).bit_generator.state
-        error = RuntimeError("bootstrap stream failed")
-        failed = []
-        resample_means = protocols._resample_means
-
-        def failing_draw(counts, values, size, resamples, rng):
-            if rng.bit_generator.state == failing:
-                failed.append(resamples * len(counts))
-                raise error
-            return resample_means(counts, values, size, resamples, rng)
-
-        monkeypatch.setattr(protocols, "_resample_means", failing_draw)
+        error, failed = self._fail_stream(monkeypatch, config.bootstrap_seed + 3 * index + 1)
         monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as raised:
             comparison_rows(config, tomo, cal)
         assert raised.value is error
         assert threading.active_count() == before
-        assert len(failed) == 1 and failed[0] >= protocols._LARGE_STREAM
+        assert len(failed) == 1 and failed[0][0] >= protocols._LARGE_STREAM
         out = tmp_path / "exp"
         with pytest.raises(RuntimeError):
             run_experiment(config, str(out))
         assert not out.exists()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_failing_small_stream_joins_the_pool(self, threaded_case, monkeypatch, cpus):
+        """The calling thread's own inline draw fails while the large
+        streams are queued on the pool (4 CPUs) or before any is drawn
+        (1 CPU); the queued draws that no worker has begun are dropped."""
+        config, cal, tomo = threaded_case
+        error, failed = self._fail_stream(monkeypatch, config.bootstrap_seed)  # degree 1
+        begun = []
+        draw = protocols._resample_means
+
+        def held(counts, values, size, resamples, rng):
+            if resamples * len(counts) >= protocols._LARGE_STREAM:
+                begun.append(threading.current_thread())
+                time.sleep(0.2)  # long enough for the calling thread to fail first
+            return draw(counts, values, size, resamples, rng)
+
+        monkeypatch.setattr(protocols, "_resample_means", held)
+        monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            comparison_rows(config, tomo, cal)
+        assert raised.value is error
+        assert threading.active_count() == before
+        [(size, on_main, alive)] = failed
+        assert size < protocols._LARGE_STREAM and on_main
+        assert (alive > before) == (cpus > 1)  # the pool's workers were running
+        assert len(begun) <= cpus - 1 and threading.main_thread() not in begun
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_experiment_files_do_not_depend_on_the_cpu_count(self, tmp_path):
@@ -1210,7 +1247,7 @@ class TestCli:
 
     def test_estimate_rejects_mismatched_qubit_count(self, config_file, tmp_path):
         runner = CliRunner()
-        cal = run_calibration(crosstalk_model(3, 0.07, 0.05, 0.5), 50, seed=1)
+        cal = run_calibration(ChainCrosstalkModel(3, 0.07, 0.05, 0.5), 50, seed=1)
         cal_path = str(tmp_path / "cal3.txt")
         write_calibration(cal_path, cal)
         tomo_path = str(tmp_path / "tomo.txt")
@@ -1383,6 +1420,22 @@ class TestReadme:
 
 
 class TestPackage:
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        """concurrent.futures is imported only once a bootstrap needs a
+        pool, so a CLI process that never starts one does not pay for it."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = "import sys, xshadow.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert result.stdout == "False\n"
+
     def test_public_names(self):
         """The top level exports the README example's names and the error
         hierarchy, nothing else: a new export has to be added here."""

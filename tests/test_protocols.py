@@ -22,7 +22,7 @@ from xshadow.exceptions import (
     SingularNoiseError,
     UnmitigatableComponentError,
 )
-from xshadow.noise import crosstalk_model, independent_flip_model
+from xshadow.noise import ChainCrosstalkModel, IndependentFlipModel
 from xshadow.protocols import (
     CalibrationDataset,
     TomographyDataset,
@@ -58,7 +58,7 @@ def pauli_xi():
 
 
 def _noiseless(n):
-    return independent_flip_model(n, 0.0, 0.0)
+    return IndependentFlipModel(n, 0.0, 0.0)
 
 
 class TestBitPacking:
@@ -164,9 +164,9 @@ class TestRunCalibration:
         assert not data.outcomes.any()
 
     def test_deterministic(self):
-        a = run_calibration(crosstalk_model(3, 0.1, 0.05, 0.4), 500, seed=7)
-        b = run_calibration(crosstalk_model(3, 0.1, 0.05, 0.4), 500, seed=7)
-        c = run_calibration(crosstalk_model(3, 0.1, 0.05, 0.4), 500, seed=8)
+        a = run_calibration(ChainCrosstalkModel(3, 0.1, 0.05, 0.4), 500, seed=7)
+        b = run_calibration(ChainCrosstalkModel(3, 0.1, 0.05, 0.4), 500, seed=7)
+        c = run_calibration(ChainCrosstalkModel(3, 0.1, 0.05, 0.4), 500, seed=8)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert not np.array_equal(a.outcomes, c.outcomes)
 
@@ -177,7 +177,7 @@ class TestRunCalibration:
 
     @pytest.mark.parametrize("w_value", [0b001, 0b011, 0b111])
     def test_estimate_g_matches_exact_spectrum(self, w_value):
-        model = crosstalk_model(3, 0.07, 0.05, 0.5)
+        model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
         shots = 200000
         data = run_calibration(model, shots, seed=11)
         w = BitString(3, w_value)
@@ -218,7 +218,7 @@ class TestRunTomography:
 
     def test_deterministic(self):
         state = random_circuit_state(3, 8, seed=0)
-        model = crosstalk_model(3, 0.07, 0.05, 0.5)
+        model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
         a = run_tomography(state, pauli_directions(), model, 400, seed=5)
         b = run_tomography(state, pauli_directions(), model, 400, seed=5)
         assert np.array_equal(a.outcomes, b.outcomes)
@@ -267,7 +267,7 @@ class TestEstimators:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mitigated_recovers_truth_under_noise(self, pauli_xi, seed):
         state = random_circuit_state(2, 8, seed=seed)
-        model = independent_flip_model(2, 0.12, 0.08)
+        model = IndependentFlipModel(2, 0.12, 0.08)
         data = run_tomography(state, pauli_directions(), model, 60000, seed=seed + 10)
         cal = run_calibration(model, 60000, seed=seed + 20)
         x = direction_from_label("x")
@@ -280,7 +280,7 @@ class TestEstimators:
 
     def test_indep_model_recovers_truth_when_model_is_right(self, pauli_xi):
         state = random_circuit_state(2, 8, seed=2)
-        model = independent_flip_model(2, [0.1, 0.05], [0.02, 0.07])
+        model = IndependentFlipModel(2, [0.1, 0.05], [0.02, 0.07])
         data = run_tomography(state, pauli_directions(), model, 60000, seed=30)
         y = direction_from_label("y")
         z = direction_from_label("z")
@@ -326,7 +326,7 @@ class TestEstimators:
 
     def test_divisor_i_is_a_one_divisor_call_at_seed_plus_i(self, pauli_xi):
         state = random_circuit_state(3, 6, seed=8)
-        model = crosstalk_model(3, 0.07, 0.05, 0.5)
+        model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
         data = run_tomography(state, pauli_directions(), model, 5000, seed=70)
         c = random_correlators(3, [2], 1, seed=71)[0]
         divisors = (0.8, 1.0, -0.6)
@@ -400,7 +400,7 @@ class TestCountTableKernel:
     @pytest.fixture(scope="class")
     def noisy_data(self):
         n = 4
-        model = crosstalk_model(n, self.P10, self.P01, 0.5)
+        model = ChainCrosstalkModel(n, self.P10, self.P01, 0.5)
         state = random_circuit_state(n, 8, seed=21)
         cal = run_calibration(model, 20000, seed=22)
         sets = {"pauli": pauli_directions(), "tilted": _tilted_directions()}
@@ -684,7 +684,7 @@ class TestFrozenDatasets:
     def test_written_bytes(self, tmp_path, n, direction_set, shots, seed, digest):
         directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
         state = random_circuit_state(n, 2 * n, seed=seed)
-        model = crosstalk_model(n, 0.07, 0.05, 0.5)
+        model = ChainCrosstalkModel(n, 0.07, 0.05, 0.5)
         data = run_tomography(state, directions, model, shots, seed=seed + 100)
         path = tmp_path / "tomography.txt"
         write_tomography(str(path), data)

@@ -16,7 +16,7 @@ from xshadow.exceptions import (
     NotInformationallyCompleteError,
     UnmitigatableComponentError,
 )
-from xshadow.noise import independent_flip_model
+from xshadow.noise import IndependentFlipModel
 from xshadow.qsim import (
     SIGMA_X,
     SIGMA_Y,
@@ -189,7 +189,7 @@ class TestDenseRoutes:
         z = direction_from_label("z")
         x = direction_from_label("x")
         setting = MeasurementSetting((z, x))
-        table = independent_flip_model(2, 0.0, 0.0).twirled_table()
+        table = IndependentFlipModel(2, 0.0, 0.0).twirled_table()
         for value in range(4):
             outcome = BitString(2, value)
             assert np.allclose(
@@ -209,7 +209,7 @@ class TestDenseRoutes:
         z = direction_from_label("z")
         x = direction_from_label("x")
         setting = MeasurementSetting((z, x))
-        table = independent_flip_model(2, 0.1, 0.1).twirled_table()
+        table = IndependentFlipModel(2, 0.1, 0.1).twirled_table()
         for ideal in range(4):
             plain = dense_shadow(pauli_xi, setting, BitString(2, ideal))
             averaged = np.zeros((4, 4), dtype=complex)
