@@ -25,6 +25,5 @@ from .exceptions import (
 from .experiments import collect_calibration, collect_tomography
 from .protocols import estimate_correlators, random_correlators
 from .qsim import exact_expectation
-from .shadows import compute_xi
 
 __version__ = "0.1.0"

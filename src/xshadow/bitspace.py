@@ -32,12 +32,6 @@ class BitString:
     def to_text(self) -> str:
         return format(self.value, f"0{self.n}b")
 
-    def bit(self, i: int) -> int:
-        """Value of qubit i (qubit 0 is the least significant bit)."""
-        if not 0 <= i < self.n:
-            raise ValueError(f"qubit index {i} out of range for n={self.n}")
-        return (self.value >> i) & 1
-
     def support(self) -> tuple[int, ...]:
         """Indices of set bits, ascending."""
         return tuple(i for i in range(self.n) if (self.value >> i) & 1)

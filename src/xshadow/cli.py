@@ -105,11 +105,10 @@ def estimate(config_path: str, calibration_path: str, tomography_path: str, out:
             f"qubit counts disagree: config n={config.n}, "
             f"calibration n={cal.n}, tomography n={tomo.n}"
         )
-    if tuple(d.label for d in tomo.directions) != config.directions:
+    if tomo.directions != config.directions:
+        labels = [tuple(d.label for d in ds.directions) for ds in (tomo, config)]
         raise XShadowError(
-            "tomography file directions "
-            f"{tuple(d.label for d in tomo.directions)} do not match "
-            f"config directions {config.directions}"
+            f"tomography file directions {labels[0]} do not match config directions {labels[1]}"
         )
     rows = experiments.comparison_rows(config, tomo, cal)
     storage.write_report(out, rows)

@@ -2,7 +2,10 @@
 
 Config files are UTF-8 YAML: a flat mapping of scalar keys plus one
 nested `noise` block.  Unknown and repeated keys anywhere are rejected so
-typos in rate arrays cannot pass silently.  Example::
+typos in rate arrays cannot pass silently.  Parsing yields the objects
+a run uses: the noise model, whose constructor is the one check of the
+rates and gamma, and the measurement directions; the circuit state is
+built on first use of `ExperimentConfig.state`.  Example::
 
     n: 8
     depth: 20
@@ -20,7 +23,6 @@ import functools
 from dataclasses import dataclass, fields
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .exceptions import ConfigError
@@ -30,6 +32,7 @@ from .qsim import (
     Direction,
     StateVector,
     direction_from_label,
+    pauli_directions,
     random_circuit_state,
 )
 
@@ -37,21 +40,11 @@ NOISE_MODELS = ("independent", "chain_crosstalk")
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """The `noise` block: model name, per-qubit rates, optional gamma."""
-
-    model: str
-    p10: Any
-    p01: Any
-    gamma: float | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     n: int
     depth: int
-    noise: NoiseConfig
-    directions: tuple[str, ...] = ("x", "y", "z")
+    noise: NoiseModel
+    directions: tuple[Direction, ...] = pauli_directions()
     circuit_seed: int = 0
     calibration_shots: int = 10**6
     tomography_shots: int = 10**6
@@ -69,26 +62,14 @@ class ExperimentConfig:
     grid_min: int = 1000
     study_seed: int = 7
 
-    def build_directions(self) -> tuple[Direction, ...]:
-        return tuple(direction_from_label(label) for label in self.directions)
-
-    def build_noise_model(self) -> NoiseModel:
-        block = self.noise
-        if block.model == "independent":
-            return IndependentFlipModel(self.n, block.p10, block.p01)
-        return ChainCrosstalkModel(self.n, block.p10, block.p01, block.gamma)
-
-    def build_state(self) -> StateVector:
-        return _circuit_state(self.n, self.depth, self.circuit_seed)
-
-
-@functools.lru_cache(maxsize=1)
-def _circuit_state(n: int, depth: int, seed: int) -> StateVector:
-    """random_circuit_state, built once for the consecutive build_state
-    calls of one run; every caller shares its read-only amplitudes."""
-    state = random_circuit_state(n, depth, seed)
-    state.amplitudes.flags.writeable = False
-    return state
+    @functools.cached_property
+    def state(self) -> StateVector:
+        """The random-circuit state, built on first use and kept by this
+        config, so every stage of one run shares its read-only amplitudes;
+        a config made by dataclasses.replace builds its own."""
+        state = random_circuit_state(self.n, self.depth, self.circuit_seed)
+        state.amplitudes.flags.writeable = False
+        return state
 
 
 def _require_int(value: Any, key: str, minimum: int, maximum: int | None = None) -> int:
@@ -100,16 +81,8 @@ def _require_int(value: Any, key: str, minimum: int, maximum: int | None = None)
     return value
 
 
-def _require_rates(value: Any, key: str, n: int) -> Any:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim not in (0, 1) or (arr.ndim == 1 and arr.size != n):
-        raise ConfigError(f"field {key!r} must be a scalar or a length-{n} list")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ConfigError(f"field {key!r} must lie in [0, 1], got {value!r}")
-    return value
-
-
-def _parse_noise(raw: Any, n: int) -> NoiseConfig:
+def _parse_noise(raw: Any, n: int) -> NoiseModel:
+    """The noise block's model; its constructor checks the rates and gamma."""
     if not isinstance(raw, dict):
         raise ConfigError("field 'noise' must be a mapping")
     allowed = {"model", "p10", "p01", "gamma"}
@@ -122,20 +95,17 @@ def _parse_noise(raw: Any, n: int) -> NoiseConfig:
     model = raw["model"]
     if model not in NOISE_MODELS:
         raise ConfigError(f"field 'noise.model' must be one of {NOISE_MODELS}, got {model!r}")
-    p10 = _require_rates(raw["p10"], "noise.p10", n)
-    p01 = _require_rates(raw["p01"], "noise.p01", n)
     gamma = raw.get("gamma")
-    if model == "independent":
-        if gamma is not None:
-            raise ConfigError("field 'noise.gamma' is only valid for chain_crosstalk")
-        return NoiseConfig(model, p10, p01)
-    if gamma is None:
+    if model == "independent" and gamma is not None:
+        raise ConfigError("field 'noise.gamma' is only valid for chain_crosstalk")
+    if model == "chain_crosstalk" and gamma is None:
         raise ConfigError("noise block is missing field 'gamma' (required for chain_crosstalk)")
-    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
-        raise ConfigError(f"field 'noise.gamma' must be a number, got {gamma!r}")
-    if not 0.0 <= float(gamma) < 1.0:
-        raise ConfigError(f"field 'noise.gamma' must lie in [0, 1), got {gamma}")
-    return NoiseConfig(model, p10, p01, float(gamma))
+    try:
+        if model == "independent":
+            return IndependentFlipModel(n, raw["p10"], raw["p01"])
+        return ChainCrosstalkModel(n, raw["p10"], raw["p01"], gamma)
+    except ValueError as exc:
+        raise ConfigError(f"field 'noise': {exc}") from exc
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
@@ -156,19 +126,15 @@ def parse_config(raw: Any) -> ExperimentConfig:
 
     values: dict[str, Any] = {"n": n, "depth": depth, "noise": noise}
 
-    directions = raw.get("directions", ["x", "y", "z"])
-    if (
-        not isinstance(directions, (list, tuple))
-        or not directions
-        or len(set(directions)) != len(directions)
-    ):
+    labels = raw.get("directions", ["x", "y", "z"])
+    if not isinstance(labels, (list, tuple)) or not labels:
         raise ConfigError("field 'directions' must be a nonempty list of distinct labels")
-    for label in directions:
-        try:
-            direction_from_label(label)
-        except ValueError as exc:
-            raise ConfigError(f"field 'directions': {exc}") from exc
-    values["directions"] = tuple(directions)
+    try:
+        values["directions"] = tuple(direction_from_label(label) for label in labels)
+    except ValueError as exc:
+        raise ConfigError(f"field 'directions': {exc}") from exc
+    if len(set(values["directions"])) != len(labels):
+        raise ConfigError("field 'directions' must be a nonempty list of distinct labels")
 
     int_minimums = {
         "circuit_seed": 0,

@@ -45,7 +45,6 @@ from .protocols import (
     run_tomography,
 )
 from .qsim import Correlator, exact_expectation
-from .shadows import compute_xi
 
 CALIBRATION_RMS_COLUMNS = ("size", "weight", "rms")
 TOMOGRAPHY_RMS_COLUMNS = ("size", "degree", "rms")
@@ -58,15 +57,14 @@ _SUMMARY_MAX_WEIGHT = 2
 
 
 def collect_calibration(config: ExperimentConfig) -> CalibrationDataset:
-    model = config.build_noise_model()
-    return run_calibration(model, config.calibration_shots, config.calibration_seed)
+    return run_calibration(config.noise, config.calibration_shots, config.calibration_seed)
 
 
 def collect_tomography(config: ExperimentConfig) -> TomographyDataset:
     return run_tomography(
-        config.build_state(),
-        config.build_directions(),
-        config.build_noise_model(),
+        config.state,
+        config.directions,
+        config.noise,
         config.tomography_shots,
         config.tomography_seed,
     )
@@ -99,7 +97,7 @@ def build_correlators(config: ExperimentConfig, per_degree: int | None = None) -
         config.correlator_degrees,
         per_degree if per_degree is not None else config.correlators_per_degree,
         config.correlator_seed,
-        config.build_directions(),
+        config.directions,
     )
 
 
@@ -115,8 +113,6 @@ def comparison_rows(
     the records are binned once per maximal support, and every bootstrap
     stream is drawn side by side.
     """
-    xi = compute_xi(config.build_directions())
-    state = config.build_state()
     correlators = build_correlators(config)
     spectrum = g_spectrum(cal)
     divisors = [
@@ -128,13 +124,13 @@ def comparison_rows(
         for correlator in correlators
     ]
     resamples, seed = config.bootstrap_resamples, config.bootstrap_seed
-    reports = estimate_correlators(tomo, correlators, xi, divisors, resamples=resamples, seed=seed)
+    reports = estimate_correlators(tomo, correlators, divisors, resamples=resamples, seed=seed)
     return [
         {
             "correlator_id": f"c{index:02d}",
             "degree": correlator.degree,
             "pattern": correlator.pattern.to_text(),
-            "truth": exact_expectation(state, correlator),
+            "truth": exact_expectation(config.state, correlator),
             "mitigated": mit.estimate,
             "mitigated_se": mit.stderr,
             "unmitigated": unm.estimate,
@@ -219,7 +215,7 @@ def g_rms_rows(
     configured noise model.  A record's parity (-1)^(w.s) has mean ghat(w)
     and variance 1 - ghat(w)^2.
     """
-    g_exact = walsh_transform(config.build_noise_model().twirled_table())
+    g_exact = walsh_transform(config.noise.twirled_table())
     rng = np.random.default_rng(config.study_seed)
     wavevectors = _pick_wavevectors(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
@@ -244,8 +240,7 @@ def correlator_rms_rows(
     whose moments give the exact error of a subsample mean.  Pooled per
     correlator degree.
     """
-    xi = compute_xi(config.build_directions())
-    state = config.build_state()
+    state = config.state
     correlators = build_correlators(config, config.correlators_per_degree_study)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
@@ -254,7 +249,7 @@ def correlator_rms_rows(
     curves = [
         (correlator.degree, *_moments(counts, shades / g_v), exact_expectation(state, correlator))
         for correlator, g_v, (counts, shades) in zip(
-            correlators, g_vs, _shade_tables(tomo, correlators, xi)
+            correlators, g_vs, _shade_tables(tomo, correlators)
         )
     ]
     return _pooled_study(curves, sizes, "degree")

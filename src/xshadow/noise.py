@@ -19,16 +19,27 @@ sampling has no size cap.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .exceptions import CapabilityError
 from .qsim import EXACT_SIM_MAX_QUBITS
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (so not None, a string or a list)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_rate_array(rates, n: int, name: str) -> np.ndarray:
-    arr = np.broadcast_to(np.asarray(rates, dtype=float), (n,)).copy()
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {arr}")
+    """One rate for every qubit, or a list of exactly n, each in [0, 1]."""
+    arr = np.asarray(rates, dtype=object)
+    if arr.shape not in ((), (n,)) or not all(map(_is_real, arr.flat)):
+        raise ValueError(f"{name} must be a number or a list of {n} numbers, got {rates!r}")
+    arr = np.full(n, arr, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+        raise ValueError(f"{name} must lie in [0, 1], got {rates!r}")
     return arr
 
 
@@ -87,8 +98,8 @@ class ChainCrosstalkModel(NoiseModel):
 
     def __init__(self, n: int, p10, p01, gamma: float):
         super().__init__(n)
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        if not _is_real(gamma) or not 0.0 <= gamma < 1.0:  # NaN fails too
+            raise ValueError(f"gamma must be a number in [0, 1), got {gamma!r}")
         self.p10 = _as_rate_array(p10, n, "p10")
         self.p01 = _as_rate_array(p01, n, "p01")
         self.gamma = float(gamma)

@@ -54,7 +54,7 @@ from .qsim import (
     pauli_directions,
     rotation_gate,
 )
-from .shadows import G_FLOOR, XiTable
+from .shadows import G_FLOOR, compute_xi
 
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
@@ -372,10 +372,14 @@ def _merged_cells(
 
 
 def _shade_tables(
-    data: TomographyDataset, correlators: Sequence[Correlator], xi: XiTable
+    data: TomographyDataset, correlators: Sequence[Correlator]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Count table and unmitigated shades of every correlator's support, in
     correlator order.
+
+    The shadow operators xi are those of the dataset's own direction set
+    (compute_xi), so a set that is not informationally complete is refused
+    before any record is binned.
 
     Supports are planned in descending degree (ties in list order): one
     inside an already planned support, its container, is read off the
@@ -390,6 +394,7 @@ def _shade_tables(
             raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
     if len(data) == 0:
         raise ValueError("empty tomography dataset")
+    xi = compute_xi(data.directions)
     base = 2 * len(data.directions)
     weights: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
     containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
@@ -496,7 +501,6 @@ def independent_g(correlator: Correlator, p10, p01) -> float:
 def estimate_correlators(
     data: TomographyDataset,
     correlators: Sequence[Correlator],
-    xi: XiTable,
     divisors: Sequence[Sequence[float]],
     *,
     resamples: int,
@@ -511,8 +515,10 @@ def estimate_correlators(
     drawn from a generator seeded with seed + m*j + i.  A divisor of
     ghat(v) (g_hat) gives the mitigated estimate, 1 the unmitigated one and
     independent_g the independent-flip model's; the stderr treats each
-    divisor as exact.  The divisors and `resamples` are checked before any
-    binning, and every stream is drawn by one _bootstrap_streams call.
+    divisor as exact.  The shades use the shadow operators of the dataset's
+    own directions.  The divisors, `resamples` and the direction set are
+    checked before any binning, and every stream is drawn by one
+    _bootstrap_streams call.
     """
     divisors = [[float(g) for g in row] for row in divisors]
     if len(divisors) != len(correlators):
@@ -526,7 +532,7 @@ def estimate_correlators(
                 raise ValueError(f"divisors must be finite and nonzero, got {g}")
     if resamples < 2:
         raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
-    tables = _shade_tables(data, correlators, xi)
+    tables = _shade_tables(data, correlators)
     streams = [
         (counts, shades / g, resamples, seed + m * j + i)
         for j, ((counts, shades), row) in enumerate(zip(tables, divisors))
@@ -594,20 +600,35 @@ def _bootstrap_streams(
     return means
 
 
-def _check_bound_args(epsilon: float, delta: float, g: float) -> None:
+def _sample_bound(
+    scale: float, epsilon: float, delta: float, g: float, kappa: float, degree: int
+) -> int:
+    """Smallest integer shot count exceeding
+    -scale ln(delta/2)/epsilon^2 * kappa^(2 degree) / g^2; the inputs
+    must be finite and the bound must be representable as a float."""
+    for name, value in (("epsilon", epsilon), ("delta", delta), ("g", g), ("kappa", kappa)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if g == 0.0:
         raise ValueError("g must be nonzero")
+    if kappa < 1.0:
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    try:
+        bound = -scale * math.log(delta / 2.0) / epsilon**2 * kappa ** (2 * degree) / g**2
+        return math.floor(bound) + 1
+    except (OverflowError, ZeroDivisionError):  # an inf bound, or epsilon^2 or g^2 is 0.0
+        raise ValueError("the shot-count bound is too large to represent") from None
 
 
 def calibration_sample_bound(epsilon: float, delta: float, g: float = 1.0) -> int:
     """Smallest integer shot count exceeding -32 ln(delta/2) / (epsilon g)^2."""
-    _check_bound_args(epsilon, delta, g)
-    bound = -32.0 * math.log(delta / 2.0) / epsilon**2 / g**2
-    return math.floor(bound) + 1
+    return _sample_bound(32.0, epsilon, delta, g, 1.0, 0)
 
 
 def tomography_sample_bound(
@@ -615,13 +636,7 @@ def tomography_sample_bound(
 ) -> int:
     """Smallest integer shot count exceeding
     -2 ln(delta/2)/epsilon^2 * kappa^(2 degree) / g^2."""
-    _check_bound_args(epsilon, delta, g)
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    bound = -2.0 * math.log(delta / 2.0) / epsilon**2 * kappa ** (2 * degree) / g**2
-    return math.floor(bound) + 1
+    return _sample_bound(2.0, epsilon, delta, g, kappa, degree)
 
 
 def random_correlators(

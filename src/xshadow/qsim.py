@@ -65,7 +65,7 @@ def pauli_directions() -> tuple[Direction, Direction, Direction]:
 def direction_from_label(label: str) -> Direction:
     """Look up one of the built-in axes by label."""
     table = {d.label: d for d in pauli_directions()}
-    if label not in table:
+    if not isinstance(label, str) or label not in table:
         raise ValueError(f"unknown direction label {label!r}; known: {sorted(table)}")
     return table[label]
 

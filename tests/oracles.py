@@ -23,7 +23,8 @@ are the paper's formulas one record or one block at a time, which the
 tests and acceptance checks evaluate directly.  The convergence studies
 take the exact expected squared error of a subsample mean;
 `monte_carlo_study` draws the subsamples instead.  `bitstring_from_text`
-and `read_csv` parse the text forms the library only writes.
+and `read_csv` parse the text forms the library only writes, and `bit` reads
+one qubit of a `BitString`.
 """
 
 import csv
@@ -40,6 +41,13 @@ from xshadow.qsim import IDENTITY_2, Correlator, Direction, pauli_operator, rota
 from xshadow.shadows import G_FLOOR, XiTable
 
 DENSE_MAX_QUBITS = 4
+
+
+def bit(s: BitString, i: int) -> int:
+    """Value of qubit i of s (qubit 0 is the least significant bit)."""
+    if not 0 <= i < s.n:
+        raise ValueError(f"qubit index {i} out of range for n={s.n}")
+    return (s.value >> i) & 1
 
 
 def support_shades(data, correlator, xi):
@@ -228,7 +236,7 @@ def dense_shadow(xi, setting, outcome):
     _check_dense_cap(setting.n)
     op = np.ones((1, 1), dtype=complex)
     for qubit in range(setting.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
-        sign = 1 - 2 * outcome.bit(qubit)
+        sign = 1 - 2 * bit(outcome, qubit)
         factor = (IDENTITY_2 + sign * xi.xi(setting.directions[qubit].label)) / 2
         op = np.kron(op, factor)
     return op
@@ -301,7 +309,7 @@ def unmitigated_shade(
         overlap = xi.half_overlap(
             setting.directions[qubit].label, correlator.observables[qubit]
         )
-        value *= (1 - 2 * outcome.bit(qubit)) * overlap
+        value *= (1 - 2 * bit(outcome, qubit)) * overlap
     return value
 
 
@@ -343,8 +351,8 @@ def fourier_shadow_trace(
     _check_lengths(setting, w, correlator)
     value = 1.0
     for qubit in range(w.n):
-        left = IDENTITY_2 if w.bit(qubit) == 0 else xi.xi(setting.directions[qubit].label)
-        if correlator.pattern.bit(qubit) == 0:
+        left = IDENTITY_2 if bit(w, qubit) == 0 else xi.xi(setting.directions[qubit].label)
+        if bit(correlator.pattern, qubit) == 0:
             right = IDENTITY_2
         else:
             right = pauli_operator(correlator.observables[qubit])

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 from oracles import (
     MeasurementSetting,
+    bit,
     dense_mitigated_shadow,
     dense_shadow,
     mitigated_shade,
@@ -117,7 +118,7 @@ def _local_projector(directions, outcome_value, n):
 def _correlator_matrix(correlator):
     op = np.ones((1, 1), dtype=complex)
     for qubit in range(correlator.n - 1, -1, -1):
-        if correlator.pattern.bit(qubit):
+        if bit(correlator.pattern, qubit):
             factor = pauli_operator(correlator.observables[qubit])
         else:
             factor = np.eye(2)
@@ -326,7 +327,7 @@ class TestSpectrumDecay:
 
 class TestBiasRemoval:
     def test_three_estimators_on_crosstalk_data(
-        self, announce, pauli_xi, big_state, big_cal, big_tomo
+        self, announce, big_state, big_cal, big_tomo
     ):
         """Mitigation is unbiased at four-sigma resolution; the raw and
         wrong-model estimators are provably biased on a strong correlator."""
@@ -344,9 +345,7 @@ class TestBiasRemoval:
             )
             for correlator in correlators
         ]
-        estimates = estimate_correlators(
-            big_tomo, correlators, pauli_xi, divisors, resamples=200, seed=0
-        )
+        estimates = estimate_correlators(big_tomo, correlators, divisors, resamples=200, seed=0)
         reports = [
             (correlator, truth, mit, unm, ind)
             for correlator, truth, (mit, unm, ind) in zip(correlators, truths, estimates)
@@ -397,11 +396,18 @@ class TestEstimatorConvergence:
         for correlator in correlators:
             g_v = spectrum[correlator.pattern.value]
             shades = support_shades(big_tomo, correlator, pauli_xi) / g_v
+            # the shades take a few distinct values (products of per-qubit
+            # overlaps), found on their bit patterns so that 0.0 and -0.0
+            # stay apart: looking up the gathered uint8 codes gives
+            # shades[idx] bit for bit, and so the same means
+            patterns, codes = np.unique(shades.view(np.int64), return_inverse=True)
+            assert len(patterns) <= 256
+            values, codes = patterns.view(np.float64), codes.astype(np.uint8)
             truth = exact_expectation(big_state, correlator)
             errors = np.empty((len(sizes), resamples))
             for i, size in enumerate(sizes):
                 for b in range(resamples):
-                    mean = shades[rng.integers(0, BIG_SHOTS, size)].mean()
+                    mean = values.take(codes.take(rng.integers(0, BIG_SHOTS, size))).mean()
                     errors[i, b] = (mean - truth) ** 2
             curves.append((correlator.degree, np.sqrt(errors.mean(axis=1))))
         rms = {
@@ -431,7 +437,7 @@ class TestEstimatorConvergence:
 
 
 class TestSampleBounds:
-    def test_bound_values_and_coverage(self, announce, pauli_xi):
+    def test_bound_values_and_coverage(self, announce):
         """Bound calculators match one-line arithmetic; collecting the
         prescribed shot counts achieves the promised failure rate."""
         epsilon, delta = 0.1, 0.05
@@ -459,10 +465,8 @@ class TestSampleBounds:
             tomo = run_tomography(
                 state, pauli_directions(), model, tomo_shots, seed=5000 + rep
             )
-            ((est,),) = estimate_correlators(
-                tomo, [correlator], pauli_xi,
-                [(g_hat(g_spectrum(cal), correlator.pattern),)], resamples=2, seed=0,
-            )
+            g_v = g_hat(g_spectrum(cal), correlator.pattern)
+            ((est,),) = estimate_correlators(tomo, [correlator], [(g_v,)], resamples=2, seed=0)
             if abs(est.estimate - truth) > epsilon:
                 failures += 1
         coverage_ok = failures / reps <= delta

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bitstring_from_text, dot_mod2_sign
+from oracles import bit, bitstring_from_text, dot_mod2_sign
 
 from xshadow.bitspace import BitString, hamming_weight, walsh_transform
 
@@ -17,8 +17,8 @@ class TestBitString:
     def test_bit_indexing_is_lsb_first(self):
         s = bitstring_from_text("100")
         # leftmost text character is qubit n-1
-        assert s.bit(0) == 0
-        assert s.bit(2) == 1
+        assert bit(s, 0) == 0
+        assert bit(s, 2) == 1
         assert s.support() == (2,)
 
     @pytest.mark.parametrize("text,weight", [("0", 0), ("1", 1), ("1011", 3), ("11111111", 8)])

@@ -56,7 +56,7 @@ from xshadow.qsim import (
     pauli_directions,
     random_circuit_state,
 )
-from xshadow.shadows import XiTable, compute_xi
+from xshadow.shadows import XiTable
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
@@ -88,7 +88,7 @@ def _write_yaml(path, text):
 class TestConfig:
     def test_defaults(self):
         cfg = _config()
-        assert cfg.directions == ("x", "y", "z")
+        assert cfg.directions == pauli_directions()
         assert cfg.calibration_shots == 10**6
         assert cfg.correlator_degrees == (1, 2, 3)  # clipped to n
         assert cfg.noise.gamma == 0.5
@@ -101,7 +101,7 @@ class TestConfig:
         )
         cfg = load_config(path)
         assert cfg.n == 2
-        assert cfg.noise.p10 == [0.1, 0.2]
+        assert np.array_equal(cfg.noise.p10, [0.1, 0.2])
         assert cfg.tomography_shots == 1234
 
     @pytest.mark.parametrize(
@@ -121,6 +121,7 @@ class TestConfig:
             ({"n": True}, "'n'"),
             ({"correlator_degrees": [1, 2, 1]}, "correlator_degrees"),
             ({"study_weights": [2, 2]}, "study_weights"),
+            ({"directions": [["x"], "y", "z"]}, "'directions'"),  # an unhashable label
         ],
     )
     def test_bad_top_level_fields(self, overrides, needle):
@@ -155,6 +156,12 @@ class TestConfig:
             {"model": "chain_crosstalk", "p10": 0.1, "p01": 0.1, "gamma": 1.0},
             {"model": "chain_crosstalk", "p10": 0.1, "p01": 0.1, "gamma": "x"},
             {"model": "independent", "p10": 0.1, "p01": 0.1, "extra": 2},
+            {"model": "independent", "p10": float("nan"), "p01": float("nan")},
+            {"model": "independent", "p10": None, "p01": 0.1},
+            {"model": "independent", "p10": True, "p01": 0.1},
+            {"model": "independent", "p10": "0.1", "p01": 0.1},
+            {"model": "independent", "p10": [0.1, float("nan"), 0.1], "p01": 0.1},
+            {"model": "independent", "p10": 0.1, "p01": [0.1, True, 0.1]},
         ],
     )
     def test_bad_noise_blocks(self, noise):
@@ -167,15 +174,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mapping"):
             parse_config([1, 2])
 
-    def test_builders(self):
-        cfg = _config()
-        model = cfg.build_noise_model()
-        assert model.n == 3
-        assert model.gamma == 0.5
-        state = cfg.build_state()
-        assert state.n == 3
-        labels = tuple(d.label for d in cfg.build_directions())
-        assert labels == ("x", "y", "z")
+    def test_parsed_objects(self):
+        cfg = _config(directions=["z", "x"])
+        assert isinstance(cfg.noise, ChainCrosstalkModel)
+        assert (cfg.noise.n, cfg.noise.gamma) == (3, 0.5)
+        assert np.array_equal(cfg.noise.p10, [0.07] * 3)
+        assert cfg.directions == (direction_from_label("z"), direction_from_label("x"))
+        assert cfg.state.n == 3
+
+    def test_nan_rates_are_refused_by_the_cli(self, tmp_path):
+        path = _write_yaml(
+            tmp_path / "nan.yaml",
+            "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: .nan\n  p01: .nan\n",
+        )
+        out = tmp_path / "cal.txt"
+        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: field 'noise': p10 must lie in [0, 1]" in result.output
+        assert not out.exists()
 
     def test_yaml_parse_error(self, tmp_path):
         path = _write_yaml(tmp_path / "bad.yaml", "n: [unclosed\n")
@@ -759,7 +775,6 @@ class TestBatchedReport:
         """Report i of correlator j draws from seed + m*j + i, so the rows
         equal per-correlator batches of one at bootstrap_seed + 3*j."""
         config, cal, tomo = nested_case
-        xi = compute_xi(config.build_directions())
         spectrum = g_spectrum(cal)
         rows = comparison_rows(config, tomo, cal)
         correlators = experiments.build_correlators(config)
@@ -774,11 +789,11 @@ class TestBatchedReport:
         ]
         kw = {"resamples": config.bootstrap_resamples}
         batch = estimate_correlators(
-            tomo, correlators, xi, divisors, seed=config.bootstrap_seed, **kw
+            tomo, correlators, divisors, seed=config.bootstrap_seed, **kw
         )
         for j, (row, correlator) in enumerate(zip(rows, correlators)):
             (alone,) = estimate_correlators(
-                tomo, [correlator], xi, [divisors[j]], seed=config.bootstrap_seed + 3 * j, **kw
+                tomo, [correlator], [divisors[j]], seed=config.bootstrap_seed + 3 * j, **kw
             )
             assert batch[j] == alone
             mit, unm, ind = alone
@@ -860,7 +875,7 @@ class TestClosedFormStudy:
         )
         cal, tomo = collect_calibration(config), collect_tomography(config)
         sizes = subsample_grid(5000, config.grid_points, config.grid_min)
-        g_exact = walsh_transform(config.build_noise_model().twirled_table())
+        g_exact = walsh_transform(config.noise.twirled_table())
         wavevectors = experiments._pick_wavevectors(
             config.n,
             config.study_weights,
@@ -871,15 +886,14 @@ class TestClosedFormStudy:
             (len(w.support()), parity_counts(cal, w), np.array([1.0, -1.0]), g_exact[w.value])
             for w in wavevectors
         ]
-        xi = compute_xi(config.build_directions())
         spectrum = g_spectrum(cal)
         tomo_curves = []
         correlators = experiments.build_correlators(config, config.correlators_per_degree_study)
         for correlator, (counts, shades) in zip(
-            correlators, protocols._shade_tables(tomo, correlators, xi)
+            correlators, protocols._shade_tables(tomo, correlators)
         ):
             g_v = g_hat(spectrum, correlator.pattern)
-            truth = exact_expectation(config.build_state(), correlator)
+            truth = exact_expectation(config.state, correlator)
             tomo_curves.append((correlator.degree, counts, shades / g_v, truth))
         studies = [
             (cal_curves, experiments.g_rms_rows(config, cal)[0], "weight"),
@@ -918,23 +932,31 @@ class TestClosedFormStudy:
 
 class TestSharedState:
     def test_run_experiment_builds_the_circuit_state_once(self, small_config, tmp_path, monkeypatch):
+        """A config builds its state on first use and keeps it; a copy made
+        by dataclasses.replace builds its own."""
         built = []
 
         def counting(*args):
             built.append(args)
             return random_circuit_state(*args)
 
-        config_module._circuit_state.cache_clear()
         monkeypatch.setattr(config_module, "random_circuit_state", counting)
-        try:
-            run_experiment(small_config, str(tmp_path / "exp"))
-            state = small_config.build_state()
-        finally:
-            config_module._circuit_state.cache_clear()
-        assert built == [(small_config.n, small_config.depth, small_config.circuit_seed)]
+        config = dataclasses.replace(small_config)  # a config whose state is not built yet
+        run_experiment(config, str(tmp_path / "exp"))
+        state = config.state
+        key = (config.n, config.depth, config.circuit_seed)
+        assert built == [key]
         assert not state.amplitudes.flags.writeable
-        fresh = random_circuit_state(small_config.n, small_config.depth, small_config.circuit_seed)
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 0.0
+        fresh = random_circuit_state(*key)
         assert np.array_equal(state.amplitudes, fresh.amplitudes)
+
+        copy = dataclasses.replace(config, tomography_seed=config.tomography_seed + 1)
+        assert copy.state is not state
+        assert built == [key, key]
+        assert np.array_equal(copy.state.amplitudes, state.amplitudes)
+        assert config.state is state and built == [key, key]
 
     def test_traced_experiment_reports_study_and_state_spans(self, tmp_path):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -1049,7 +1071,6 @@ class TestBootstrapThreads:
 
     def test_results_do_not_depend_on_the_cpu_count(self, threaded_case, monkeypatch):
         config, cal, tomo = threaded_case
-        xi = compute_xi(config.build_directions())
         correlators = experiments.build_correlators(config)
         pair = [correlators[0], correlators[-1]]  # degrees 1 and 5
         main = threading.main_thread()
@@ -1059,7 +1080,7 @@ class TestBootstrapThreads:
             calls = [
                 lambda: comparison_rows(config, tomo, cal),
                 lambda: estimate_correlators(
-                    tomo, pair, xi, [(1.0, 0.5)] * 2, resamples=30, seed=3
+                    tomo, pair, [(1.0, 0.5)] * 2, resamples=30, seed=3
                 ),
             ]
             interval = sys.getswitchinterval()
@@ -1315,6 +1336,26 @@ class TestCli:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    @pytest.mark.parametrize(
+        "option,value,needle",
+        [
+            ("--epsilon", "1e-200", "the shot-count bound is too large"),  # epsilon^2 is 0.0
+            ("--g", "1e-200", "the shot-count bound is too large"),
+            ("--kappa", "inf", "kappa must be finite"),
+            ("--degree", "1000", "the shot-count bound is too large"),  # kappa^2000 overflows
+            ("--epsilon", "nan", "epsilon must be finite"),
+            ("--delta", "nan", "delta must be finite"),
+            ("--g", "inf", "g must be finite"),
+        ],
+    )
+    def test_complexity_refuses_extreme_inputs_without_a_traceback(self, option, value, needle):
+        args = ["complexity", "--epsilon", "0.1", "--delta", "0.05", option, value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert f"error: {needle}" in result.output
+        assert "Traceback" not in result.output
+
     def test_bad_config_is_diagnosed(self, tmp_path):
         runner = CliRunner()
         path = _write_yaml(tmp_path / "bad.yaml", "n: 2\ndepth: 1\nnope: 3\n")
@@ -1454,7 +1495,6 @@ class TestPackage:
             "XShadowError",
             "collect_calibration",
             "collect_tomography",
-            "compute_xi",
             "estimate_correlators",
             "exact_expectation",
             "load_config",

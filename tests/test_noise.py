@@ -38,6 +38,35 @@ class TestIndependentFlipModel:
         with pytest.raises(ValueError):
             IndependentFlipModel(2, [0.1, 0.1, 0.1], 0.0)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            float("nan"),
+            [0.1, float("nan")],
+            None,
+            True,
+            np.bool_(False),
+            "0.1",
+            [0.1, "0.1"],
+            [0.1, None],
+            [True, 0.1],  # np.asarray would read it as [1.0, 0.1]
+            [0.1],  # a list must hold exactly n rates
+            [[0.1, 0.1]],
+            1j,
+        ],
+    )
+    def test_rejects_rates_that_are_not_n_real_numbers(self, rates):
+        with pytest.raises(ValueError, match="p01"):
+            IndependentFlipModel(2, 0.1, rates)
+        with pytest.raises(ValueError, match="p10"):
+            ChainCrosstalkModel(2, rates, 0.1, 0.5)
+
+    @pytest.mark.parametrize("rates", [0, 1, 0.25, [0, 0.5], np.array([0.1, 1.0]), np.float32(0.5)])
+    def test_accepts_a_number_or_n_numbers(self, rates):
+        model = IndependentFlipModel(2, rates, 0.0)
+        assert model.p10.dtype == np.float64
+        assert np.array_equal(model.p10, np.broadcast_to(np.asarray(rates, dtype=float), (2,)))
+
     def test_sampler_matches_rows(self):
         model = IndependentFlipModel(2, 0.15, 0.08)
         rng = np.random.default_rng(3)
@@ -132,6 +161,11 @@ class TestChainCrosstalkModel:
             ChainCrosstalkModel(2, 0.1, 0.1, 1.0)
         with pytest.raises(ValueError):
             ChainCrosstalkModel(2, 0.1, 0.1, -0.1)
+
+    @pytest.mark.parametrize("gamma", [False, True, np.bool_(False), None, "0.5", float("nan")])
+    def test_rejects_gamma_that_is_not_a_real_number(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a number"):
+            ChainCrosstalkModel(2, 0.1, 0.1, gamma)
 
 
 class TestTwirl:

@@ -19,6 +19,7 @@ from xshadow import protocols
 from xshadow.bitspace import BitString, walsh_transform
 from xshadow.exceptions import (
     CapabilityError,
+    NotInformationallyCompleteError,
     SingularNoiseError,
     UnmitigatableComponentError,
 )
@@ -252,20 +253,20 @@ class TestRunTomography:
 
 
 class TestEstimators:
-    def test_mitigated_equals_unmitigated_without_noise(self, pauli_xi):
+    def test_mitigated_equals_unmitigated_without_noise(self):
         state = random_circuit_state(2, 6, seed=4)
         data = run_tomography(state, pauli_directions(), _noiseless(2), 2000, seed=6)
         cal = run_calibration(_noiseless(2), 1000, seed=7)
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b10), {1: z})
         g_v = g_hat(g_spectrum(cal), c.pattern)
-        ((mit,),) = estimate_correlators(data, [c], pauli_xi, [(g_v,)], resamples=200, seed=1)
-        ((unm,),) = estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=200, seed=1)
+        ((mit,),) = estimate_correlators(data, [c], [(g_v,)], resamples=200, seed=1)
+        ((unm,),) = estimate_correlators(data, [c], [(1.0,)], resamples=200, seed=1)
         assert mit.estimate == pytest.approx(unm.estimate, abs=1e-12)
         assert mit.stderr == pytest.approx(unm.stderr, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_mitigated_recovers_truth_under_noise(self, pauli_xi, seed):
+    def test_mitigated_recovers_truth_under_noise(self, seed):
         state = random_circuit_state(2, 8, seed=seed)
         model = IndependentFlipModel(2, 0.12, 0.08)
         data = run_tomography(state, pauli_directions(), model, 60000, seed=seed + 10)
@@ -275,10 +276,10 @@ class TestEstimators:
         c = Correlator(BitString(2, 0b11), {0: z, 1: x})
         truth = exact_expectation(state, c)
         g_v = g_hat(g_spectrum(cal), c.pattern)
-        ((mit,),) = estimate_correlators(data, [c], pauli_xi, [(g_v,)], resamples=200, seed=3)
+        ((mit,),) = estimate_correlators(data, [c], [(g_v,)], resamples=200, seed=3)
         assert mit.estimate == pytest.approx(truth, abs=5 * mit.stderr)
 
-    def test_indep_model_recovers_truth_when_model_is_right(self, pauli_xi):
+    def test_indep_model_recovers_truth_when_model_is_right(self):
         state = random_circuit_state(2, 8, seed=2)
         model = IndependentFlipModel(2, [0.1, 0.05], [0.02, 0.07])
         data = run_tomography(state, pauli_directions(), model, 60000, seed=30)
@@ -287,7 +288,7 @@ class TestEstimators:
         c = Correlator(BitString(2, 0b11), {0: y, 1: z})
         truth = exact_expectation(state, c)
         g_ind = independent_g(c, [0.1, 0.05], [0.02, 0.07])
-        ((ind,),) = estimate_correlators(data, [c], pauli_xi, [(g_ind,)], resamples=200, seed=4)
+        ((ind,),) = estimate_correlators(data, [c], [(g_ind,)], resamples=200, seed=4)
         assert ind.estimate == pytest.approx(truth, abs=5 * ind.stderr)
 
     def test_g_floor(self):
@@ -312,35 +313,33 @@ class TestEstimators:
         with pytest.raises(SingularNoiseError, match="qubit 1"):
             independent_g(c, [0.1, 0.3], [0.1, 0.7])
 
-    def test_bootstrap_is_seeded(self, pauli_xi):
+    def test_bootstrap_is_seeded(self):
         state = random_circuit_state(2, 4, seed=6)
         data = run_tomography(state, pauli_directions(), _noiseless(2), 1000, seed=50)
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b01), {0: z})
         a, b, c2 = (
-            estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=200, seed=seed)[0][0]
+            estimate_correlators(data, [c], [(1.0,)], resamples=200, seed=seed)[0][0]
             for seed in (2, 2, 3)
         )
         assert a.stderr == b.stderr
         assert a.stderr != c2.stderr
 
-    def test_divisor_i_is_a_one_divisor_call_at_seed_plus_i(self, pauli_xi):
+    def test_divisor_i_is_a_one_divisor_call_at_seed_plus_i(self):
         state = random_circuit_state(3, 6, seed=8)
         model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
         data = run_tomography(state, pauli_directions(), model, 5000, seed=70)
         c = random_correlators(3, [2], 1, seed=71)[0]
         divisors = (0.8, 1.0, -0.6)
-        (reports,) = estimate_correlators(data, [c], pauli_xi, [divisors], resamples=50, seed=5)
+        (reports,) = estimate_correlators(data, [c], [divisors], resamples=50, seed=5)
         assert len(reports) == len(divisors)
         for i, g in enumerate(divisors):
             assert [reports[i]] == estimate_correlators(
-                data, [c], pauli_xi, [(g,)], resamples=50, seed=5 + i
+                data, [c], [(g,)], resamples=50, seed=5 + i
             )[0]
 
     @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
-    def test_zero_or_non_finite_divisor_is_refused_before_binning(
-        self, pauli_xi, monkeypatch, bad
-    ):
+    def test_zero_or_non_finite_divisor_is_refused_before_binning(self, monkeypatch, bad):
         data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
                               _noiseless(2), 20, seed=3)
         c = Correlator(BitString(2, 0b01), {0: direction_from_label("z")})
@@ -350,9 +349,9 @@ class TestEstimators:
 
         monkeypatch.setattr(protocols, "_shade_tables", no_binning)
         with pytest.raises(AssertionError, match="binned"):  # the patch is on the binning path
-            estimate_correlators(data, [c], pauli_xi, [(1.0,)], resamples=2, seed=0)
+            estimate_correlators(data, [c], [(1.0,)], resamples=2, seed=0)
         with pytest.raises(ValueError, match="finite and nonzero"):
-            estimate_correlators(data, [c, c], pauli_xi, [(1.0,), (bad,)], resamples=2, seed=0)
+            estimate_correlators(data, [c, c], [(1.0,), (bad,)], resamples=2, seed=0)
 
     @pytest.mark.parametrize(
         "divisors,resamples,message",
@@ -364,7 +363,7 @@ class TestEstimators:
         ],
     )
     def test_malformed_batch_is_refused_before_binning(
-        self, pauli_xi, monkeypatch, divisors, resamples, message
+        self, monkeypatch, divisors, resamples, message
     ):
         data = run_tomography(random_circuit_state(2, 2, seed=0), pauli_directions(),
                               _noiseless(2), 20, seed=3)
@@ -377,8 +376,22 @@ class TestEstimators:
         monkeypatch.setattr(protocols, "_shade_tables", no_binning)
         with pytest.raises(ValueError, match=message):
             estimate_correlators(
-                data, correlators, pauli_xi, divisors, resamples=resamples, seed=0
+                data, correlators, divisors, resamples=resamples, seed=0
             )
+
+
+    def test_incomplete_direction_set_is_refused_before_binning(self, monkeypatch):
+        directions = (direction_from_label("x"), direction_from_label("y"))
+        zeros = np.zeros((4, 2), dtype=np.uint8)
+        data = TomographyDataset(2, directions, zeros, zeros)
+        c = Correlator(BitString(2, 0b01), {0: directions[0]})
+
+        def no_binning(*args):
+            raise AssertionError("binned before the direction set was checked")
+
+        monkeypatch.setattr(protocols, "_record_cells", no_binning)
+        with pytest.raises(NotInformationallyCompleteError, match="rank 3 of 4"):
+            estimate_correlators(data, [c], [(1.0,)], resamples=2, seed=0)
 
 
 def _tilted_directions():
@@ -420,7 +433,7 @@ class TestCountTableKernel:
             g_v = g_hat(g_spectrum(cal), c.pattern)
             divisors = (g_v, 1.0, independent_g(c, self.P10, self.P01))
             ((mit, unm, ind),) = estimate_correlators(
-                tomo, [c], xi, [divisors], resamples=2, seed=0
+                tomo, [c], [divisors], resamples=2, seed=0
             )
             assert mit.estimate == pytest.approx(np.mean(shades / g_v), abs=1e-12)
             assert unm.estimate == pytest.approx(np.mean(shades), abs=1e-12)
@@ -434,19 +447,19 @@ class TestCountTableKernel:
             shades = support_shades(tomo, c, pauli_xi)
             g_v = g_hat(g_spectrum(cal), c.pattern)
             ((unm, mit),) = estimate_correlators(
-                tomo, [c], pauli_xi, [(1.0, g_v)], resamples=200, seed=0
+                tomo, [c], [(1.0, g_v)], resamples=200, seed=0
             )
             for report, per_record in ((unm, shades), (mit, shades / g_v)):
                 plain_se = np.std(per_record, ddof=1) / np.sqrt(len(tomo))
                 assert report.stderr == pytest.approx(plain_se, rel=0.2)
 
-    def test_blocked_draws_keep_the_stream(self, noisy_data, pauli_xi, monkeypatch):
+    def test_blocked_draws_keep_the_stream(self, noisy_data, monkeypatch):
         _, tomos = noisy_data
         c = random_correlators(4, [3], 1, seed=26)[0]
         kw = {"resamples": 200, "seed": 9}
-        whole = estimate_correlators(tomos["pauli"], [c], pauli_xi, [(1.0,)], **kw)
+        whole = estimate_correlators(tomos["pauli"], [c], [(1.0,)], **kw)
         monkeypatch.setattr(protocols, "_DRAW_BLOCK", 1000)  # a few resamples per block
-        blocked = estimate_correlators(tomos["pauli"], [c], pauli_xi, [(1.0,)], **kw)
+        blocked = estimate_correlators(tomos["pauli"], [c], [(1.0,)], **kw)
         assert blocked == whole
 
     def test_blocked_integer_draws_keep_the_stream(self, monkeypatch):
@@ -466,7 +479,6 @@ class TestCountTableKernel:
     def test_estimates_ignore_record_order(self, noisy_data, seed, degree):
         cal, tomos = noisy_data
         tomo = tomos["tilted"]
-        xi = compute_xi(tomo.directions)
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(tomo))
         shuffled = TomographyDataset(
@@ -477,7 +489,7 @@ class TestCountTableKernel:
         g_ind = independent_g(c, self.P10, self.P01)
         reports = [
             estimate_correlators(
-                t, [c], xi, [(g_hat(g_spectrum(k), c.pattern), 1.0, g_ind)], resamples=20, seed=seed
+                t, [c], [(g_hat(g_spectrum(k), c.pattern), 1.0, g_ind)], resamples=20, seed=seed
             )
             for t, k in ((shuffled, shuffled_cal), (tomo, cal))
         ]
@@ -544,7 +556,7 @@ class TestCountTableKernel:
             )
             for pattern in patterns
         ]
-        tables = protocols._shade_tables(data, correlators, xi)
+        tables = protocols._shade_tables(data, correlators)
         assert len(tables) == len(correlators)  # in correlator order, not container order
         for c, (counts, shades) in zip(correlators, tables):
             expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
@@ -570,12 +582,12 @@ class TestCountTableKernel:
             Correlator(BitString(3, v), {q: directions[q] for q in BitString(3, v).support()})
             for v in (0b111, 0b001, 0b110, 0b100)
         ]
-        for c, (counts, shades) in zip(correlators, protocols._shade_tables(data, correlators, xi)):
+        for c, (counts, shades) in zip(correlators, protocols._shade_tables(data, correlators)):
             expected_counts, expected_shades = sorted_shade_cells(data, c, xi)
             assert np.array_equal(counts, expected_counts)
             assert np.array_equal(shades, expected_shades)
 
-    def test_cell_code_overflow_is_a_capability_error(self, pauli_xi):
+    def test_cell_code_overflow_is_a_capability_error(self):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
         n = 25
         z = direction_from_label("z")
@@ -586,11 +598,11 @@ class TestCountTableKernel:
             np.zeros((3, n), dtype=np.uint8),
         )
         fits = Correlator(BitString(n, (1 << 24) - 1), {q: z for q in range(24)})
-        ((report,),) = estimate_correlators(data, [fits], pauli_xi, [(1.0,)], resamples=2, seed=0)
+        ((report,),) = estimate_correlators(data, [fits], [(1.0,)], resamples=2, seed=0)
         assert report.estimate == 3.0**24  # z measured along z: overlap 3, outcome 0
         overflows = Correlator(BitString(n, (1 << 25) - 1), {q: z for q in range(25)})
         with pytest.raises(CapabilityError):
-            estimate_correlators(data, [overflows], pauli_xi, [(1.0,)], resamples=2, seed=0)
+            estimate_correlators(data, [overflows], [(1.0,)], resamples=2, seed=0)
 
 
 def _born_case(n, direction_set, shots, seed):

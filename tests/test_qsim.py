@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     MeasurementSetting,
+    bit,
     ideal_outcome_sample,
     measurement_probabilities,
     tensordot_single_qubit,
@@ -204,7 +205,7 @@ class TestCorrelator:
         # independent dense evaluation with explicit kron ordering
         op = np.ones((1, 1), dtype=complex)
         for qubit in range(2, -1, -1):
-            factor = pauli_operator(observables[qubit]) if pattern.bit(qubit) else np.eye(2)
+            factor = pauli_operator(observables[qubit]) if bit(pattern, qubit) else np.eye(2)
             op = np.kron(op, factor)
         psi = state.amplitudes
         dense = np.real(psi.conj() @ op @ psi)

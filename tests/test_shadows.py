@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     MeasurementSetting,
+    bit,
     dense_mitigated_shadow,
     dense_shadow,
     fourier_shadow_trace,
@@ -178,7 +179,7 @@ class TestDenseRoutes:
             c = Correlator(pattern, {q: dirs[rng.integers(0, 3)] for q in pattern.support()})
             op = np.ones((1, 1), dtype=complex)
             for qubit in range(2, -1, -1):
-                factor = pauli_operator(c.observables[qubit]) if pattern.bit(qubit) else np.eye(2)
+                factor = pauli_operator(c.observables[qubit]) if bit(pattern, qubit) else np.eye(2)
                 op = np.kron(op, factor)
             dense = np.trace(dense_shadow(pauli_xi, setting, outcome) @ op).real
             assert dense == pytest.approx(
