@@ -4,8 +4,9 @@ Config files are UTF-8 YAML: a flat mapping of scalar keys plus one
 nested `noise` block.  Unknown and repeated keys anywhere are rejected so
 typos in rate arrays cannot pass silently.  Parsing yields the objects
 a run uses: the noise model, whose constructor is the one check of the
-rates and gamma, and the measurement directions; the circuit state is
-built on first use of `ExperimentConfig.state`.  Example::
+rates and gamma, and the measurement directions, which must be
+informationally complete; the circuit state is built on first use of
+`ExperimentConfig.state`.  Example::
 
     n: 8
     depth: 20
@@ -25,7 +26,7 @@ from typing import Any
 
 import yaml
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NotInformationallyCompleteError
 from .noise import ChainCrosstalkModel, IndependentFlipModel, NoiseModel
 from .qsim import (
     EXACT_SIM_MAX_QUBITS,
@@ -35,6 +36,7 @@ from .qsim import (
     pauli_directions,
     random_circuit_state,
 )
+from .shadows import compute_xi
 
 NOISE_MODELS = ("independent", "chain_crosstalk")
 
@@ -135,6 +137,10 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raise ConfigError(f"field 'directions': {exc}") from exc
     if len(set(values["directions"])) != len(labels):
         raise ConfigError("field 'directions' must be a nonempty list of distinct labels")
+    try:
+        compute_xi(values["directions"])
+    except NotInformationallyCompleteError as exc:
+        raise ConfigError(f"field 'directions': {exc}") from exc
 
     int_minimums = {
         "circuit_seed": 0,

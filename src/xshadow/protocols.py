@@ -79,29 +79,6 @@ _TREE_AMPLITUDES = 1 << 20
 _MAX_DIRECTIONS = 256
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Collapse an (..., n) bit array to integer values (column 0 = LSB)."""
-    bits = np.asarray(bits)
-    n = bits.shape[-1]
-    # accumulate in the narrowest unsigned dtype, one column at a time
-    dtype = np.min_scalar_type((1 << n) - 1)
-    values = np.zeros(bits.shape[:-1], dtype=dtype)
-    column = np.empty_like(values)
-    for i in range(n):
-        np.left_shift(bits[..., i], i, out=column, dtype=dtype, casting="unsafe")
-        values |= column
-    return values.astype(np.int64)
-
-
-def unpack_bits(values: np.ndarray, n: int) -> np.ndarray:
-    """Expand integer values to an (..., n) uint8 bit array (column 0 = LSB)."""
-    values = np.asarray(values, dtype=np.int64)
-    bits = np.empty(values.shape + (n,), dtype=np.uint8)
-    for i in range(n):  # one column at a time: no (..., n) int64 temporaries
-        bits[..., i] = (values >> i) & 1
-    return bits
-
-
 def _uint8_digits(values, limit: int, what: str) -> np.ndarray:
     """`values` as a column-major uint8 array.  Every entry must be an
     integer in [0, limit); this is checked before the cast, which would
@@ -208,13 +185,29 @@ def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationData
     return CalibrationDataset(model.n, _twirled_readout(zeros, model, rng), seed=seed)
 
 
+def _cell_codes(digits: np.ndarray, qubits: Sequence[int], base: int) -> np.ndarray:
+    """Mixed-radix code of every record's digits on `qubits` at `base`,
+    qubits[0] least significant, in the narrowest unsigned dtype that
+    holds base^len(qubits) codes; Horner's rule from the last qubit down
+    keeps every partial code in range.  At base 2 over all qubits of the
+    outcome bits, a code is the outcome's value."""
+    dtype = np.min_scalar_type(base ** len(qubits) - 1)
+    codes = np.zeros(len(digits), dtype=dtype)
+    for j, qubit in enumerate(reversed(qubits)):
+        if j:
+            codes *= dtype.type(base)
+        codes += digits[:, qubit]
+    return codes
+
+
 def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
-    """Record count of every outcome value: a table of 2^n int64 counts."""
+    """Record count of every outcome value, a table of 2^n int64 counts:
+    each record's bits coded at base 2 (_cell_codes), then counted."""
     if cal.n > EXACT_SIM_MAX_QUBITS:
         raise CapabilityError(f"n={cal.n} exceeds the {EXACT_SIM_MAX_QUBITS}-qubit outcome table")
     if len(cal) == 0:
         raise ValueError("empty calibration dataset")
-    return np.bincount(pack_bits(cal.outcomes), minlength=1 << cal.n)
+    return np.bincount(_cell_codes(cal.outcomes, range(cal.n), 2), minlength=1 << cal.n)
 
 
 def g_spectrum(cal: CalibrationDataset) -> np.ndarray:
@@ -235,32 +228,33 @@ def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _tree_outcomes(
     amplitudes: np.ndarray, gates: np.ndarray, settings: np.ndarray, born: np.ndarray
 ) -> np.ndarray:
-    """Ideal outcome value of every shot: the inverse CDF of its setting's
-    Born distribution at its variate, drawn one qubit at a time.
+    """Ideal outcome bits of every shot, column-major (M, n) uint8: the
+    inverse CDF of its setting's Born distribution at its variate, drawn
+    one qubit at a time.
 
     Outcome values ascend with qubit n-1 as the top bit, so the draw walks
     down the outcome tree from qubit n-1.  A node at level q holds the
     2^(q+1) amplitudes left once the bits above q are fixed; rotating its
     top qubit by the shot's gate gives p0, the squared norm of the bit-0
     half, and the shot takes bit 1 iff its residual variate (starting at
-    u * <psi|psi>) is >= p0, which it then loses.  Gates on the lower
-    qubits leave these marginals as they are, so no full rotated table is
-    built.  Shots sorted by setting (qubit n-1 first) share their nodes
-    while their (setting, bit) prefixes agree; chunks of _TREE_AMPLITUDES
-    // max(2^n, k) shots bound both the node tables and a level's flag
-    tables, which hold k entries per node.
+    u * <psi|psi>) is >= p0, which it then loses; the decisions go into
+    column q in sorted order, and each column is put in shot order at the
+    end.  Gates on the lower qubits leave these marginals as they are, so
+    no full rotated table is built.  Shots sorted by setting (qubit n-1
+    first) share their nodes while their (setting, bit) prefixes agree;
+    chunks of _TREE_AMPLITUDES // max(2^n, k) shots bound both the node
+    tables and a level's flag tables, which hold k entries per node.
     """
     shots, n = settings.shape
     k = len(gates)
     order = np.lexsort(settings.T)  # the last key, qubit n-1, is the primary one
-    values = np.empty(shots, dtype=np.int64)
+    bits = np.empty((shots, n), dtype=np.uint8, order="F")  # row i: shot order[i]
     root = amplitudes.reshape(1, 2, -1)
     norm = np.vdot(amplitudes, amplitudes).real
     chunk = max(1, _TREE_AMPLITUDES // max(1 << n, k))
     for start in range(0, shots, chunk):
         rows = order[start : start + chunk]
         resid = born[rows] * norm
-        value = np.zeros(len(rows), dtype=np.int64)
         node = np.zeros(len(rows), dtype=np.intp)
         nodes = root
         for q in range(n - 1, -1, -1):
@@ -272,12 +266,14 @@ def _tree_outcomes(
             p0 = p0[pair]
             bit = resid >= p0
             np.subtract(resid, p0, out=resid, where=bit)
-            value += bit.astype(np.int64) << q
+            bits[start : start + len(rows), q] = bit
             if q:
                 children, node = _dense_ids(2 * pair + bit, 2 * len(pairs))
                 nodes = rotated.reshape(2 * len(pairs), 2, -1)[children]
-        values[rows] = value
-    return values
+    for q in range(n):  # back to shot order: one scatter per column, not per level
+        column = bits[:, q]
+        column[order] = column.copy()
+    return bits
 
 
 def run_tomography(
@@ -301,7 +297,10 @@ def run_tomography(
     distribution at the shot's variate u: the outcome x with
     P(< x) <= u * total < P(<= x).  It is drawn qubit by qubit down the
     outcome tree (see _tree_outcomes), so no shot needs its setting's
-    full 2^n table and shots with a common setting prefix share work.
+    full 2^n table and shots with a common setting prefix share work; it
+    writes the column-major (M, n) uint8 bits the readout step takes.  Any
+    direction set is collected (parse_config and the estimators refuse
+    one that is not informationally complete).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -319,8 +318,8 @@ def run_tomography(
     born = rng.random(shots)
 
     gates = np.array([rotation_gate(d) for d in directions])
-    ideal_values = _tree_outcomes(state.amplitudes, gates, settings, born)  # draws nothing
-    outcomes = _twirled_readout(unpack_bits(ideal_values, n), model, rng)
+    ideal = _tree_outcomes(state.amplitudes, gates, settings, born)  # draws nothing
+    outcomes = _twirled_readout(ideal, model, rng)
     return TomographyDataset(n, directions, settings, outcomes, seed=seed)
 
 
@@ -329,21 +328,14 @@ def _record_cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin every record on the support, one pass over the records.
 
-    `digits` is the (M, n) digit table of _shade_tables.  A record's cell
-    is its (setting, bit) pair on every support qubit, coded in mixed radix
-    with the qubit's digit 2*setting + bit at place j of the support, base
-    2k, in the narrowest unsigned dtype; the code is formed by Horner's
-    rule from the last support qubit down.  A code space no larger than
-    the record count is counted by bincount, a larger one sorted.  Returns
-    each observed cell's code and record count, in code order.
+    `digits` is the (M, n) digit table 2*setting + bit of _shade_tables;
+    a record's cell is the code of its digits on the support at base 2k
+    (_cell_codes).  A code space no larger than the record count is
+    counted by bincount, a larger one sorted.  Returns each observed
+    cell's code and record count, in code order.
     """
     space = base ** len(support)
-    dtype = np.min_scalar_type(space - 1)
-    codes = np.zeros(len(digits), dtype=dtype)
-    for j, qubit in enumerate(reversed(support)):  # every partial code is < space
-        if j:
-            codes *= dtype.type(base)
-        codes += digits[:, qubit]
+    codes = _cell_codes(digits, support, base)
     if space <= len(digits):
         table = np.bincount(codes, minlength=space)
         cells = np.flatnonzero(table)

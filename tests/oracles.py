@@ -23,8 +23,9 @@ are the paper's formulas one record or one block at a time, which the
 tests and acceptance checks evaluate directly.  The convergence studies
 take the exact expected squared error of a subsample mean;
 `monte_carlo_study` draws the subsamples instead.  `bitstring_from_text`
-and `read_csv` parse the text forms the library only writes, and `bit` reads
-one qubit of a `BitString`.
+and `read_csv` parse the text forms the library only writes, `bit` reads
+one qubit of a `BitString`, and `pack_bits` and `cell_codes` are the
+int64 codes that the library's one record coder must reproduce.
 """
 
 import csv
@@ -67,16 +68,30 @@ def support_shades(data, correlator, xi):
     return values * (1.0 - 2.0 * parity.astype(np.float64))
 
 
+def pack_bits(bits):
+    """Integer value of each row of an (..., n) bit array, column 0 least
+    significant, as int64."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))
+
+
+def cell_codes(setting_indices, outcomes, support, base):
+    """int64 mixed-radix code of every record's digits 2*setting + bit on
+    the support, the digit of support[j] at place j of base `base`."""
+    codes = np.zeros(len(outcomes), dtype=np.int64)
+    for j, qubit in enumerate(support):
+        digit = 2 * setting_indices[:, qubit].astype(np.int64) + outcomes[:, qubit]
+        codes += digit * base**j
+    return codes
+
+
 def sorted_shade_cells(data, correlator, xi):
     """Observed cells of the support with their record counts and
     unmitigated shades: int64 mixed-radix codes (digit 2*setting + bit,
     base 2k) counted by np.unique, so cells come out in code order."""
     support = correlator.pattern.support()
     base = 2 * len(data.directions)
-    codes = np.zeros(len(data), dtype=np.int64)
-    for j, qubit in enumerate(support):
-        digit = 2 * data.setting_indices[:, qubit].astype(np.int64) + data.outcomes[:, qubit]
-        codes += digit * base**j
+    codes = cell_codes(data.setting_indices, data.outcomes, support, base)
     cells, counts = np.unique(codes, return_counts=True)
     shades = np.ones(len(cells))
     for j, qubit in enumerate(support):
@@ -144,45 +159,48 @@ def measurement_probabilities(state, setting):
     return probs / probs.sum()
 
 
-def ideal_outcome_sample(state, setting, rng):
-    """Draw one noiseless outcome bitstring from the rotated Born distribution."""
+def ideal_outcome_samples(state, setting, rng, size):
+    """Draw `size` noiseless outcome values from the rotated Born
+    distribution: one rng.choice call, the stream of `size` scalar calls."""
     probs = measurement_probabilities(state, setting)
-    outcome = int(rng.choice(probs.size, p=probs))
-    return BitString(state.n, outcome)
+    return rng.choice(probs.size, p=probs, size=size)
 
 
 def born_outcomes(state, directions, setting_indices, u):
     """Ideal outcome value of every shot by inverse CDF: searchsorted of
     the shot's variate in cumsum(p) / cumsum(p)[-1] (side="right"), with
-    p from measurement_probabilities, clamped to 2^n - 1."""
+    p from measurement_probabilities, clamped to 2^n - 1.  Each distinct
+    setting row's CDF is built once, for all of its shots."""
     values = np.empty(len(u), dtype=np.int64)
-    for shot, (row, variate) in enumerate(zip(setting_indices, u)):
+    rows, inverse = np.unique(setting_indices, axis=0, return_inverse=True)
+    for index, row in enumerate(rows):
+        shots = inverse.ravel() == index
         setting = MeasurementSetting(tuple(directions[i] for i in row))
         cdf = np.cumsum(measurement_probabilities(state, setting))
-        values[shot] = np.searchsorted(cdf / cdf[-1], variate, side="right")
+        values[shots] = np.searchsorted(cdf / cdf[-1], u[shots], side="right")
     return np.minimum(values, (1 << state.n) - 1)
 
 
 def _independent_row(model, ideal):
-    row = np.ones(1)
-    for i in range(model.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
-        if (ideal >> i) & 1:
-            single = np.array([model.p10[i], 1.0 - model.p10[i]])
-        else:
-            single = np.array([1.0 - model.p01[i], model.p01[i]])
-        row = np.kron(row, single)
-    return row
+    ideal = np.asarray(ideal)[..., None]
+    observed = np.arange(1 << model.n)
+    probs = np.ones(np.broadcast_shapes(ideal.shape, observed.shape))
+    for i in range(model.n):
+        flipped = ((observed ^ ideal) >> i) & 1
+        rate = np.where((ideal >> i) & 1, model.p10[i], model.p01[i])
+        probs *= np.where(flipped, rate, 1.0 - rate)
+    return probs
 
 
 def _chain_row(model, ideal):
-    size = 1 << model.n
-    flips = np.arange(size) ^ ideal  # flip pattern of each observed value
-    probs = np.ones(size)
-    prev = np.zeros(size, dtype=bool)
+    ideal = np.asarray(ideal)[..., None]
+    flips = np.arange(1 << model.n) ^ ideal  # flip pattern of each observed value
+    probs = np.ones(flips.shape)
+    prev = np.zeros(flips.shape, dtype=bool)
     for i in range(model.n):
         flipped = ((flips >> i) & 1).astype(bool)
-        base = model.p10[i] if (ideal >> i) & 1 else model.p01[i]
-        rate = np.where(prev, min(1.0, base + model.gamma), base)
+        base = np.where((ideal >> i) & 1, model.p10[i], model.p01[i])
+        rate = np.where(prev, np.minimum(1.0, base + model.gamma), base)
         probs *= np.where(flipped, rate, 1.0 - rate)
         prev = flipped
     return probs
@@ -206,7 +224,9 @@ def chain_sample_bits(model, ideal_bits, rng):
 
 
 def transition_row(model, ideal):
-    """R(. | ideal) as a length-2^n probability vector over observed values."""
+    """R(. | ideal) as a length-2^n probability vector over observed
+    values, the product over qubits of each one's flip or stay
+    probability; an array of ideal values gives one row per value."""
     if isinstance(model, ChainCrosstalkModel):
         return _chain_row(model, ideal)
     return _independent_row(model, ideal)
@@ -215,13 +235,10 @@ def transition_row(model, ideal):
 def twirl_table(model):
     """Rbar(. | 0) by averaging the channel over all 2^n simultaneous bit
     translations: Rbar(s | 0) = 2^-n sum_t R(s XOR t | t), from every
-    exact row, O(4^n)."""
-    size = 1 << model.n
-    idx = np.arange(size)
-    table = np.zeros(size)
-    for t in range(size):
-        table += transition_row(model, t)[idx ^ t]
-    return table / size
+    exact row (all 2^n rows at once), O(4^n)."""
+    t = np.arange(1 << model.n)
+    rows = transition_row(model, t)  # rows[t] = R(. | t)
+    return np.take_along_axis(rows, t[:, None] ^ t, axis=1).mean(axis=0)
 
 
 def _check_dense_cap(n):

@@ -122,6 +122,7 @@ class TestConfig:
             ({"correlator_degrees": [1, 2, 1]}, "correlator_degrees"),
             ({"study_weights": [2, 2]}, "study_weights"),
             ({"directions": [["x"], "y", "z"]}, "'directions'"),  # an unhashable label
+            ({"directions": ["x", "y"]}, "field 'directions': .* spans rank 3 of 4"),
         ],
     )
     def test_bad_top_level_fields(self, overrides, needle):
@@ -175,11 +176,11 @@ class TestConfig:
             parse_config([1, 2])
 
     def test_parsed_objects(self):
-        cfg = _config(directions=["z", "x"])
+        cfg = _config(directions=["z", "x", "y"])
         assert isinstance(cfg.noise, ChainCrosstalkModel)
         assert (cfg.noise.n, cfg.noise.gamma) == (3, 0.5)
         assert np.array_equal(cfg.noise.p10, [0.07] * 3)
-        assert cfg.directions == (direction_from_label("z"), direction_from_label("x"))
+        assert cfg.directions == tuple(direction_from_label(c) for c in "zxy")
         assert cfg.state.n == 3
 
     def test_nan_rates_are_refused_by_the_cli(self, tmp_path):
@@ -1425,6 +1426,22 @@ class TestCli:
         result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "is singular" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
+    def test_incomplete_direction_set_writes_nothing(self, tmp_path, command):
+        # x and y alone cannot estimate z: refused when the config is parsed
+        path = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 2\ndepth: 4\n"
+            "noise:\n  model: independent\n  p10: 0.07\n  p01: 0.05\n"
+            "calibration_shots: 5000\ntomography_shots: 5000\ndirections: [x, y]\n",
+        )
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "error: field 'directions'" in result.output
+        assert "Traceback" not in result.output
         assert not out.exists()
 
     def test_experiment_with_infeasible_grid_writes_nothing(self, tmp_path):

@@ -5,11 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import (
     bitstring_from_text,
     born_outcomes,
+    cell_codes,
     independent_model_values,
     median_of_means,
+    pack_bits,
     parity_counts,
     sorted_shade_cells,
     support_shades,
@@ -32,12 +35,10 @@ from xshadow.protocols import (
     g_hat,
     g_spectrum,
     independent_g,
-    pack_bits,
     random_correlators,
     run_calibration,
     run_tomography,
     tomography_sample_bound,
-    unpack_bits,
 )
 from xshadow.qsim import (
     Correlator,
@@ -62,24 +63,45 @@ def _noiseless(n):
     return IndependentFlipModel(n, 0.0, 0.0)
 
 
-class TestBitPacking:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=(50, 6), dtype=np.uint8)
-        assert np.array_equal(unpack_bits(pack_bits(bits), 6), bits)
+class TestCellCodes:
+    """protocols._cell_codes, the one coder of records, against integer
+    oracles: outcome values at base 2 and int64 cell codes at base 2k."""
 
-    def test_column_zero_is_lsb(self):
-        bits = np.array([[1, 0, 0], [0, 0, 1]], dtype=np.uint8)
-        assert np.array_equal(pack_bits(bits), [1, 4])
+    @settings(max_examples=50)
+    @given(
+        hnp.arrays(np.uint8, st.tuples(st.integers(1, 40), st.just(16)), elements=st.integers(0, 1))
+    )
+    @example(np.ones((1, 16), dtype=np.uint8))  # the largest value at every width
+    def test_outcome_bits_code_to_their_values(self, bits):
+        for n in range(1, 17):
+            for order in "CF":
+                part = np.asarray(bits[:, :n], order=order)
+                codes = protocols._cell_codes(part, range(n), 2)
+                assert codes.dtype == np.min_scalar_type((1 << n) - 1)
+                assert np.array_equal(codes, pack_bits(part))
 
-    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 63])
-    def test_int64_values_at_every_accumulator_width(self, n):
-        """pack_bits accumulates in the narrowest unsigned dtype for n bits."""
-        bits = np.random.default_rng(n).integers(0, 2, size=(40, n), dtype=np.uint8)
-        bits[0] = 1  # the largest n-bit value
-        packed = pack_bits(np.asfortranarray(bits))
-        assert packed.dtype == np.int64
-        assert packed.tolist() == [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 200),
+        records=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_support_cells_code_to_the_int64_route(self, n, k, records, seed, data):
+        base = 2 * k
+        degree = 1
+        while degree < n and base ** (degree + 1) < 1 << 63:  # the int64 oracle's range
+            degree += 1
+        support = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=degree)))
+        rng = np.random.default_rng(seed)
+        setting_matrix = rng.integers(0, k, size=(records, n), dtype=np.uint8)
+        outcomes = rng.integers(0, 2, size=(records, n), dtype=np.uint8)
+        digits = 2 * setting_matrix.astype(np.min_scalar_type(base - 1)) + outcomes
+        codes = protocols._cell_codes(np.asfortranarray(digits), support, base)
+        assert codes.dtype == np.min_scalar_type(base ** len(support) - 1)
+        expected = cell_codes(setting_matrix, outcomes, support, base)
+        assert np.array_equal(codes.astype(np.int64), expected)
 
 
 class TestDatasets:
@@ -648,8 +670,9 @@ class TestTreeOutcomes:
         with mock.patch.object(protocols, "_TREE_AMPLITUDES", 1 << (n + chunk_log2)):
             drawn = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
         expected = born_outcomes(state, directions, setting_matrix, u)
-        assert drawn.dtype == np.int64
-        assert (drawn == expected).all()
+        assert drawn.dtype == np.uint8 and drawn.flags.f_contiguous
+        assert drawn.shape == (shots, n)
+        assert np.array_equal(pack_bits(drawn), expected)
 
     @settings(max_examples=60)
     @given(**_BORN_CASES)

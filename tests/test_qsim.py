@@ -3,7 +3,7 @@ import pytest
 from oracles import (
     MeasurementSetting,
     bit,
-    ideal_outcome_sample,
+    ideal_outcome_samples,
     measurement_probabilities,
     tensordot_single_qubit,
 )
@@ -157,10 +157,8 @@ class TestMeasurement:
         setting = MeasurementSetting((direction_from_label("x"), direction_from_label("y")))
         probs = measurement_probabilities(state, setting)
         rng = np.random.default_rng(0)
-        counts = np.zeros(4)
         draws = 20000
-        for _ in range(draws):
-            counts[ideal_outcome_sample(state, setting, rng).value] += 1
+        counts = np.bincount(ideal_outcome_samples(state, setting, rng, draws), minlength=4)
         # 4 sigma on each cell
         for s in range(4):
             tol = 4 * np.sqrt(probs[s] * (1 - probs[s]) / draws) + 1e-9
