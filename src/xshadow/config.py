@@ -4,9 +4,9 @@ Config files are UTF-8 YAML: a flat mapping of scalar keys plus one
 nested `noise` block.  Unknown and repeated keys anywhere are rejected so
 typos in rate arrays cannot pass silently.  Parsing yields the objects
 a run uses: the noise model, whose constructor is the one check of the
-rates and gamma, and the measurement directions, which must be
-informationally complete; the circuit state is built on first use of
-`ExperimentConfig.state`.  Example::
+rates and gamma, and the measurement directions, which compute_xi checks
+to be nonempty, distinct and informationally complete; the circuit state
+is built on first use of `ExperimentConfig.state`.  Example::
 
     n: 8
     depth: 20
@@ -90,7 +90,7 @@ def _parse_noise(raw: Any, n: int) -> NoiseModel:
     allowed = {"model", "p10", "p01", "gamma"}
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown noise field(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown noise field(s): {sorted(unknown, key=str)}")
     for required in ("model", "p10", "p01"):
         if required not in raw:
             raise ConfigError(f"noise block is missing field {required!r}")
@@ -117,7 +117,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config field(s): {sorted(unknown, key=str)}")
     for required in ("n", "depth", "noise"):
         if required not in raw:
             raise ConfigError(f"config is missing field {required!r}")
@@ -129,17 +129,12 @@ def parse_config(raw: Any) -> ExperimentConfig:
     values: dict[str, Any] = {"n": n, "depth": depth, "noise": noise}
 
     labels = raw.get("directions", ["x", "y", "z"])
-    if not isinstance(labels, (list, tuple)) or not labels:
-        raise ConfigError("field 'directions' must be a nonempty list of distinct labels")
+    if not isinstance(labels, (list, tuple)):  # a bare string would read as labels
+        raise ConfigError("field 'directions' must be a list of labels")
     try:
         values["directions"] = tuple(direction_from_label(label) for label in labels)
-    except ValueError as exc:
-        raise ConfigError(f"field 'directions': {exc}") from exc
-    if len(set(values["directions"])) != len(labels):
-        raise ConfigError("field 'directions' must be a nonempty list of distinct labels")
-    try:
-        compute_xi(values["directions"])
-    except NotInformationallyCompleteError as exc:
+        compute_xi(values["directions"])  # refuses an empty, repeated or incomplete set
+    except (ValueError, NotInformationallyCompleteError) as exc:
         raise ConfigError(f"field 'directions': {exc}") from exc
 
     int_minimums = {

@@ -54,7 +54,7 @@ from .qsim import (
     pauli_directions,
     rotation_gate,
 )
-from .shadows import G_FLOOR, compute_xi
+from .shadows import G_FLOOR, compute_xi, half_overlap
 
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
@@ -370,8 +370,8 @@ def _shade_tables(
     correlator order.
 
     The shadow operators xi are those of the dataset's own direction set
-    (compute_xi), so a set that is not informationally complete is refused
-    before any record is binned.
+    (compute_xi), in setting order, so a set that is not informationally
+    complete is refused before any record is binned.
 
     Supports are planned in descending degree (ties in list order): one
     inside an already planned support, its container, is read off the
@@ -386,7 +386,7 @@ def _shade_tables(
             raise ValueError(f"correlator is on {correlator.n} qubits, dataset on {data.n}")
     if len(data) == 0:
         raise ValueError("empty tomography dataset")
-    xi = compute_xi(data.directions)
+    operators = compute_xi(data.directions)
     base = 2 * len(data.directions)
     weights: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
     containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
@@ -422,7 +422,7 @@ def _shade_tables(
             for j, qubit in enumerate(support):
                 mu = correlator.observables[qubit]
                 if mu not in weights:
-                    overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+                    overlaps = [half_overlap(op, mu) for op in operators]
                     weights[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
                 shades *= weights[mu][cells // base**j % base]
             tables[index] = (counts, shades)

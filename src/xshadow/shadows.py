@@ -10,7 +10,9 @@ a pattern v collapses to
 
     (-1)^(v.s) / g(v) * prod_{i in v} (1/2) tr(xi^{nu_i} sigma^{mu_i}),
 
-so only the single Fourier component g(v) is ever divided out.  The
+so only the single Fourier component g(v) is ever divided out.
+compute_xi returns the operators in direction order, which is the order of
+the setting indices, and half_overlap gives the per-qubit factor.  The
 estimators evaluate this over count tables (see protocols); the
 one-record shade functions and the dense 2^n-dimensional shadow
 matrices that check it live with the test oracles.
@@ -18,7 +20,6 @@ matrices that check it live with the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,35 +30,16 @@ from .qsim import Direction, IDENTITY_2, pauli_directions, pauli_operator
 G_FLOOR = 1e-6
 
 _RANK_RTOL = 1e-9
-_XI_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class XiTable:
-    """The per-direction shadow operators xi^nu of one direction set."""
-
-    directions: tuple[Direction, ...]
-    operators: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        for label, op in self.operators.items():
-            if op.shape != (2, 2):
-                raise ValueError(f"xi[{label}] must be 2x2")
-            if abs(np.trace(op)) > _XI_TOL or np.max(np.abs(op - op.conj().T)) > _XI_TOL:
-                raise ValueError(f"xi[{label}] must be traceless Hermitian")
-
-    def xi(self, label: str) -> np.ndarray:
-        if label not in self.operators:
-            raise ValueError(f"no xi operator for direction {label!r}")
-        return self.operators[label]
-
-    def half_overlap(self, label: str, observable: Direction) -> float:
-        """(1/2) tr(xi^label mu.sigma); the per-qubit shade factor."""
-        return float(0.5 * np.trace(self.xi(label) @ pauli_operator(observable)).real)
+def half_overlap(operator: np.ndarray, observable: Direction) -> float:
+    """(1/2) tr(xi mu.sigma) of one shadow operator; the per-qubit shade factor."""
+    return float(0.5 * np.trace(operator @ pauli_operator(observable)).real)
 
 
-def compute_xi(directions: Sequence[Direction]) -> XiTable:
-    """Least-square shadow operators for a finite direction set.
+def compute_xi(directions: Sequence[Direction]) -> tuple[np.ndarray, ...]:
+    """Least-square shadow operators xi^nu of a finite direction set, in
+    direction order, so operator i belongs to setting index i.
 
     Builds the frame matrix of the 2|S| measurement effects P^nu_s / |S| in
     the Pauli operator basis, pseudo-inverts it, and reads off the
@@ -84,7 +66,7 @@ def compute_xi(directions: Sequence[Direction]) -> XiTable:
             f"{int(np.sum(singular > _RANK_RTOL * singular[0]))} of 4"
         )
     pinv = np.linalg.pinv(frame, rcond=_RANK_RTOL)
-    operators: dict[str, np.ndarray] = {}
+    operators = []
     for j, direction in enumerate(directions):
         shadows = []
         for s in (0, 1):
@@ -94,5 +76,5 @@ def compute_xi(directions: Sequence[Direction]) -> XiTable:
             raise NotInformationallyCompleteError(
                 f"outcome shadows of {direction.label!r} do not average to 1/2"
             )
-        operators[direction.label] = shadows[0] - shadows[1]
-    return XiTable(directions, operators)
+        operators.append(shadows[0] - shadows[1])
+    return tuple(operators)

@@ -254,9 +254,7 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
 
 
 def _format_cell(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

@@ -15,7 +15,9 @@ gate application, and `born_outcomes` searches the full normalised CDF.
 for draw.  Each noise model builds its twirled table Rbar(. | 0) as
 a Markov chain of flips; `transition_row` gives the model's untwirled
 rows R(. | ideal) and `twirl_table` averages all 2^n of them over
-translations.  The dense shadow matrices check the factorised shades and
+translations.  The oracles take a direction set's shadow operators keyed
+by label (`xi_by_label`), since a `MeasurementSetting` holds directions,
+not setting indices.  The dense shadow matrices check the factorised shades and
 their Fourier-space mitigation against the full 2^n x 2^n operators.  The
 single-record shades (`unmitigated_shade`, `mitigated_shade` with its
 `dot_mod2_sign`), `fourier_shadow_trace`, `kappa` and `median_of_means`
@@ -39,7 +41,7 @@ from xshadow.exceptions import CapabilityError, SingularNoiseError, Unmitigatabl
 from xshadow.noise import ChainCrosstalkModel
 from xshadow.protocols import _resample_means
 from xshadow.qsim import IDENTITY_2, Correlator, Direction, pauli_operator, rotation_gate
-from xshadow.shadows import G_FLOOR, XiTable
+from xshadow.shadows import G_FLOOR, compute_xi, half_overlap
 
 DENSE_MAX_QUBITS = 4
 
@@ -49,6 +51,12 @@ def bit(s: BitString, i: int) -> int:
     if not 0 <= i < s.n:
         raise ValueError(f"qubit index {i} out of range for n={s.n}")
     return (s.value >> i) & 1
+
+
+def xi_by_label(directions):
+    """Label -> shadow operator xi^nu of a direction set, the map the
+    oracles below take as `xi`."""
+    return {d.label: op for d, op in zip(directions, compute_xi(directions))}
 
 
 def support_shades(data, correlator, xi):
@@ -61,7 +69,7 @@ def support_shades(data, correlator, xi):
     parity = np.zeros(len(data), dtype=np.uint8)
     for qubit in correlator.pattern.support():
         overlaps = np.array(
-            [xi.half_overlap(d.label, correlator.observables[qubit]) for d in data.directions]
+            [half_overlap(xi[d.label], correlator.observables[qubit]) for d in data.directions]
         )
         values *= overlaps[data.setting_indices[:, qubit]]
         parity ^= data.outcomes[:, qubit]
@@ -96,7 +104,7 @@ def sorted_shade_cells(data, correlator, xi):
     shades = np.ones(len(cells))
     for j, qubit in enumerate(support):
         mu = correlator.observables[qubit]
-        overlaps = [xi.half_overlap(d.label, mu) for d in data.directions]
+        overlaps = [half_overlap(xi[d.label], mu) for d in data.directions]
         shades *= np.outer(overlaps, [1.0, -1.0]).ravel()[cells // base**j % base]
     return counts, shades
 
@@ -117,7 +125,7 @@ def independent_model_values(data, correlator, xi, p10, p01):
         p = 0.5 * (p10[qubit] + p01[qubit])
         inverse = np.linalg.inv(np.array([[1.0 - p, p], [p, 1.0 - p]]))
         overlaps = np.array(
-            [xi.half_overlap(d.label, correlator.observables[qubit]) for d in data.directions]
+            [half_overlap(xi[d.label], correlator.observables[qubit]) for d in data.directions]
         )
         corrected = np.stack([inverse @ np.array([ov, -ov]) for ov in overlaps])
         values *= corrected[data.setting_indices[:, qubit], data.outcomes[:, qubit]]
@@ -254,7 +262,7 @@ def dense_shadow(xi, setting, outcome):
     op = np.ones((1, 1), dtype=complex)
     for qubit in range(setting.n - 1, -1, -1):  # kron order puts qubit 0 last (LSB)
         sign = 1 - 2 * bit(outcome, qubit)
-        factor = (IDENTITY_2 + sign * xi.xi(setting.directions[qubit].label)) / 2
+        factor = (IDENTITY_2 + sign * xi[setting.directions[qubit].label]) / 2
         op = np.kron(op, factor)
     return op
 
@@ -294,13 +302,13 @@ def dot_mod2_sign(w: BitString, s: BitString) -> int:
     return 1 - 2 * ((w.value & s.value).bit_count() & 1)
 
 
-def kappa(xi: XiTable, observables: Iterable[Direction]) -> float:
+def kappa(xi: dict[str, np.ndarray], observables: Iterable[Direction]) -> float:
     """max |(1/2) tr(xi^nu mu.sigma)| over the set and requested observables."""
     observables = tuple(observables)
     if not observables:
         raise ValueError("observable set is empty")
     return max(
-        abs(xi.half_overlap(d.label, mu)) for d in xi.directions for mu in observables
+        abs(half_overlap(op, mu)) for op in xi.values() for mu in observables
     )
 
 
@@ -313,7 +321,10 @@ def _check_lengths(setting: MeasurementSetting, outcome: BitString, correlator: 
 
 
 def unmitigated_shade(
-    xi: XiTable, setting: MeasurementSetting, outcome: BitString, correlator: Correlator
+    xi: dict[str, np.ndarray],
+    setting: MeasurementSetting,
+    outcome: BitString,
+    correlator: Correlator,
 ) -> float:
     """Trace of the noiseless shadow against the correlator.
 
@@ -323,15 +334,13 @@ def unmitigated_shade(
     _check_lengths(setting, outcome, correlator)
     value = 1.0
     for qubit in correlator.pattern.support():
-        overlap = xi.half_overlap(
-            setting.directions[qubit].label, correlator.observables[qubit]
-        )
+        overlap = half_overlap(xi[setting.directions[qubit].label], correlator.observables[qubit])
         value *= (1 - 2 * bit(outcome, qubit)) * overlap
     return value
 
 
 def mitigated_shade(
-    xi: XiTable,
+    xi: dict[str, np.ndarray],
     setting: MeasurementSetting,
     outcome: BitString,
     correlator: Correlator,
@@ -350,14 +359,12 @@ def mitigated_shade(
         )
     value = dot_mod2_sign(correlator.pattern, outcome) / g_v
     for qubit in correlator.pattern.support():
-        value *= xi.half_overlap(
-            setting.directions[qubit].label, correlator.observables[qubit]
-        )
+        value *= half_overlap(xi[setting.directions[qubit].label], correlator.observables[qubit])
     return value
 
 
 def fourier_shadow_trace(
-    xi: XiTable, setting: MeasurementSetting, w: BitString, correlator: Correlator
+    xi: dict[str, np.ndarray], setting: MeasurementSetting, w: BitString, correlator: Correlator
 ) -> float:
     """tr(tau^nu_w C) for the Fourier-basis shadow component
     tau^nu_w = prod_i [w_i=0 -> identity, w_i=1 -> xi^{nu_i}].
@@ -368,7 +375,7 @@ def fourier_shadow_trace(
     _check_lengths(setting, w, correlator)
     value = 1.0
     for qubit in range(w.n):
-        left = IDENTITY_2 if bit(w, qubit) == 0 else xi.xi(setting.directions[qubit].label)
+        left = IDENTITY_2 if bit(w, qubit) == 0 else xi[setting.directions[qubit].label]
         if bit(correlator.pattern, qubit) == 0:
             right = IDENTITY_2
         else:

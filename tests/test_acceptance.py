@@ -20,6 +20,7 @@ from oracles import (
     mitigated_shade,
     support_shades,
     transition_row,
+    xi_by_label,
 )
 
 from xshadow.bitspace import BitString, walsh_transform
@@ -43,7 +44,6 @@ from xshadow.qsim import (
     pauli_operator,
     random_circuit_state,
 )
-from xshadow.shadows import compute_xi
 from xshadow.storage import read_calibration, read_tomography, write_calibration, write_tomography
 
 NOISE_P10 = 0.07
@@ -71,7 +71,7 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def pauli_xi():
-    return compute_xi(pauli_directions())
+    return xi_by_label(pauli_directions())
 
 
 @pytest.fixture(scope="module")

@@ -56,7 +56,6 @@ from xshadow.qsim import (
     pauli_directions,
     random_circuit_state,
 )
-from xshadow.shadows import XiTable
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
@@ -168,6 +167,36 @@ class TestConfig:
     def test_bad_noise_blocks(self, noise):
         with pytest.raises(ConfigError):
             _config(noise=noise)
+
+    @pytest.mark.parametrize("block", ["top", "noise"])
+    def test_unknown_keys_of_mixed_types(self, block):
+        # yaml keys need not be strings; sorting 1 beside 'zz' must not raise TypeError
+        raw = dict(BASE_CONFIG)
+        if block == "top":
+            raw.update({1: 2, "zz": 3})
+        else:
+            raw["noise"] = {**raw["noise"], 1: 2, "zz": 3}
+        with pytest.raises(ConfigError, match=r"unknown .*field\(s\): \[1, 'zz'\]"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n: 3\ndepth: 2\n1: 2\nzz: 3\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.1\n",
+            "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.1\n"
+            "  1: 2\n  zz: 3\n",
+        ],
+        ids=["top", "noise"],
+    )
+    def test_unknown_keys_of_mixed_types_are_refused_by_the_cli(self, tmp_path, text):
+        path = _write_yaml(tmp_path / "mixed.yaml", text)
+        out = tmp_path / "cal.txt"
+        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught TypeError
+        assert "error: unknown" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing"):
@@ -481,6 +510,13 @@ class TestStorage:
         assert back[0]["a"] == "1"
         assert float(back[1]["b"]) == 0.3
         assert [r["c"] for r in back] == ["x", "y"]
+
+    def test_csv_writes_numpy_floats_by_their_float_repr(self, tmp_path):
+        # np.float64 subclasses float; numpy 2 reprs it as np.float64(1.5)
+        rows = [{"a": np.float64(1.5), "b": np.float32(0.25), "c": np.float64(0.1)}]
+        path = tmp_path / "np.csv"
+        write_csv(str(path), ("a", "b", "c"), rows)
+        assert path.read_text(encoding="utf-8") == "a,b,c\n1.5,0.25,0.1\n"
 
     def test_report_columns_pinned(self, tmp_path):
         row = {col: 0 for col in REPORT_COLUMNS}
@@ -823,13 +859,13 @@ class TestBatchedReport:
     def test_each_overlap_is_computed_once(self, nested_case, monkeypatch):
         config, cal, tomo = nested_case
         computed = []
-        half_overlap = XiTable.half_overlap
+        half_overlap = protocols.half_overlap
 
-        def counting(xi, label, observable):
-            computed.append((label, observable))
-            return half_overlap(xi, label, observable)
+        def counting(operator, observable):
+            computed.append((operator.tobytes(), observable))
+            return half_overlap(operator, observable)
 
-        monkeypatch.setattr(XiTable, "half_overlap", counting)
+        monkeypatch.setattr(protocols, "half_overlap", counting)
         comparison_rows(config, tomo, cal)
         assert computed and len(computed) == len(set(computed))
 
@@ -1293,6 +1329,36 @@ class TestCli:
         )
         assert result.exit_code == 1
         assert "qubit counts disagree" in result.output
+
+    def test_estimate_rejects_mismatched_directions(self, config_file, tmp_path):
+        runner = CliRunner()
+        cal_path = str(tmp_path / "cal.txt")
+        tomo_path = str(tmp_path / "tomo.txt")
+        for command, path in (("calibrate", cal_path), ("tomography", tomo_path)):
+            result = runner.invoke(main, [command, "--config", config_file, "--out", path])
+            assert result.exit_code == 0, result.output
+        with open(config_file, encoding="utf-8") as fh:
+            text = fh.read()
+        reordered = _write_yaml(tmp_path / "zxy.yaml", text + "directions: [z, x, y]\n")
+        report_path = tmp_path / "r.csv"
+        result = runner.invoke(
+            main,
+            [
+                "estimate",
+                "--config",
+                reordered,
+                "--calibration",
+                cal_path,
+                "--tomography",
+                tomo_path,
+                "--out",
+                str(report_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "do not match" in result.output
+        assert not report_path.exists()
 
     def test_run_freezes_the_heap_before_main(self, monkeypatch):
         calls = []

@@ -16,6 +16,7 @@ from oracles import (
     parity_counts,
     sorted_shade_cells,
     support_shades,
+    xi_by_label,
 )
 
 from xshadow import protocols
@@ -50,13 +51,12 @@ from xshadow.qsim import (
     random_circuit_state,
     rotation_gate,
 )
-from xshadow.shadows import compute_xi
 from xshadow.storage import write_tomography
 
 
 @pytest.fixture(scope="module")
 def pauli_xi():
-    return compute_xi(pauli_directions())
+    return xi_by_label(pauli_directions())
 
 
 def _noiseless(n):
@@ -449,7 +449,7 @@ class TestCountTableKernel:
     def test_point_estimates_equal_per_record_means(self, noisy_data, direction_set):
         cal, tomos = noisy_data
         tomo = tomos[direction_set]
-        xi = compute_xi(tomo.directions)
+        xi = xi_by_label(tomo.directions)
         for c in random_correlators(4, [1, 2, 3, 4], 3, seed=24, directions=tomo.directions):
             shades = support_shades(tomo, c, xi)
             g_v = g_hat(g_spectrum(cal), c.pattern)
@@ -552,7 +552,7 @@ class TestCountTableKernel:
     )
     def test_cells_equal_the_sorted_int64_route(self, n, direction_set, records, picks, seed):
         directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
-        xi = compute_xi(directions)
+        xi = xi_by_label(directions)
         rng = np.random.default_rng(seed)
         data = TomographyDataset(
             n,
@@ -593,7 +593,7 @@ class TestCountTableKernel:
         vectors = rng.normal(size=(130, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
-        xi = compute_xi(directions)
+        xi = xi_by_label(directions)
         data = TomographyDataset(
             3,
             directions,

@@ -9,6 +9,7 @@ from oracles import (
     kappa,
     mitigated_shade,
     unmitigated_shade,
+    xi_by_label,
 )
 
 from xshadow.bitspace import BitString
@@ -28,12 +29,12 @@ from xshadow.qsim import (
     pauli_directions,
     pauli_operator,
 )
-from xshadow.shadows import XiTable, compute_xi
+from xshadow.shadows import compute_xi, half_overlap
 
 
 @pytest.fixture(scope="module")
 def pauli_xi():
-    return compute_xi(pauli_directions())
+    return xi_by_label(pauli_directions())
 
 
 def _tilted_directions():
@@ -47,16 +48,23 @@ def _tilted_directions():
 
 
 class TestComputeXi:
-    def test_pauli_set_gives_three_sigma(self, pauli_xi):
-        assert np.allclose(pauli_xi.xi("x"), 3 * SIGMA_X, atol=1e-10)
-        assert np.allclose(pauli_xi.xi("y"), 3 * SIGMA_Y, atol=1e-10)
-        assert np.allclose(pauli_xi.xi("z"), 3 * SIGMA_Z, atol=1e-10)
+    def test_pauli_set_gives_three_sigma(self):
+        operators = compute_xi(pauli_directions())
+        assert isinstance(operators, tuple) and len(operators) == 3
+        for op, sigma in zip(operators, (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+            assert np.allclose(op, 3 * sigma, atol=1e-10)
 
-    def test_half_overlap_is_three_delta_for_pauli(self, pauli_xi):
-        for nu in "xyz":
+    def test_operators_follow_the_direction_order(self):
+        x, y, z = pauli_directions()
+        operators = compute_xi((z, x, y))
+        for op, sigma in zip(operators, (SIGMA_Z, SIGMA_X, SIGMA_Y)):
+            assert np.allclose(op, 3 * sigma, atol=1e-10)
+
+    def test_half_overlap_is_three_delta_for_pauli(self):
+        for nu, op in zip(pauli_directions(), compute_xi(pauli_directions())):
             for mu in pauli_directions():
-                expected = 3.0 if nu == mu.label else 0.0
-                assert pauli_xi.half_overlap(nu, mu) == pytest.approx(expected, abs=1e-10)
+                expected = 3.0 if nu == mu else 0.0
+                assert half_overlap(op, mu) == pytest.approx(expected, abs=1e-10)
 
     def test_incomplete_set_rejected(self):
         x, y, _ = pauli_directions()
@@ -65,7 +73,7 @@ class TestComputeXi:
 
     def test_overcomplete_set_reconstructs_frame(self):
         directions = _tilted_directions()
-        xi = compute_xi(directions)
+        operators = compute_xi(directions)
         # least-squares frame condition: mean over the set of the two
         # outcome shadows weighted by Born probabilities reproduces any state
         rng = np.random.default_rng(4)
@@ -73,22 +81,24 @@ class TestComputeXi:
         v /= np.linalg.norm(v)
         rho = (np.eye(2) + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2
         recon = np.zeros((2, 2), dtype=complex)
-        for d in directions:
+        for d, op in zip(directions, operators):
             d_sigma = pauli_operator(d)
             for s in (0, 1):
                 sign = 1 - 2 * s
                 effect = (np.eye(2) + sign * d_sigma) / 2
                 prob = np.trace(effect @ rho).real / len(directions)
-                shadow = (np.eye(2) + sign * xi.xi(d.label)) / 2
+                shadow = (np.eye(2) + sign * op) / 2
                 recon += prob * shadow
         assert np.allclose(recon, rho, atol=1e-9)
 
     def test_xi_operators_are_traceless_hermitian(self):
-        xi = compute_xi(_tilted_directions())
-        for d in xi.directions:
-            op = xi.xi(d.label)
-            assert abs(np.trace(op)) < 1e-10
-            assert np.allclose(op, op.conj().T, atol=1e-10)
+        for directions in (pauli_directions(), _tilted_directions()):
+            operators = compute_xi(directions)
+            assert len(operators) == len(directions)
+            for op in operators:
+                assert op.shape == (2, 2)
+                assert abs(np.trace(op)) < 1e-10
+                assert np.allclose(op, op.conj().T, atol=1e-10)
 
 
 class TestKappa:
@@ -219,10 +229,3 @@ class TestDenseRoutes:
                     pauli_xi, setting, BitString(2, observed), table
                 )
             assert np.allclose(averaged, plain, atol=1e-9)
-
-
-class TestXiTableValidation:
-    def test_rejects_traceful_operator(self):
-        d = direction_from_label("z")
-        with pytest.raises(ValueError):
-            XiTable((d,), {"z": np.eye(2, dtype=complex)})
