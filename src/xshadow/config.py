@@ -27,7 +27,7 @@ from typing import Any
 import yaml
 
 from .exceptions import ConfigError, NotInformationallyCompleteError
-from .noise import ChainCrosstalkModel, IndependentFlipModel, NoiseModel
+from .noise import ChainCrosstalkModel, IndependentFlipModel
 from .qsim import (
     EXACT_SIM_MAX_QUBITS,
     Direction,
@@ -45,7 +45,7 @@ NOISE_MODELS = ("independent", "chain_crosstalk")
 class ExperimentConfig:
     n: int
     depth: int
-    noise: NoiseModel
+    noise: ChainCrosstalkModel
     directions: tuple[Direction, ...] = pauli_directions()
     circuit_seed: int = 0
     calibration_shots: int = 10**6
@@ -83,7 +83,7 @@ def _require_int(value: Any, key: str, minimum: int, maximum: int | None = None)
     return value
 
 
-def _parse_noise(raw: Any, n: int) -> NoiseModel:
+def _parse_noise(raw: Any, n: int) -> ChainCrosstalkModel:
     """The noise block's model; its constructor checks the rates and gamma."""
     if not isinstance(raw, dict):
         raise ConfigError("field 'noise' must be a mapping")

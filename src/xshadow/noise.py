@@ -12,9 +12,11 @@ mitigation divides out; g(0) = 1 always.
 
 Under the twirl every ideal bit is uniform and independent of the flips
 below it, so qubit i flips at the average of its two rates, (p10 + p01)/2,
-given whatever happened on the qubits before it.  Each model builds its
-Rbar(. | 0) from that in n doubling steps (`twirled_table`, n <= 12);
-sampling has no size cap.
+given whatever happened on the qubits before it.  ChainCrosstalkModel
+builds its Rbar(. | 0) from that in n doubling steps (`twirled_table`,
+n <= 12); sampling has no size cap.  Independent flips are the chain at
+gamma = 0: IndependentFlipModel subclasses it and shares its checks and
+its table, keeping only its own sampler.
 """
 
 from __future__ import annotations
@@ -43,63 +45,23 @@ def _as_rate_array(rates, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _flip_chain_table(quiet: np.ndarray, boosted: np.ndarray) -> np.ndarray:
-    """Law of the flip pattern when qubit i flips at quiet[i], or at
-    boosted[i] if qubit i-1 flipped: each step appends qubit i as the new
-    top bit, whose lower neighbour is the old top bit."""
-    n = len(quiet)
-    if n > EXACT_SIM_MAX_QUBITS:
-        raise CapabilityError(f"twirled table needs n <= {EXACT_SIM_MAX_QUBITS}, got n={n}")
-    table = np.array([1.0 - quiet[0], quiet[0]])
-    for i in range(1, n):
-        rate = np.repeat([quiet[i], boosted[i]], len(table) // 2)
-        table = np.concatenate((table * (1.0 - rate), table * rate))
-    return table
-
-
-class NoiseModel:
-    """Base readout channel.  Subclasses push (M, n) uint8 ideal bits
-    through it (`sample_bits`) and give its twirled table."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n = n
-
-
-class IndependentFlipModel(NoiseModel):
-    """Each qubit flips independently: 1->0 with rate p10, 0->1 with rate p01."""
-
-    def __init__(self, n: int, p10, p01):
-        super().__init__(n)
-        self.p10 = _as_rate_array(p10, n, "p10")
-        self.p01 = _as_rate_array(p01, n, "p01")
-
-    def twirled_table(self) -> np.ndarray:
-        """Rbar(. | 0): the product of per-qubit flips at (p10 + p01)/2."""
-        rate = 0.5 * (self.p10 + self.p01)
-        return _flip_chain_table(rate, rate)
-
-    def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        bits = np.asarray(ideal_bits, dtype=np.uint8)
-        rate = np.where(bits == 1, self.p10, self.p01)
-        flips = rng.random(bits.shape) < rate
-        return bits ^ flips.astype(np.uint8)
-
-
-class ChainCrosstalkModel(NoiseModel):
+class ChainCrosstalkModel:
     """Directed-chain correlated flips.
 
     Qubit 0 flips at its base rate.  For i >= 1, if qubit i-1's readout
     flipped in the same shot, qubit i's flip probability is raised from its
     base rate to min(1, rate + gamma); otherwise the base rate applies.
-    gamma = 0 reduces exactly to IndependentFlipModel.
+    The constructor is the one check of n, the rates and gamma; the model
+    pushes (M, n) uint8 ideal bits through the channel (`sample_bits`) and
+    gives its twirled table.
     """
 
     def __init__(self, n: int, p10, p01, gamma: float):
-        super().__init__(n)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         if not _is_real(gamma) or not 0.0 <= gamma < 1.0:  # NaN fails too
             raise ValueError(f"gamma must be a number in [0, 1), got {gamma!r}")
+        self.n = n
         self.p10 = _as_rate_array(p10, n, "p10")
         self.p01 = _as_rate_array(p01, n, "p01")
         self.gamma = float(gamma)
@@ -107,10 +69,22 @@ class ChainCrosstalkModel(NoiseModel):
     def twirled_table(self) -> np.ndarray:
         """Rbar(. | 0): a Markov chain of flips along the qubits, at
         (p10 + p01)/2, or at the average of the two boosted rates after
-        a flip."""
+        a flip.  Each step appends qubit i as the new top bit, whose lower
+        neighbour is the old top bit.  At gamma = 0 the boosted rate is
+        the quiet one bit for bit, so the table is the product of
+        independent per-qubit flips."""
+        if self.n > EXACT_SIM_MAX_QUBITS:
+            raise CapabilityError(
+                f"twirled table needs n <= {EXACT_SIM_MAX_QUBITS}, got n={self.n}"
+            )
+        quiet = 0.5 * (self.p10 + self.p01)
         boosted = 0.5 * (np.minimum(1.0, self.p10 + self.gamma)
                          + np.minimum(1.0, self.p01 + self.gamma))
-        return _flip_chain_table(0.5 * (self.p10 + self.p01), boosted)
+        table = np.array([1.0 - quiet[0], quiet[0]])
+        for i in range(1, self.n):
+            rate = np.repeat([quiet[i], boosted[i]], len(table) // 2)
+            table = np.concatenate((table * (1.0 - rate), table * rate))
+        return table
 
     def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Flip a column-major copy of the bits one qubit at a time, in
@@ -133,3 +107,18 @@ class ChainCrosstalkModel(NoiseModel):
             column ^= flips
         return out
 
+
+class IndependentFlipModel(ChainCrosstalkModel):
+    """Each qubit flips independently: 1->0 with rate p10, 0->1 with rate
+    p01.  This is the chain at gamma = 0, whose checks and twirled table it
+    shares; it keeps its own sampler, one row-major draw of (M, n)
+    uniforms, so it agrees with the chain's in law but not draw for draw."""
+
+    def __init__(self, n: int, p10, p01):
+        super().__init__(n, p10, p01, 0.0)
+
+    def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        bits = np.asarray(ideal_bits, dtype=np.uint8)
+        rate = np.where(bits == 1, self.p10, self.p01)
+        flips = rng.random(bits.shape) < rate
+        return bits ^ flips.astype(np.uint8)

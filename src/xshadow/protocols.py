@@ -45,12 +45,13 @@ import numpy as np
 
 from .bitspace import BitString, walsh_transform
 from .exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
-from .noise import NoiseModel
+from .noise import ChainCrosstalkModel
 from .qsim import (
     Correlator,
     EXACT_SIM_MAX_QUBITS,
     Direction,
     StateVector,
+    _check_direction_labels,
     pauli_directions,
     rotation_gate,
 )
@@ -155,7 +156,9 @@ class EstimateReport:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _twirled_readout(ideal: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def _twirled_readout(
+    ideal: np.ndarray, model: ChainCrosstalkModel, rng: np.random.Generator
+) -> np.ndarray:
     """Read the (M, n) ideal bits out through the X-twirled channel.
 
     Draw the (M, n) masks t, flip the bits by them, push them through the
@@ -171,7 +174,7 @@ def _twirled_readout(ideal: np.ndarray, model: NoiseModel, rng: np.random.Genera
     return observed
 
 
-def run_calibration(model: NoiseModel, shots: int, seed: int) -> CalibrationDataset:
+def run_calibration(model: ChainCrosstalkModel, shots: int, seed: int) -> CalibrationDataset:
     """Collect twirled calibration records from the all-zeros state.
 
     Per shot: draw t uniformly; the ideal readout is t itself (the flip
@@ -279,7 +282,7 @@ def _tree_outcomes(
 def run_tomography(
     state: StateVector,
     directions: tuple[Direction, ...] | list[Direction],
-    model: NoiseModel,
+    model: ChainCrosstalkModel,
     shots: int,
     seed: int,
 ) -> TomographyDataset:
@@ -305,10 +308,7 @@ def run_tomography(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     directions = tuple(directions)
-    if not directions:
-        raise ValueError("direction set is empty")
-    if len({d.label for d in directions}) != len(directions):
-        raise ValueError("direction labels must be unique")
+    _check_direction_labels([d.label for d in directions])
     _check_direction_count(len(directions))
     if model.n != state.n:
         raise ValueError(f"noise model is on {model.n} qubits, state on {state.n}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +61,15 @@ DIRECTION_Z = Direction("z", (0.0, 0.0, 1.0))
 def pauli_directions() -> tuple[Direction, Direction, Direction]:
     """The default direction set {x, y, z}."""
     return (DIRECTION_X, DIRECTION_Y, DIRECTION_Z)
+
+
+def _check_direction_labels(labels: Sequence[str]) -> None:
+    """The rule every direction set obeys: it is nonempty and its labels
+    are distinct (a ValueError otherwise)."""
+    if not labels:
+        raise ValueError("direction set is empty")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"direction labels {tuple(labels)} repeat")
 
 
 def direction_from_label(label: str) -> Direction:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import NotInformationallyCompleteError
-from .qsim import Direction, IDENTITY_2, pauli_directions, pauli_operator
+from .qsim import Direction, IDENTITY_2, _check_direction_labels, pauli_directions, pauli_operator
 
 G_FLOOR = 1e-6
 
@@ -48,10 +48,7 @@ def compute_xi(directions: Sequence[Direction]) -> tuple[np.ndarray, ...]:
     multiple of the identity.
     """
     directions = tuple(directions)
-    if len({d.label for d in directions}) != len(directions):
-        raise ValueError("direction labels must be unique")
-    if not directions:
-        raise ValueError("direction set is empty")
+    _check_direction_labels([d.label for d in directions])
     basis = [IDENTITY_2, *(pauli_operator(d) for d in pauli_directions())]
     frame = np.zeros((2 * len(directions), 4))
     for j, direction in enumerate(directions):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exceptions import DataFormatError
 from .protocols import CalibrationDataset, TomographyDataset
-from .qsim import Direction, direction_from_label
+from .qsim import Direction, _check_direction_labels, direction_from_label
 
 CALIBRATION_TYPE = "calibration"
 TOMOGRAPHY_TYPE = "tomography"
@@ -161,19 +161,17 @@ def read_calibration(path: str) -> CalibrationDataset:
     return CalibrationDataset(n=n, outcomes=bits, seed=_parse_seed(headers, path))
 
 
-def _label_problem(labels: Sequence[str]) -> str | None:
-    """Why a direction label set cannot head a tomography file, or None."""
-    if not labels:
-        return "direction set is empty"
+def _check_labels(labels: Sequence[str]) -> None:
+    """A ValueError if the direction label set cannot head a tomography
+    file: it breaks the direction-set rule, or a label is not one of
+    _LABEL_CHARACTERS."""
+    _check_direction_labels(labels)
     for label in labels:
         if label not in _LABEL_CHARACTERS:
-            return (
+            raise ValueError(
                 f"direction label {label!r} is not one printable ASCII character "
                 "other than space, ',' and '#'"
             )
-    if len(set(labels)) != len(labels):
-        return f"direction labels {tuple(labels)} repeat"
-    return None
 
 
 def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.ndarray:
@@ -191,9 +189,7 @@ def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.n
 
 def write_tomography(path: str, dataset: TomographyDataset) -> None:
     labels = [d.label for d in dataset.directions]
-    problem = _label_problem(labels)
-    if problem:
-        raise ValueError(problem)
+    _check_labels(labels)
     extra = [("directions", ",".join(labels))]
     with open(path, "wb") as fh:
         fh.write(_header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra).encode())
@@ -209,21 +205,16 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     if "directions" not in headers:
         raise DataFormatError(f"{path}: missing #directions= header")
     n = int(headers["n"])
-    labels = tuple(headers["directions"].split(","))
-    problem = _label_problem(labels)
-    if problem:
-        raise DataFormatError(f"{path}: {problem}")
-    if directions is None:
-        try:
+    labels = tuple(headers["directions"].split(",")) if headers["directions"] else ()
+    try:
+        _check_labels(labels)
+        if directions is None:
             directions = tuple(direction_from_label(label) for label in labels)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-    else:
-        directions = tuple(directions)
-        if tuple(d.label for d in directions) != labels:
-            raise DataFormatError(
-                f"{path}: file directions {labels} do not match the provided set"
-            )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    directions = tuple(directions)
+    if tuple(d.label for d in directions) != labels:
+        raise DataFormatError(f"{path}: file directions {labels} do not match the provided set")
     raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
     between = raw[:, 1 : 2 * n : 2]
     separators = np.frombuffer(b"," * (n - 1) + b" ", dtype=np.uint8)

@@ -12,17 +12,18 @@ through `tensordot_single_qubit`, the tensordot form of the library's
 gate application, and `born_outcomes` searches the full normalised CDF.
 `chain_sample_bits` is the row-major chain-crosstalk sampler with a
 `np.where` rate per qubit that the column-major one must reproduce draw
-for draw.  Each noise model builds its twirled table Rbar(. | 0) as
-a Markov chain of flips; `transition_row` gives the model's untwirled
-rows R(. | ideal) and `twirl_table` averages all 2^n of them over
+for draw.  The noise models build their twirled table Rbar(. | 0) as
+a Markov chain of flips; `transition_row` gives a model's untwirled
+rows R(. | ideal), the independent model's as a plain product of
+per-qubit flips, and `twirl_table` averages all 2^n of them over
 translations.  The oracles take a direction set's shadow operators keyed
 by label (`xi_by_label`), since a `MeasurementSetting` holds directions,
 not setting indices.  The dense shadow matrices check the factorised shades and
 their Fourier-space mitigation against the full 2^n x 2^n operators.  The
 single-record shades (`unmitigated_shade`, `mitigated_shade` with its
-`dot_mod2_sign`), `fourier_shadow_trace`, `kappa` and `median_of_means`
-are the paper's formulas one record or one block at a time, which the
-tests and acceptance checks evaluate directly.  The convergence studies
+`dot_mod2_sign`), `fourier_shadow_trace` and `kappa` are the paper's
+formulas one record at a time, which the tests and acceptance checks
+evaluate directly.  The convergence studies
 take the exact expected squared error of a subsample mean;
 `monte_carlo_study` draws the subsamples instead.  `bitstring_from_text`
 and `read_csv` parse the text forms the library only writes, `bit` reads
@@ -38,7 +39,7 @@ import numpy as np
 
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
-from xshadow.noise import ChainCrosstalkModel
+from xshadow.noise import IndependentFlipModel
 from xshadow.protocols import _resample_means
 from xshadow.qsim import IDENTITY_2, Correlator, Direction, pauli_operator, rotation_gate
 from xshadow.shadows import G_FLOOR, compute_xi, half_overlap
@@ -235,9 +236,9 @@ def transition_row(model, ideal):
     """R(. | ideal) as a length-2^n probability vector over observed
     values, the product over qubits of each one's flip or stay
     probability; an array of ideal values gives one row per value."""
-    if isinstance(model, ChainCrosstalkModel):
-        return _chain_row(model, ideal)
-    return _independent_row(model, ideal)
+    if isinstance(model, IndependentFlipModel):  # a subclass of the chain model
+        return _independent_row(model, ideal)
+    return _chain_row(model, ideal)
 
 
 def twirl_table(model):
@@ -382,16 +383,6 @@ def fourier_shadow_trace(
             right = pauli_operator(correlator.observables[qubit])
         value *= np.trace(left @ right).real
     return float(value)
-
-
-def median_of_means(values, groups: int) -> float:
-    """Median of the means of `groups` contiguous blocks; groups=1 is the mean."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a nonempty 1-d array")
-    if not 1 <= groups <= values.size:
-        raise ValueError(f"groups must lie in [1, {values.size}], got {groups}")
-    return float(np.median([block.mean() for block in np.array_split(values, groups)]))
 
 
 def bitstring_from_text(text: str) -> BitString:

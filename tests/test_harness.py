@@ -56,6 +56,7 @@ from xshadow.qsim import (
     pauli_directions,
     random_circuit_state,
 )
+from xshadow.shadows import compute_xi
 from xshadow.storage import (
     REPORT_COLUMNS,
     read_calibration,
@@ -528,6 +529,50 @@ class TestStorage:
             "correlator_id,degree,pattern,truth,mitigated,mitigated_se,"
             "unmitigated,unmitigated_se,indep,indep_se,g_hat"
         )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused direction set got past the check")
+
+
+class TestDirectionSetRule:
+    """Every entry point that takes a direction set refuses an empty or a
+    repeated one with the rule's own message, before it does any work."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["compute_xi", "run_tomography", "write_tomography", "read_tomography", "parse_config"],
+    )
+    @pytest.mark.parametrize(
+        "labels,message",
+        [((), "direction set is empty"), (("z", "z"), r"direction labels \('z', 'z'\) repeat")],
+        ids=["empty", "repeated"],
+    )
+    def test_every_entry_point_refuses(self, tmp_path, monkeypatch, entry, labels, message):
+        directions = tuple(direction_from_label(label) for label in labels)
+        path = tmp_path / "tomo.txt"
+        error = ValueError
+        if entry == "compute_xi":
+            call = lambda: compute_xi(directions)
+        elif entry == "run_tomography":
+            state = random_circuit_state(1, 2, seed=0)
+            model = ChainCrosstalkModel(1, 0.1, 0.1, 0.2)
+            monkeypatch.setattr(np.random, "default_rng", _no_work)  # refused before any draw
+            call = lambda: run_tomography(state, directions, model, 10, seed=0)
+        elif entry == "write_tomography":
+            no_records = np.zeros((0, 1), dtype=np.uint8)
+            dataset = TomographyDataset(1, directions, no_records, no_records)
+            call = lambda: write_tomography(str(path), dataset)
+        elif entry == "read_tomography":
+            path.write_text(f"#n=1\n#type=tomography\n#directions={','.join(labels)}\nz 0\n")
+            monkeypatch.setattr(storage, "_decode_rows", _no_work)  # refused before the body
+            call, error = lambda: read_tomography(str(path)), DataFormatError
+        else:
+            call = lambda: _config(directions=list(labels))
+            error, message = ConfigError, "field 'directions': " + message
+        with pytest.raises(error, match=message):
+            call()
+        assert entry == "read_tomography" or not path.exists()
 
 
 # the tomography label alphabet: printable ASCII but space, comma and '#'

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import chain_sample_bits, transition_row, twirl_table
+from oracles import _chain_row, _independent_row, chain_sample_bits, transition_row, twirl_table
 
 from xshadow.bitspace import walsh_transform
 from xshadow.exceptions import CapabilityError
@@ -88,10 +88,36 @@ class TestChainCrosstalkModel:
         assert transition_row(model, 0)[0b11] == pytest.approx(0.1 * 0.6, abs=1e-15)
 
     def test_gamma_zero_reduces_to_independent(self):
-        chain = ChainCrosstalkModel(3, 0.07, 0.05, 0.0)
-        indep = IndependentFlipModel(3, 0.07, 0.05)
-        for ideal in range(8):
-            assert np.allclose(transition_row(chain, ideal), transition_row(indep, ideal))
+        """The chain oracle at gamma = 0 against the plain product of flips."""
+        p10, p01 = [0.07, 0.2, 1.0], [0.05, 0.0, 0.3]
+        ideal = np.arange(8)
+        chain_rows = _chain_row(ChainCrosstalkModel(3, p10, p01, 0.0), ideal)
+        assert np.allclose(chain_rows, _independent_row(IndependentFlipModel(3, p10, p01), ideal))
+
+    def test_independent_model_is_the_chain_at_gamma_zero(self):
+        model = IndependentFlipModel(3, [0.1, 0.2, 0.3], 0.05)
+        assert isinstance(model, ChainCrosstalkModel)
+        assert model.gamma == 0.0
+        assert "twirled_table" not in vars(IndependentFlipModel)
+
+    def test_samplers_agree_in_law_at_gamma_zero(self):
+        """Both samplers on every ideal value, counted per (ideal, observed)
+        cell: their frequencies differ by at most 4 sigma of a difference
+        of two binomial means."""
+        p10, p01 = [0.15, 0.3, 0.05], [0.08, 0.1, 0.25]
+        indep = IndependentFlipModel(3, p10, p01)
+        chain = ChainCrosstalkModel(3, p10, p01, 0.0)
+        per_ideal = 20000
+        values = np.repeat(np.arange(8), per_ideal)
+        ideal = ((values[:, None] >> np.arange(3)) & 1).astype(np.uint8)
+        frequencies = []
+        for model, seed in ((indep, 11), (chain, 12)):
+            observed = model.sample_bits(ideal, np.random.default_rng(seed))
+            cells = 8 * values + observed @ (1 << np.arange(3))
+            frequencies.append(np.bincount(cells, minlength=64).reshape(8, 8) / per_ideal)
+        rows = _independent_row(indep, np.arange(8))
+        tol = 4 * np.sqrt(2 * rows * (1 - rows) / per_ideal) + 1e-9
+        assert np.all(np.abs(frequencies[0] - frequencies[1]) <= tol)
 
     def test_rows_are_distributions(self):
         model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
@@ -232,9 +258,11 @@ class TestTwirledTable:
             assert np.max(np.abs(table - twirl_table(model))) <= 1e-14
             assert table.sum() == pytest.approx(1.0, abs=1e-14)
             assert np.all(table >= 0)
-        assert np.array_equal(
-            ChainCrosstalkModel(n, p10, p01, 0.0).twirled_table(), indep.twirled_table()
-        )
+        # at gamma = 0 the table is the product of per-qubit twirled flips, bit for bit
+        product = np.ones(1)
+        for rate in 0.5 * (np.asarray(p10) + np.asarray(p01)):
+            product = np.kron([1.0 - rate, rate], product)
+        assert np.array_equal(indep.twirled_table(), product)
 
     def test_refuses_more_than_twelve_qubits(self):
         for model in (IndependentFlipModel(13, 0.1, 0.1), ChainCrosstalkModel(13, 0.1, 0.1, 0.2)):

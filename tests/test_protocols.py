@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
+    MeasurementSetting,
     bitstring_from_text,
     born_outcomes,
     cell_codes,
     independent_model_values,
-    median_of_means,
+    measurement_probabilities,
     pack_bits,
     parity_counts,
     sorted_shade_cells,
     support_shades,
+    twirl_table,
     xi_by_label,
 )
 
@@ -272,6 +275,62 @@ class TestRunTomography:
             TomographyDataset(
                 2, directions, np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 2), dtype=np.uint8)
             )
+
+
+def _g_statistic(observed, expected):
+    """G = 2 sum O ln(O / E) over the cells; a cell of O = 0 adds 0."""
+    seen = observed > 0
+    return 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+
+
+class TestExactLaw:
+    """The collectors' records against their exact law by a G-test at
+    significance 1e-3, with fixed seeds.  Every expected cell count is at
+    least 5, so G is near chi-square with cells - 1 degrees of freedom;
+    its 0.999 quantiles are written in (scipy.stats.chi2.ppf), as scipy is
+    not a dependency.  The law is built from the oracles: the twirled row
+    Rbar(. | 0) averaged over exact rows and the Born rows of a rotated
+    state."""
+
+    CRITICAL = {7: 24.3219, 63: 103.4424, 215: 284.8153}
+    SHOTS = 20000
+
+    @staticmethod
+    def _models(n):
+        p10, p01 = [0.1, 0.2, 0.05][:n], [0.05, 0.1, 0.15][:n]
+        return {
+            "independent": IndependentFlipModel(n, p10, p01),
+            "chain": ChainCrosstalkModel(n, p10, p01, 0.4),
+        }
+
+    def _assert_law(self, codes, law):
+        expected = self.SHOTS * law.ravel()
+        assert expected.min() >= 5.0
+        observed = np.bincount(codes, minlength=len(expected))
+        assert _g_statistic(observed, expected) < self.CRITICAL[len(expected) - 1]
+
+    @pytest.mark.parametrize("model_name", ["independent", "chain"])
+    @pytest.mark.parametrize("n,direction_set", [(3, "pauli"), (2, "tilted")])
+    def test_tomography_records(self, n, direction_set, model_name):
+        """P(s, x) = k^-n sum_y Born(y | s) Rbar(x XOR y | 0)."""
+        directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
+        model = self._models(n)[model_name]
+        state = random_circuit_state(n, 6, seed=3)
+        k, values = len(directions), np.arange(1 << n)
+        channel = twirl_table(model)[values[:, None] ^ values]  # [x, y] = Rbar(x XOR y | 0)
+        law = np.empty((k**n, 1 << n))  # row: setting code, qubit 0 least significant
+        for code, setting in enumerate(itertools.product(range(k), repeat=n)):
+            rotated = MeasurementSetting(tuple(directions[i] for i in reversed(setting)))
+            law[code] = channel @ measurement_probabilities(state, rotated) / k**n
+        data = run_tomography(state, directions, model, self.SHOTS, seed=41)
+        settings = data.setting_indices.astype(np.int64) @ k ** np.arange(n)
+        self._assert_law(settings * 2**n + pack_bits(data.outcomes), law)
+
+    @pytest.mark.parametrize("model_name", ["independent", "chain"])
+    def test_calibration_records(self, model_name):
+        model = self._models(3)[model_name]
+        data = run_calibration(model, self.SHOTS, seed=42)
+        self._assert_law(pack_bits(data.outcomes), twirl_table(model))
 
 
 class TestEstimators:
@@ -724,22 +783,6 @@ class TestFrozenDatasets:
         path = tmp_path / "tomography.txt"
         write_tomography(str(path), data)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-class TestMedianOfMeans:
-    def test_single_group_is_mean(self):
-        assert median_of_means([1.0, 2.0, 6.0], 1) == pytest.approx(3.0)
-
-    def test_outlier_resistance(self):
-        values = np.array([0.0, 0.0, 0.0, 0.0, 100.0, 0.0])
-        assert median_of_means(values, 3) == pytest.approx(0.0)
-        assert median_of_means(values, 1) == pytest.approx(100.0 / 6)
-
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            median_of_means([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            median_of_means([], 1)
 
 
 class TestSampleBounds:
