@@ -2,11 +2,14 @@
 
 Config files are UTF-8 YAML: a flat mapping of scalar keys plus one
 nested `noise` block.  Unknown and repeated keys anywhere are rejected so
-typos in rate arrays cannot pass silently.  Parsing yields the objects
-a run uses: the noise model, whose constructor is the one check of the
-rates and gamma, and the measurement directions, which compute_xi checks
-to be nonempty, distinct and informationally complete; the circuit state
-is built on first use of `ExperimentConfig.state`.  Example::
+typos in rate arrays cannot pass silently.  Each field of
+`ExperimentConfig` states its key's default and any integer bounds, and
+parse_config checks only the keys the file gives.  Parsing yields the
+objects a run uses: the noise model, whose constructor is the one check
+of the rates and gamma, and the measurement directions; compute_xi checks
+a direction set the file gives to be nonempty, distinct and
+informationally complete.  The circuit state is built on first use of
+`ExperimentConfig.state`.  Example::
 
     n: 8
     depth: 20
@@ -21,7 +24,7 @@ is built on first use of `ExperimentConfig.state`.  Example::
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 import yaml
@@ -39,30 +42,31 @@ from .qsim import (
 from .shadows import compute_xi
 
 NOISE_MODELS = ("independent", "chain_crosstalk")
+_DEGREE_KEYS = ("correlator_degrees", "study_weights")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    n: int
-    depth: int
+    n: int = field(metadata={"minimum": 1, "maximum": EXACT_SIM_MAX_QUBITS})
+    depth: int = field(metadata={"minimum": 0})
     noise: ChainCrosstalkModel
     directions: tuple[Direction, ...] = pauli_directions()
-    circuit_seed: int = 0
-    calibration_shots: int = 10**6
-    tomography_shots: int = 10**6
-    calibration_seed: int = 1
-    tomography_seed: int = 2
-    bootstrap_resamples: int = 200
-    bootstrap_seed: int = 0
-    correlator_degrees: tuple[int, ...] = (1, 2, 3, 4)
-    correlators_per_degree: int = 3
-    correlator_seed: int = 101
-    study_weights: tuple[int, ...] = (1, 2, 3, 4)
-    wavevectors_per_weight: int = 4
-    correlators_per_degree_study: int = 5
-    grid_points: int = 8
-    grid_min: int = 1000
-    study_seed: int = 7
+    circuit_seed: int = field(default=0, metadata={"minimum": 0})
+    calibration_shots: int = field(default=10**6, metadata={"minimum": 1})
+    tomography_shots: int = field(default=10**6, metadata={"minimum": 1})
+    calibration_seed: int = field(default=1, metadata={"minimum": 0})
+    tomography_seed: int = field(default=2, metadata={"minimum": 0})
+    bootstrap_resamples: int = field(default=200, metadata={"minimum": 2})
+    bootstrap_seed: int = field(default=0, metadata={"minimum": 0})
+    correlator_degrees: tuple[int, ...] = (1, 2, 3, 4)  # clipped to n when absent
+    correlators_per_degree: int = field(default=3, metadata={"minimum": 1})
+    correlator_seed: int = field(default=101, metadata={"minimum": 0})
+    study_weights: tuple[int, ...] = correlator_degrees  # the same default, also clipped
+    wavevectors_per_weight: int = field(default=4, metadata={"minimum": 1})
+    correlators_per_degree_study: int = field(default=5, metadata={"minimum": 1})
+    grid_points: int = field(default=8, metadata={"minimum": 2})
+    grid_min: int = field(default=1000, metadata={"minimum": 1})
+    study_seed: int = field(default=7, metadata={"minimum": 0})
 
     @functools.cached_property
     def state(self) -> StateVector:
@@ -111,63 +115,42 @@ def _parse_noise(raw: Any, n: int) -> ChainCrosstalkModel:
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
-    """Validate a raw mapping into an ExperimentConfig."""
+    """Validate a raw mapping into an ExperimentConfig, key by key in
+    field order (n first); an absent key keeps its field's default."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    keys = fields(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown, key=str)}")
-    for required in ("n", "depth", "noise"):
-        if required not in raw:
-            raise ConfigError(f"config is missing field {required!r}")
+    for f in keys:
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigError(f"config is missing field {f.name!r}")
 
-    n = _require_int(raw["n"], "n", 1, EXACT_SIM_MAX_QUBITS)
-    depth = _require_int(raw["depth"], "depth", 0)
-    noise = _parse_noise(raw["noise"], n)
-
-    values: dict[str, Any] = {"n": n, "depth": depth, "noise": noise}
-
-    labels = raw.get("directions", ["x", "y", "z"])
-    if not isinstance(labels, (list, tuple)):  # a bare string would read as labels
-        raise ConfigError("field 'directions' must be a list of labels")
-    try:
-        values["directions"] = tuple(direction_from_label(label) for label in labels)
-        compute_xi(values["directions"])  # refuses an empty, repeated or incomplete set
-    except (ValueError, NotInformationallyCompleteError) as exc:
-        raise ConfigError(f"field 'directions': {exc}") from exc
-
-    int_minimums = {
-        "circuit_seed": 0,
-        "calibration_shots": 1,
-        "tomography_shots": 1,
-        "calibration_seed": 0,
-        "tomography_seed": 0,
-        "bootstrap_resamples": 2,
-        "bootstrap_seed": 0,
-        "correlators_per_degree": 1,
-        "correlator_seed": 0,
-        "wavevectors_per_weight": 1,
-        "correlators_per_degree_study": 1,
-        "grid_points": 2,
-        "grid_min": 1,
-        "study_seed": 0,
-    }
-    for key, minimum in int_minimums.items():
-        if key in raw:
-            values[key] = _require_int(raw[key], key, minimum)
-
-    for key in ("correlator_degrees", "study_weights"):
-        if key in raw:
-            seq = raw[key]
-            if not isinstance(seq, (list, tuple)) or not seq:
+    values: dict[str, Any] = {}
+    for f in keys:
+        key, value = f.name, raw.get(f.name)
+        if key not in raw:
+            if key in _DEGREE_KEYS:  # the default, clipped to n
+                values[key] = tuple(k for k in f.default if k <= values["n"])
+        elif f.metadata:
+            values[key] = _require_int(value, key, **f.metadata)
+        elif key == "noise":
+            values[key] = _parse_noise(value, values["n"])
+        elif key == "directions":
+            if not isinstance(value, (list, tuple)):  # a bare string would read as labels
+                raise ConfigError("field 'directions' must be a list of labels")
+            try:
+                values[key] = tuple(direction_from_label(label) for label in value)
+                compute_xi(values[key])  # refuses an empty, repeated or incomplete set
+            except (ValueError, NotInformationallyCompleteError) as exc:
+                raise ConfigError(f"field 'directions': {exc}") from exc
+        elif key in _DEGREE_KEYS:
+            if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigError(f"field {key!r} must be a nonempty list of integers")
-            values[key] = tuple(_require_int(v, key, 1, n) for v in seq)
+            values[key] = tuple(_require_int(v, key, 1, values["n"]) for v in value)
             if len(set(values[key])) != len(values[key]):
                 raise ConfigError(f"field {key!r} must not repeat an entry")
-        else:
-            values[key] = tuple(k for k in (1, 2, 3, 4) if k <= n)
-
     return ExperimentConfig(**values)
 
 

@@ -315,10 +315,9 @@ def run_tomography(
     n, k = state.n, len(directions)
     rng = np.random.default_rng(seed)
     settings = np.asfortranarray(rng.integers(0, k, size=(shots, n), dtype=np.uint8))
-    born = rng.random(shots)
-
     gates = np.array([rotation_gate(d) for d in directions])
-    ideal = _tree_outcomes(state.amplitudes, gates, settings, born)  # draws nothing
+    # the Born variates, freed before the readout; _tree_outcomes draws nothing
+    ideal = _tree_outcomes(state.amplitudes, gates, settings, rng.random(shots))
     outcomes = _twirled_readout(ideal, model, rng)
     return TomographyDataset(n, directions, settings, outcomes, seed=seed)
 

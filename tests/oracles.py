@@ -12,11 +12,12 @@ through `tensordot_single_qubit`, the tensordot form of the library's
 gate application, and `born_outcomes` searches the full normalised CDF.
 `chain_sample_bits` is the row-major chain-crosstalk sampler with a
 `np.where` rate per qubit that the column-major one must reproduce draw
-for draw.  The noise models build their twirled table Rbar(. | 0) as
-a Markov chain of flips; `transition_row` gives a model's untwirled
-rows R(. | ideal), the independent model's as a plain product of
-per-qubit flips, and `twirl_table` averages all 2^n of them over
-translations.  The oracles take a direction set's shadow operators keyed
+for draw, and `independent_sample_bits` the one-call independent sampler
+that the row-block one must reproduce.  The noise models build their
+twirled table Rbar(. | 0) as a Markov chain of flips; `transition_row`
+gives a model's untwirled rows R(. | ideal), the independent model's as
+a plain product of per-qubit flips, and `twirl_table` averages all 2^n
+of them over translations.  The oracles take a direction set's shadow operators keyed
 by label (`xi_by_label`), since a `MeasurementSetting` holds directions,
 not setting indices.  The dense shadow matrices check the factorised shades and
 their Fourier-space mitigation against the full 2^n x 2^n operators.  The
@@ -230,6 +231,16 @@ def chain_sample_bits(model, ideal_bits, rng):
         out[:, i] ^= flips.astype(np.uint8)
         prev = flips
     return out
+
+
+def independent_sample_bits(model, ideal_bits, rng):
+    """The independent channel's readout of (M, n) ideal bits in one
+    call: an (M, n) np.where rate array against one rng.random((M, n))
+    draw of row-major uniforms."""
+    bits = np.asarray(ideal_bits, dtype=np.uint8)
+    rate = np.where(bits == 1, model.p10, model.p01)
+    flips = rng.random(bits.shape) < rate
+    return bits ^ flips.astype(np.uint8)
 
 
 def transition_row(model, ideal):

@@ -145,6 +145,56 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}' must be >= 0"):
             _config(**{key: -1})
 
+    # each bounded integer key's least accepted value
+    MINIMUMS = {
+        "n": 1,
+        "depth": 0,
+        "circuit_seed": 0,
+        "calibration_shots": 1,
+        "tomography_shots": 1,
+        "calibration_seed": 0,
+        "tomography_seed": 0,
+        "bootstrap_resamples": 2,
+        "bootstrap_seed": 0,
+        "correlators_per_degree": 1,
+        "correlator_seed": 0,
+        "wavevectors_per_weight": 1,
+        "correlators_per_degree_study": 1,
+        "grid_points": 2,
+        "grid_min": 1,
+        "study_seed": 0,
+    }
+
+    @pytest.mark.parametrize("key,minimum", MINIMUMS.items())
+    def test_each_bounded_field_takes_its_bound(self, key, minimum):
+        for value in (minimum, minimum + 7):
+            assert getattr(_config(**{key: value}), key) == value
+        with pytest.raises(ConfigError, match=f"field '{key}' must be >= {minimum}"):
+            _config(**{key: minimum - 1})
+
+    def test_every_field_is_parsed_by_name_or_bounded(self):
+        # a new key that is neither would be accepted and then dropped
+        by_name = {"noise", "directions", "correlator_degrees", "study_weights"}
+        bounds = {}
+        for f in dataclasses.fields(ExperimentConfig):
+            assert (f.name in by_name) != bool(f.metadata), f.name
+            if f.metadata:
+                bounds[f.name] = f.metadata["minimum"]
+        assert bounds == self.MINIMUMS
+
+    def test_direction_set_is_checked_only_when_given(self, monkeypatch):
+        def refuse(directions):
+            raise AssertionError("compute_xi called")
+
+        monkeypatch.setattr(config_module, "compute_xi", refuse)
+        assert _config().directions == pauli_directions()
+        with pytest.raises(AssertionError, match="compute_xi called"):
+            _config(directions=["z", "x", "y"])
+
+    def test_first_bad_key_in_field_order_is_reported(self):
+        with pytest.raises(ConfigError, match="correlator_degrees"):
+            _config(correlators_per_degree=0, correlator_degrees=[0])
+
     @pytest.mark.parametrize(
         "noise",
         [
