@@ -99,12 +99,11 @@ def estimate(config_path: str, calibration_path: str, tomography_path: str, out:
     """Estimate the configured correlators three ways and write the table."""
     config = load_config(config_path)
     cal = storage.read_calibration(calibration_path)
+    if cal.n != config.n:  # refused before the tomography file is read
+        raise XShadowError(f"qubit counts disagree: config n={config.n}, calibration n={cal.n}")
     tomo = storage.read_tomography(tomography_path, config.directions)
-    if cal.n != config.n or tomo.n != config.n:
-        raise XShadowError(
-            f"qubit counts disagree: config n={config.n}, "
-            f"calibration n={cal.n}, tomography n={tomo.n}"
-        )
+    if tomo.n != config.n:
+        raise XShadowError(f"qubit counts disagree: config n={config.n}, tomography n={tomo.n}")
     rows = experiments.comparison_rows(config, tomo, cal)
     storage.write_report(out, rows)
     for row in rows:

@@ -5,11 +5,11 @@ nested `noise` block.  Unknown and repeated keys anywhere are rejected so
 typos in rate arrays cannot pass silently.  Each field of
 `ExperimentConfig` states its key's default and any integer bounds, and
 parse_config checks only the keys the file gives.  Parsing yields the
-objects a run uses: the noise model, whose constructor is the one check
-of the rates and gamma, and the measurement directions; compute_xi checks
-a direction set the file gives to be nonempty, distinct and
-informationally complete.  The circuit state is built on first use of
-`ExperimentConfig.state`.  Example::
+objects a run uses: the noise model, whose constructor's parameters are
+the noise block's keys and whose constructor is their one check, and the
+measurement directions; compute_xi checks a direction set the file gives
+to be nonempty, distinct and informationally complete.  The circuit
+state is built on first use of `ExperimentConfig.state`.  Example::
 
     n: 8
     depth: 20
@@ -24,6 +24,7 @@ informationally complete.  The circuit state is built on first use of
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
@@ -41,7 +42,9 @@ from .qsim import (
 )
 from .shadows import compute_xi
 
-NOISE_MODELS = ("independent", "chain_crosstalk")
+# the noise block's `model` -> the class whose constructor parameters after
+# n are the block's other keys
+NOISE_MODELS = {"independent": IndependentFlipModel, "chain_crosstalk": ChainCrosstalkModel}
 _DEGREE_KEYS = ("correlator_degrees", "study_weights")
 
 
@@ -88,28 +91,25 @@ def _require_int(value: Any, key: str, minimum: int, maximum: int | None = None)
 
 
 def _parse_noise(raw: Any, n: int) -> ChainCrosstalkModel:
-    """The noise block's model; its constructor checks the rates and gamma."""
+    """The model that `model` names: every other key is one of its
+    constructor's parameters after n, and the constructor checks them."""
     if not isinstance(raw, dict):
         raise ConfigError("field 'noise' must be a mapping")
-    allowed = {"model", "p10", "p01", "gamma"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown noise field(s): {sorted(unknown, key=str)}")
-    for required in ("model", "p10", "p01"):
-        if required not in raw:
-            raise ConfigError(f"noise block is missing field {required!r}")
+    if "model" not in raw:
+        raise ConfigError("noise block is missing field 'model'")
     model = raw["model"]
-    if model not in NOISE_MODELS:
-        raise ConfigError(f"field 'noise.model' must be one of {NOISE_MODELS}, got {model!r}")
-    gamma = raw.get("gamma")
-    if model == "independent" and gamma is not None:
-        raise ConfigError("field 'noise.gamma' is only valid for chain_crosstalk")
-    if model == "chain_crosstalk" and gamma is None:
-        raise ConfigError("noise block is missing field 'gamma' (required for chain_crosstalk)")
+    if not isinstance(model, str) or model not in NOISE_MODELS:  # a list is unhashable
+        raise ConfigError(f"field 'noise.model' must be one of {tuple(NOISE_MODELS)}, got {model!r}")
+    cls = NOISE_MODELS[model]
+    params = list(inspect.signature(cls).parameters)[1:]
+    unknown = set(raw) - {"model", *params}
+    if unknown:
+        raise ConfigError(f"unknown {model} noise field(s): {sorted(unknown, key=str)}")
+    for name in params:
+        if name not in raw:
+            raise ConfigError(f"noise block is missing field {name!r} (required for {model})")
     try:
-        if model == "independent":
-            return IndependentFlipModel(n, raw["p10"], raw["p01"])
-        return ChainCrosstalkModel(n, raw["p10"], raw["p01"], gamma)
+        return cls(n, **{name: raw[name] for name in params})
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
 

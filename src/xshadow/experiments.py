@@ -9,14 +9,14 @@ The report is one protocols.estimate_correlators call: it bins the
 tomography records once per maximal correlator support and bootstraps
 each correlator's table three times, divided by ghat(v), 1 and the
 independent model's g(v), with all of its streams drawn side by side;
-ghat comes from one spectrum per calibration.  Both convergence studies
-reduce each curve to the mean and variance of one record's value and
-the exact truth, and share one pooled-RMS helper that takes the exact
-expected squared error of a mean of s records drawn with replacement,
-variance / s + bias^2, so neither draws a subsample: the calibration
-study's record values are the two parities, with mean ghat(w) and
-variance 1 - ghat(w)^2, and the tomography study's are the mitigated
-values of the support cells.
+ghat comes from the one spectrum each calibration keeps (`spectrum`).
+Both convergence studies reduce each curve to the mean and variance of
+one record's value and the exact truth, and share one pooled-RMS helper
+that takes the exact expected squared error of a mean of s records drawn
+with replacement, variance / s + bias^2, so neither draws a subsample:
+the calibration study's record values are the two parities, with mean
+ghat(w) and variance 1 - ghat(w)^2, and the tomography study's are the
+mitigated values of the support cells.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .protocols import (
     _shade_tables,
     estimate_correlators,
     g_hat,
-    g_spectrum,
     independent_g,
     random_correlators,
     run_calibration,
@@ -82,12 +81,11 @@ def calibration_summary(dataset: CalibrationDataset) -> str:
     for rank in order[:_SUMMARY_TOP_OUTCOMES]:
         text = BitString(dataset.n, int(values[rank])).to_text()
         lines.append(f"  {text} {counts[rank] / len(dataset):.6f}")
-    g = walsh_transform(table) / len(dataset)
     lines.append(f"g_hat by wavevector (weight <= {_SUMMARY_MAX_WEIGHT}):")
     for weight in range(1, min(_SUMMARY_MAX_WEIGHT, dataset.n) + 1):
         for support in itertools.combinations(range(dataset.n), weight):
             w = BitString(dataset.n, sum(1 << q for q in support))
-            lines.append(f"  {w.to_text()} {g[w.value]:+.6f}")
+            lines.append(f"  {w.to_text()} {dataset.spectrum[w.value]:+.6f}")
     return "\n".join(lines)
 
 
@@ -114,10 +112,9 @@ def comparison_rows(
     stream is drawn side by side.
     """
     correlators = build_correlators(config)
-    spectrum = g_spectrum(cal)
     divisors = [
         (
-            g_hat(spectrum, correlator.pattern),
+            g_hat(cal, correlator.pattern),
             1.0,
             independent_g(correlator, config.noise.p10, config.noise.p01),
         )
@@ -221,7 +218,7 @@ def g_rms_rows(
         config.n, config.study_weights, config.wavevectors_per_weight, rng
     )
     sizes = subsample_grid(len(cal), config.grid_points, config.grid_min)
-    spectrum = g_spectrum(cal)
+    spectrum = cal.spectrum
     curves = [
         (len(w.support()), spectrum[w.value], 1.0 - spectrum[w.value] ** 2, g_exact[w.value])
         for w in wavevectors
@@ -244,8 +241,7 @@ def correlator_rms_rows(
     correlators = build_correlators(config, config.correlators_per_degree_study)
     sizes = subsample_grid(len(tomo), config.grid_points, config.grid_min)
 
-    spectrum = g_spectrum(cal)
-    g_vs = [g_hat(spectrum, correlator.pattern) for correlator in correlators]
+    g_vs = [g_hat(cal, correlator.pattern) for correlator in correlators]
     curves = [
         (correlator.degree, *_moments(counts, shades / g_v), exact_expectation(state, correlator))
         for correlator, g_v, (counts, shades) in zip(

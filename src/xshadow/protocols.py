@@ -18,14 +18,14 @@ reproducible bit-for-bit.
 Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters; ghat(w) for
-every w is one Walsh transform of the calibration's outcome histogram
-(g_spectrum).  The shade kernel (_shade_tables) bins the records once per
-maximal support of a batch of correlators and reads each support nested
-in it off that table.  One estimator, estimate_correlators, serves one
-correlator or many and the mitigated, unmitigated and indep columns
-alike: it divides a support's table of unmitigated shades by each g(v)
-it is handed, ghat(v) (g_hat), 1 or the independent-flip model's
-prod (1 - p10 - p01) (independent_g).
+every w is one Walsh transform of the calibration's outcome histogram,
+made once per dataset (CalibrationDataset.spectrum).  The shade kernel
+(_shade_tables) bins the records once per maximal support of a batch of
+correlators and reads each support nested in it off that table.  One
+estimator, estimate_correlators, serves one correlator or many and the
+mitigated, unmitigated and indep columns alike: it divides a support's
+table of unmitigated shades by each g(v) it is handed, ghat(v) (g_hat),
+1 or the independent-flip model's prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
 drawing records with replacement.  Every (table, divisor) pair is one
 bootstrap stream with its own seed, so the streams are independent: the
@@ -36,6 +36,7 @@ started (_bootstrap_streams); no result depends on which CPU drew it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -108,6 +109,16 @@ class CalibrationDataset:
 
     def __len__(self) -> int:
         return self.outcomes.shape[0]
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over the
+        records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS.
+        The Walsh transform of the counts is exact (integer partial sums
+        < 2^53).  Built on first use and kept read-only by this dataset."""
+        spectrum = walsh_transform(_outcome_counts(self)) / len(self)
+        spectrum.flags.writeable = False
+        return spectrum
 
 
 def _check_direction_count(k: int) -> None:
@@ -211,13 +222,6 @@ def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
     if len(cal) == 0:
         raise ValueError("empty calibration dataset")
     return np.bincount(_cell_codes(cal.outcomes, range(cal.n), 2), minlength=1 << cal.n)
-
-
-def g_spectrum(cal: CalibrationDataset) -> np.ndarray:
-    """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over the
-    records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS.
-    The Walsh transform of the counts is exact (integer partial sums < 2^53)."""
-    return walsh_transform(_outcome_counts(cal)) / len(cal)
 
 
 def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,12 +459,12 @@ def _resample_means(
     return np.concatenate(draws) / size
 
 
-def g_hat(spectrum: np.ndarray, pattern: BitString) -> float:
-    """ghat(v) read from a calibration's spectrum (see g_spectrum), used
-    as-is even when negative; only the absolute floor G_FLOOR refuses it."""
-    if len(spectrum) != 1 << pattern.n:
-        raise ValueError(f"pattern has {pattern.n} bits, spectrum has {len(spectrum)} entries")
-    value = float(spectrum[pattern.value])
+def g_hat(cal: CalibrationDataset, pattern: BitString) -> float:
+    """ghat(v) read from the calibration's spectrum, used as-is even when
+    negative; only the absolute floor G_FLOOR refuses it."""
+    if pattern.n != cal.n:
+        raise ValueError(f"pattern has {pattern.n} bits, calibration has {cal.n} qubits")
+    value = float(cal.spectrum[pattern.value])
     if abs(value) < G_FLOOR:
         raise UnmitigatableComponentError(
             f"|ghat(v)| = {abs(value)} below floor {G_FLOOR} for v={pattern}"

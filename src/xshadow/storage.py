@@ -77,8 +77,12 @@ def _bit_block(outcomes: np.ndarray) -> np.ndarray:
     return block
 
 
-def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], memoryview]:
-    """The header keys and values, and a view of the body: no copy of it."""
+def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None, memoryview]:
+    """Read the dataset file at `path`, which must be of type `kind`: its
+    header keys and values, its qubit count (#n=, >= 1), its seed (#seed=,
+    or None) and a view of its body, which copies none of it."""
+    with open(path, "rb") as fh:
+        payload = fh.read()
     headers: dict[str, str] = {}
     offset = 0
     while payload[offset : offset + 1] == b"#":
@@ -96,22 +100,18 @@ def _parse_headers(payload: bytes, path: str) -> tuple[dict[str, str], memoryvie
     for required in ("n", "type"):
         if required not in headers:
             raise DataFormatError(f"{path}: missing #{required}= header")
-    try:
-        n = int(headers["n"])
-    except ValueError:
-        raise DataFormatError(f"{path}: #n= must be an integer") from None
+    numbers: dict[str, int | None] = {}
+    for key in ("n", "seed"):
+        try:
+            numbers[key] = int(headers[key]) if key in headers else None
+        except ValueError:
+            raise DataFormatError(f"{path}: #{key}= must be an integer") from None
+    n = numbers["n"]
     if n < 1:
         raise DataFormatError(f"{path}: #n= must be >= 1, got {n}")
-    return headers, memoryview(payload)[offset:]
-
-
-def _parse_seed(headers: dict[str, str], path: str) -> int | None:
-    if "seed" not in headers:
-        return None
-    try:
-        return int(headers["seed"])
-    except ValueError:
-        raise DataFormatError(f"{path}: #seed= must be an integer") from None
+    if headers["type"] != kind:
+        raise DataFormatError(f"{path}: expected #type={kind}, got {headers['type']}")
+    return headers, n, numbers["seed"], memoryview(payload)[offset:]
 
 
 def _decode_rows(
@@ -151,14 +151,9 @@ def write_calibration(path: str, dataset: CalibrationDataset) -> None:
 
 
 def read_calibration(path: str) -> CalibrationDataset:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    headers, body = _parse_headers(payload, path)
-    if headers["type"] != CALIBRATION_TYPE:
-        raise DataFormatError(f"{path}: expected #type={CALIBRATION_TYPE}, got {headers['type']}")
-    n = int(headers["n"])
+    _, n, seed, body = _read_dataset(path, CALIBRATION_TYPE)
     _, bits = _decode_rows(body, n + 1, n, f"{n}-bit", path)
-    return CalibrationDataset(n=n, outcomes=bits, seed=_parse_seed(headers, path))
+    return CalibrationDataset(n=n, outcomes=bits, seed=seed)
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -197,14 +192,9 @@ def write_tomography(path: str, dataset: TomographyDataset) -> None:
 
 
 def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    headers, body = _parse_headers(payload, path)
-    if headers["type"] != TOMOGRAPHY_TYPE:
-        raise DataFormatError(f"{path}: expected #type={TOMOGRAPHY_TYPE}, got {headers['type']}")
+    headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
     if "directions" not in headers:
         raise DataFormatError(f"{path}: missing #directions= header")
-    n = int(headers["n"])
     labels = tuple(headers["directions"].split(",")) if headers["directions"] else ()
     try:
         _check_labels(labels)
@@ -240,7 +230,7 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
         directions=directions,
         setting_indices=settings,
         outcomes=outcomes,
-        seed=_parse_seed(headers, path),
+        seed=seed,
     )
 
 

@@ -30,7 +30,6 @@ from xshadow.protocols import (
     calibration_sample_bound,
     estimate_correlators,
     g_hat,
-    g_spectrum,
     independent_g,
     random_correlators,
     run_calibration,
@@ -335,11 +334,9 @@ class TestBiasRemoval:
             BIG_N, [1, 2, 3, 4], 3, seed=CORRELATOR_SEED, directions=pauli_directions()
         )
         truths = [exact_expectation(big_state, c) for c in correlators]
-        spectrum = g_spectrum(big_cal)
-
         divisors = [
             (
-                g_hat(spectrum, correlator.pattern),
+                g_hat(big_cal, correlator.pattern),
                 1.0,
                 independent_g(correlator, NOISE_P10, NOISE_P01),
             )
@@ -391,7 +388,7 @@ class TestEstimatorConvergence:
             np.round(np.logspace(3, np.log10(BIG_SHOTS // 10), 8)).astype(int)
         )
         resamples = 200
-        spectrum = g_spectrum(big_cal)
+        spectrum = big_cal.spectrum
         curves = []
         for correlator in correlators:
             g_v = spectrum[correlator.pattern.value]
@@ -465,7 +462,7 @@ class TestSampleBounds:
             tomo = run_tomography(
                 state, pauli_directions(), model, tomo_shots, seed=5000 + rep
             )
-            g_v = g_hat(g_spectrum(cal), correlator.pattern)
+            g_v = g_hat(cal, correlator.pattern)
             ((est,),) = estimate_correlators(tomo, [correlator], [(g_v,)], resamples=2, seed=0)
             if abs(est.estimate - truth) > epsilon:
                 failures += 1

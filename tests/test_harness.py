@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -43,7 +44,6 @@ from xshadow.protocols import (
     TomographyDataset,
     estimate_correlators,
     g_hat,
-    g_spectrum,
     independent_g,
     run_calibration,
     run_tomography,
@@ -213,11 +213,38 @@ class TestConfig:
             {"model": "independent", "p10": "0.1", "p01": 0.1},
             {"model": "independent", "p10": [0.1, float("nan"), 0.1], "p01": 0.1},
             {"model": "independent", "p10": 0.1, "p01": [0.1, True, 0.1]},
+            {"model": "independent", "p10": 0.1, "p01": 0.1, "gamma": None},
         ],
     )
     def test_bad_noise_blocks(self, noise):
         with pytest.raises(ConfigError):
             _config(noise=noise)
+
+    @pytest.mark.parametrize(
+        "noise,needle",
+        [
+            ({"p10": 0.1, "p01": 0.1, "gamma": 0.5}, "missing field 'model'"),
+            ({"model": "independent", "p10": 0.1, "p01": 0.1, "gamma": None},
+             r"unknown independent noise field\(s\): \['gamma'\]"),
+            ({"model": "chain_crosstalk", "p10": 0.1, "p01": 0.1}, "missing field 'gamma'"),
+            ({"model": "chain_crosstalk", "p01": 0.1, "gamma": 0.5}, "missing field 'p10'"),
+            ({"model": ["independent"], "p10": 0.1, "p01": 0.1}, "'noise.model' must be one of"),
+        ],
+    )
+    def test_bad_noise_block_names_its_key(self, noise, needle):
+        with pytest.raises(ConfigError, match=needle):
+            _config(noise=noise)
+
+    def test_noise_keys_are_the_constructor_parameters(self):
+        # the keys after `model` are each class's constructor parameters after n
+        for model, cls in config_module.NOISE_MODELS.items():
+            rates = {"p10": [0.1, 0.2, 0.3], "p01": 0.05, "gamma": 0.25}
+            params = list(inspect.signature(cls).parameters)[1:]
+            noise = _config(noise={"model": model, **{k: rates[k] for k in params}}).noise
+            assert type(noise) is cls
+            assert np.array_equal(noise.p10, [0.1, 0.2, 0.3])
+            assert np.array_equal(noise.p01, [0.05] * 3)
+            assert noise.gamma == (0.25 if "gamma" in params else 0.0)
 
     @pytest.mark.parametrize("block", ["top", "noise"])
     def test_unknown_keys_of_mixed_types(self, block):
@@ -336,11 +363,16 @@ class TestStorage:
         assert np.array_equal(back.setting_indices, ds.setting_indices)
         assert np.array_equal(back.outcomes, ds.outcomes)
 
-    def test_body_is_a_view_of_the_file_bytes(self):
-        payload = b"#n=2\n#type=calibration\n01\n10\n"
-        headers, body = storage._parse_headers(payload, "cal.txt")
-        assert headers == {"n": "2", "type": "calibration"}
-        assert body.obj is payload and bytes(body) == b"01\n10\n"
+    def test_body_is_a_view_of_the_file_bytes(self, tmp_path):
+        payload = b"#n=2\n#type=calibration\n#seed=5\n01\n10\n"
+        path = tmp_path / "cal.txt"
+        path.write_bytes(payload)
+        headers, n, seed, body = storage._read_dataset(str(path), "calibration")
+        assert headers == {"n": "2", "type": "calibration", "seed": "5"}
+        assert (n, seed) == (2, 5)
+        # a view into the one bytes object read from the file: no copy of the body
+        assert isinstance(body.obj, bytes) and body.obj == payload
+        assert bytes(body) == b"01\n10\n"
 
     def test_tomography_row_orientation(self, tmp_path):
         # qubit 0 leads the label list but trails the bitstring
@@ -506,12 +538,24 @@ class TestStorage:
                 "#n=2\n#type=tomography\n#directions=x,z\nx,z 01\nz,x 02\n",
                 "only 0 and 1; row 1 does not",
             ),
+            ("#n=1\n#type=calibration\n#seed=x\n0\n", "#seed= must be an integer"),
+            (
+                "#n=1\n#type=tomography\n#seed=1.5\n#directions=z\nz 0\n",
+                "#seed= must be an integer",
+            ),
+            (
+                "#n=1\n#type=tomography\n#directions=z\nz 0\n",
+                "expected #type=calibration, got tomography",
+            ),
+            ("#n=1\n#type=calibration\n0\n", "expected #type=tomography, got calibration"),
         ],
     )
     def test_malformed_files(self, tmp_path, body, needle):
         path = tmp_path / "bad.txt"
         path.write_text(body)
-        reader = read_tomography if "tomography" in body else read_calibration
+        # the reader of the file's #type=, or of the type a wrong-type needle expects
+        kind = re.search(r"#type=(\w+)", needle if "expected #type=" in needle else body)
+        reader = read_tomography if kind and kind[1] == "tomography" else read_calibration
         with pytest.raises(DataFormatError, match=needle):
             reader(str(path))
 
@@ -907,13 +951,12 @@ class TestBatchedReport:
         """Report i of correlator j draws from seed + m*j + i, so the rows
         equal per-correlator batches of one at bootstrap_seed + 3*j."""
         config, cal, tomo = nested_case
-        spectrum = g_spectrum(cal)
         rows = comparison_rows(config, tomo, cal)
         correlators = experiments.build_correlators(config)
         assert len(rows) == len(correlators) == 15
         divisors = [
             (
-                g_hat(spectrum, correlator.pattern),
+                g_hat(cal, correlator.pattern),
                 1.0,
                 independent_g(correlator, config.noise.p10, config.noise.p01),
             )
@@ -1018,13 +1061,12 @@ class TestClosedFormStudy:
             (len(w.support()), parity_counts(cal, w), np.array([1.0, -1.0]), g_exact[w.value])
             for w in wavevectors
         ]
-        spectrum = g_spectrum(cal)
         tomo_curves = []
         correlators = experiments.build_correlators(config, config.correlators_per_degree_study)
         for correlator, (counts, shades) in zip(
             correlators, protocols._shade_tables(tomo, correlators)
         ):
-            g_v = g_hat(spectrum, correlator.pattern)
+            g_v = g_hat(cal, correlator.pattern)
             truth = exact_expectation(config.state, correlator)
             tomo_curves.append((correlator.degree, counts, shades / g_v, truth))
         studies = [
@@ -1089,6 +1131,21 @@ class TestSharedState:
         assert built == [key, key]
         assert np.array_equal(copy.state.amplitudes, state.amplitudes)
         assert config.state is state and built == [key, key]
+
+    def test_run_experiment_counts_the_calibration_once(self, small_config, tmp_path, monkeypatch):
+        """The report and both studies read ghat from the calibration's one
+        spectrum, so its outcomes are counted once."""
+        counted = []
+
+        def counting(cal):
+            counted.append(cal)
+            return outcome_counts(cal)
+
+        outcome_counts = protocols._outcome_counts
+        monkeypatch.setattr(protocols, "_outcome_counts", counting)
+        run_experiment(small_config, str(tmp_path / "exp"))
+        assert len(counted) == 1
+        assert not counted[0].spectrum.flags.writeable
 
     def test_traced_experiment_reports_study_and_state_spans(self, tmp_path):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -1424,6 +1481,33 @@ class TestCli:
         )
         assert result.exit_code == 1
         assert "qubit counts disagree" in result.output
+
+    def test_estimate_refuses_the_calibration_before_reading_the_tomography(
+        self, tmp_path, monkeypatch
+    ):
+        model = ChainCrosstalkModel(5, 0.07, 0.05, 0.5)
+        cal_path, tomo_path = str(tmp_path / "cal5.txt"), str(tmp_path / "tomo5.txt")
+        write_calibration(cal_path, run_calibration(model, 20, seed=1))
+        state = random_circuit_state(5, 2, 0)
+        write_tomography(tomo_path, run_tomography(state, pauli_directions(), model, 20, seed=2))
+        config = _write_yaml(
+            tmp_path / "n3.yaml",
+            "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.05\n",
+        )
+
+        def unread(*args, **kwargs):
+            raise AssertionError("tomography file read")
+
+        monkeypatch.setattr(storage, "read_tomography", unread)
+        report = tmp_path / "r.csv"
+        result = CliRunner().invoke(
+            main,
+            ["estimate", "--config", config, "--calibration", cal_path,
+             "--tomography", tomo_path, "--out", str(report)],
+        )
+        assert result.exit_code == 1
+        assert "error: qubit counts disagree: config n=3, calibration n=5" in result.output
+        assert not report.exists()
 
     def test_estimate_rejects_mismatched_directions(self, config_file, tmp_path):
         runner = CliRunner()

@@ -37,7 +37,6 @@ from xshadow.protocols import (
     calibration_sample_bound,
     estimate_correlators,
     g_hat,
-    g_spectrum,
     independent_g,
     random_correlators,
     run_calibration,
@@ -199,7 +198,7 @@ class TestRunCalibration:
     def test_estimate_g_identity_is_exactly_one(self):
         data = run_calibration(_noiseless(2), 100, seed=0)
         for w in range(4):
-            assert g_spectrum(data)[w] == 1.0
+            assert data.spectrum[w] == 1.0
 
     @pytest.mark.parametrize("w_value", [0b001, 0b011, 0b111])
     def test_estimate_g_matches_exact_spectrum(self, w_value):
@@ -210,25 +209,38 @@ class TestRunCalibration:
         truth = walsh_transform(model.twirled_table())[w.value]
         # variance of a +-1 mean
         tol = 4 * np.sqrt((1 - truth**2) / shots)
-        assert g_spectrum(data)[w.value] == pytest.approx(truth, abs=tol)
+        assert data.spectrum[w.value] == pytest.approx(truth, abs=tol)
 
     def test_empty_support_component(self):
         data = run_calibration(_noiseless(2), 50, seed=1)
-        assert g_spectrum(data)[0] == 1.0
+        assert data.spectrum[0] == 1.0
 
     @settings(max_examples=40)
     @given(n=st.integers(1, 12), records=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
     def test_spectrum_equals_per_wavevector_parity_means(self, n, records, seed):
         bits = np.random.default_rng(seed).integers(0, 2, size=(records, n), dtype=np.uint8)
         cal = CalibrationDataset(n, bits)
-        g = g_spectrum(cal)
+        g = cal.spectrum
         for w in range(1 << n):
             assert g[w] == parity_counts(cal, BitString(n, w)) @ [1.0, -1.0] / records
 
     def test_spectrum_above_the_qubit_cap_is_a_capability_error(self):
         cal = CalibrationDataset(13, np.zeros((4, 13), dtype=np.uint8))
         with pytest.raises(CapabilityError):
-            g_spectrum(cal)
+            cal.spectrum
+
+    def test_spectrum_is_built_once_and_read_only(self):
+        cal = run_calibration(ChainCrosstalkModel(3, 0.1, 0.05, 0.4), 500, seed=7)
+        with mock.patch.object(
+            protocols, "_outcome_counts", wraps=protocols._outcome_counts
+        ) as counts:
+            spectrum = cal.spectrum
+            assert cal.spectrum is spectrum and g_hat(cal, BitString(3, 0b011)) == spectrum[3]
+        assert counts.call_count == 1
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[1] = 0.5
+        with pytest.raises(ValueError, match="pattern has 2 bits, calibration has 3 qubits"):
+            g_hat(cal, BitString(2, 1))
 
 
 class TestRunTomography:
@@ -340,7 +352,7 @@ class TestEstimators:
         cal = run_calibration(_noiseless(2), 1000, seed=7)
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b10), {1: z})
-        g_v = g_hat(g_spectrum(cal), c.pattern)
+        g_v = g_hat(cal, c.pattern)
         ((mit,),) = estimate_correlators(data, [c], [(g_v,)], resamples=200, seed=1)
         ((unm,),) = estimate_correlators(data, [c], [(1.0,)], resamples=200, seed=1)
         assert mit.estimate == pytest.approx(unm.estimate, abs=1e-12)
@@ -356,7 +368,7 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b11), {0: z, 1: x})
         truth = exact_expectation(state, c)
-        g_v = g_hat(g_spectrum(cal), c.pattern)
+        g_v = g_hat(cal, c.pattern)
         ((mit,),) = estimate_correlators(data, [c], [(g_v,)], resamples=200, seed=3)
         assert mit.estimate == pytest.approx(truth, abs=5 * mit.stderr)
 
@@ -378,15 +390,15 @@ class TestEstimators:
         z = direction_from_label("z")
         c = Correlator(BitString(2, 0b01), {0: z})
         with pytest.raises(UnmitigatableComponentError, match="below floor"):
-            g_hat(g_spectrum(cal), c.pattern)
+            g_hat(cal, c.pattern)
 
     def test_mitigation_rejects_a_pattern_of_another_size(self):
         cal = run_calibration(_noiseless(2), 20, seed=2)
         z = direction_from_label("z")
         for n in (1, 3):
             c = Correlator(BitString(n, 1 << (n - 1)), {n - 1: z})
-            with pytest.raises(ValueError, match=f"pattern has {n} bits, spectrum has 4 entries"):
-                g_hat(g_spectrum(cal), c.pattern)
+            with pytest.raises(ValueError, match=f"pattern has {n} bits, calibration has 2 qubits"):
+                g_hat(cal, c.pattern)
 
     def test_indep_model_rejects_singular_rates(self):
         z = direction_from_label("z")
@@ -511,7 +523,7 @@ class TestCountTableKernel:
         xi = xi_by_label(tomo.directions)
         for c in random_correlators(4, [1, 2, 3, 4], 3, seed=24, directions=tomo.directions):
             shades = support_shades(tomo, c, xi)
-            g_v = g_hat(g_spectrum(cal), c.pattern)
+            g_v = g_hat(cal, c.pattern)
             divisors = (g_v, 1.0, independent_g(c, self.P10, self.P01))
             ((mit, unm, ind),) = estimate_correlators(
                 tomo, [c], [divisors], resamples=2, seed=0
@@ -526,7 +538,7 @@ class TestCountTableKernel:
         tomo = tomos["pauli"]
         for c in random_correlators(4, [1, 2, 3], 2, seed=25):
             shades = support_shades(tomo, c, pauli_xi)
-            g_v = g_hat(g_spectrum(cal), c.pattern)
+            g_v = g_hat(cal, c.pattern)
             ((unm, mit),) = estimate_correlators(
                 tomo, [c], [(1.0, g_v)], resamples=200, seed=0
             )
@@ -570,7 +582,7 @@ class TestCountTableKernel:
         g_ind = independent_g(c, self.P10, self.P01)
         reports = [
             estimate_correlators(
-                t, [c], [(g_hat(g_spectrum(k), c.pattern), 1.0, g_ind)], resamples=20, seed=seed
+                t, [c], [(g_hat(k, c.pattern), 1.0, g_ind)], resamples=20, seed=seed
             )
             for t, k in ((shuffled, shuffled_cal), (tomo, cal))
         ]
