@@ -34,7 +34,6 @@ from .config import ExperimentConfig
 from .protocols import (
     CalibrationDataset,
     TomographyDataset,
-    _outcome_counts,
     _shade_tables,
     estimate_correlators,
     g_hat,
@@ -73,7 +72,7 @@ def calibration_summary(dataset: CalibrationDataset) -> str:
     """Human-readable digest: record count, most frequent outcomes, and
     the empirical Fourier components of low weight."""
     lines = [f"records={len(dataset)} n={dataset.n}"]
-    table = _outcome_counts(dataset)
+    table = dataset.outcome_counts
     values = np.flatnonzero(table)
     counts = table[values]
     order = np.lexsort((values, -counts))

@@ -61,9 +61,15 @@ from .shadows import G_FLOOR, compute_xi, half_overlap
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
 
-# multinomial cell counts held at once by one resampling block (8 MiB);
-# pinned by the frozen report digests (see _resample_means)
+# multinomial cell counts drawn by one resampling block, in 4-row-aligned
+# sub-blocks of _PRODUCT_CELLS; the block boundaries are pinned by the
+# frozen report digests (see _resample_means)
 _DRAW_BLOCK = 1 << 20
+
+# cell counts one sub-block of a resampling block holds at once, as int64
+# draws and their float64 cast (1 MiB), in a multiple of 4 rows; 4 rows
+# when fewer do not fit
+_PRODUCT_CELLS = 1 << 16
 
 # a bootstrap stream of at least this many cell counts (resamples x cells)
 # is large: it may run on a worker thread, since Generator.multinomial
@@ -111,12 +117,21 @@ class CalibrationDataset:
         return self.outcomes.shape[0]
 
     @functools.cached_property
+    def outcome_counts(self) -> np.ndarray:
+        """Record count of every outcome value (_outcome_counts), the one
+        count of the records that the spectrum and the calibration summary
+        read.  Built on first use and kept read-only by this dataset."""
+        counts = _outcome_counts(self)
+        counts.flags.writeable = False
+        return counts
+
+    @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """Empirical Fourier component ghat(w) = mean of (-1)^(w.s) over the
         records, for every w (indexed by w's value); n <= EXACT_SIM_MAX_QUBITS.
         The Walsh transform of the counts is exact (integer partial sums
         < 2^53).  Built on first use and kept read-only by this dataset."""
-        spectrum = walsh_transform(_outcome_counts(self)) / len(self)
+        spectrum = walsh_transform(self.outcome_counts) / len(self)
         spectrum.flags.writeable = False
         return spectrum
 
@@ -442,21 +457,34 @@ def _resample_means(
     """Means of `resamples` draws of `size` records with replacement.
 
     A draw is a multinomial over cells weighted by their record counts,
-    exactly the law of drawing the records themselves.  Blocks of at most
-    _DRAW_BLOCK cell counts bound memory.  numpy draws the rows of one call
-    in sequence, so blocking leaves the integer draws as they are, but not
-    always the means: the BLAS product `draws @ values` equals an unblocked
-    one only when every block boundary falls on a multiple of 4 rows (so
-    measured with OpenBLAS, whose matrix-vector kernel groups rows by 4).
-    Hence _DRAW_BLOCK, like the seeds, is part of the pinned stream.
+    exactly the law of drawing the records themselves.  The draws come in
+    blocks of at most _DRAW_BLOCK cell counts, and each block in sub-blocks
+    of at most _PRODUCT_CELLS that are drawn and multiplied (`draws @
+    values`) one at a time, which bounds memory.  numpy draws the rows of
+    a multinomial in sequence, so neither split moves the integer draws,
+    but a split can move the means: the BLAS product equals an unsplit one
+    only when every boundary falls a multiple of 4 rows into it (so
+    measured with OpenBLAS, whose matrix-vector kernel groups rows by 4),
+    and not when the last part is one row, which numpy hands to a dot
+    product.  So a sub-block starts 4k rows into its block and takes in a
+    lone last row, and the means are those of one product per block.  The
+    block boundaries need not fall on multiples of 4, so _DRAW_BLOCK, like
+    the seeds, is part of the pinned stream.  A sub-block is too small for
+    OpenBLAS to split between its threads off a multiple of 4 rows, so the
+    means do not depend on the BLAS thread count either (measured with 1
+    and 2 threads).
     """
     probabilities = counts / counts.sum()
     block = max(1, _DRAW_BLOCK // len(counts))
-    draws = [
-        rng.multinomial(size, probabilities, min(block, resamples - start)) @ values
-        for start in range(0, resamples, block)
-    ]
-    return np.concatenate(draws) / size
+    step = max(4, _PRODUCT_CELLS // len(counts) // 4 * 4)
+    means = np.empty(resamples)
+    for start in range(0, resamples, block):
+        low, stop = start, min(start + block, resamples)
+        while low < stop:
+            high = stop if stop - low <= step + 1 else low + step
+            means[low:high] = rng.multinomial(size, probabilities, high - low) @ values
+            low = high
+    return means / size
 
 
 def g_hat(cal: CalibrationDataset, pattern: BitString) -> float:

@@ -20,14 +20,15 @@ trips exactly.
 
 Every label is one printable ASCII character other than space, ``,``
 and ``#``, and labels do not repeat, so each kind of file has one
-fixed row width and is written and read as one byte block.  Every row,
-the last included, ends in a bare ``\\n``.
+fixed row width: it is written as its header, then one byte block per
+_BLOCK_ROWS records, and read as one byte block.  Every row, the last
+included, ends in a bare ``\\n``.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +41,9 @@ TOMOGRAPHY_TYPE = "tomography"
 # one printable ASCII character: tomography rows then have a fixed width,
 # and no label reads as a separator (space, comma) or starts a header (#)
 _LABEL_CHARACTERS = frozenset(map(chr, range(0x21, 0x7F))) - {",", "#"}
-# rows decoded at a time: a block's bytes and its decoded columns stay in
-# cache while the row-major file is turned into column-major arrays
+# rows encoded or decoded at a time: a block's bytes and its columns stay
+# in cache while column-major arrays are turned into the row-major file or
+# back, and a writer holds one block's bytes, not the file's
 _BLOCK_ROWS = 1 << 14
 
 REPORT_COLUMNS = (
@@ -68,8 +70,14 @@ def _header_lines(kind: str, n: int, seed: int | None, extra: Sequence[tuple[str
     return "\n".join(lines) + "\n"
 
 
+def _row_blocks(records: int) -> Iterator[slice]:
+    """Consecutive slices of _BLOCK_ROWS rows (the last one partial) that
+    cover `records` rows."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, records, _BLOCK_ROWS))
+
+
 def _bit_block(outcomes: np.ndarray) -> np.ndarray:
-    """(M, n) bits -> (M, n+1) ascii bytes, MSB first plus newline."""
+    """(rows, n) bits -> (rows, n+1) ascii bytes, MSB first plus newline."""
     records, n = outcomes.shape
     block = np.empty((records, n + 1), dtype=np.uint8)
     block[:, :n] = np.flip(outcomes, axis=1) + ord("0")
@@ -135,8 +143,7 @@ def _decode_rows(
     raw = raw.reshape(-1, width)
     bits = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
     digits = np.flip(raw[:, width - 1 - n : width - 1], axis=1)
-    for start in range(0, len(raw), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)  # transposed: inner loops run down columns
+    for block in _row_blocks(len(raw)):  # transposed: inner loops run down columns
         np.subtract(digits[block].T, ord("0"), out=bits[block].T)
     if bits.max(initial=0) > 1:
         row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
@@ -147,7 +154,8 @@ def _decode_rows(
 def write_calibration(path: str, dataset: CalibrationDataset) -> None:
     with open(path, "wb") as fh:
         fh.write(_header_lines(CALIBRATION_TYPE, dataset.n, dataset.seed).encode())
-        fh.write(_bit_block(dataset.outcomes))
+        for rows in _row_blocks(len(dataset)):
+            fh.write(_bit_block(dataset.outcomes[rows]))
 
 
 def read_calibration(path: str) -> CalibrationDataset:
@@ -169,16 +177,17 @@ def _check_labels(labels: Sequence[str]) -> None:
             )
 
 
-def _tomography_block(dataset: TomographyDataset, labels: Sequence[str]) -> np.ndarray:
-    """Rows as (M, 3n+1) ascii bytes: n labels with commas, a space, n bits
-    MSB first, a newline."""
+def _tomography_block(dataset: TomographyDataset, codes: np.ndarray, rows: slice) -> np.ndarray:
+    """The records in `rows` as (rows, 3n+1) ascii bytes: n labels (setting
+    index -> byte through `codes`) with commas, a space, n bits MSB first,
+    a newline."""
     n = dataset.n
-    block = np.empty((len(dataset), 3 * n + 1), dtype=np.uint8)
+    outcomes = dataset.outcomes[rows]
+    block = np.empty((len(outcomes), 3 * n + 1), dtype=np.uint8)
     block[:, : 2 * n] = ord(",")
-    codes = np.frombuffer("".join(labels).encode(), dtype=np.uint8)
-    block[:, 0 : 2 * n : 2] = codes[dataset.setting_indices]
+    block[:, 0 : 2 * n : 2] = codes[dataset.setting_indices[rows]]
     block[:, 2 * n - 1] = ord(" ")
-    block[:, 2 * n :] = _bit_block(dataset.outcomes)
+    block[:, 2 * n :] = _bit_block(outcomes)
     return block
 
 
@@ -186,9 +195,11 @@ def write_tomography(path: str, dataset: TomographyDataset) -> None:
     labels = [d.label for d in dataset.directions]
     _check_labels(labels)
     extra = [("directions", ",".join(labels))]
+    codes = np.frombuffer("".join(labels).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(_header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra).encode())
-        fh.write(_tomography_block(dataset, labels))
+        for rows in _row_blocks(len(dataset)):
+            fh.write(_tomography_block(dataset, codes, rows))
 
 
 def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
@@ -214,10 +225,9 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     lookup[np.frombuffer("".join(labels).encode(), dtype=np.uint8)] = np.arange(len(labels))
     codes = raw[:, 0 : 2 * n : 2]
     settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
-    for start in range(0, len(raw), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
+    for block in _row_blocks(len(raw)):
         if not np.all(between[block] == separators):
-            row = start + int(np.flatnonzero((between[block] != separators).any(axis=1))[0])
+            row = block.start + int(np.flatnonzero((between[block] != separators).any(axis=1))[0])
             raise DataFormatError(
                 f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
             )

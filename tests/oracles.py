@@ -27,9 +27,14 @@ formulas one record at a time, which the tests and acceptance checks
 evaluate directly.  The convergence studies
 take the exact expected squared error of a subsample mean;
 `monte_carlo_study` draws the subsamples instead.  `bitstring_from_text`
-and `read_csv` parse the text forms the library only writes, `bit` reads
-one qubit of a `BitString`, and `pack_bits` and `cell_codes` are the
-int64 codes that the library's one record coder must reproduce.
+and `read_csv` parse the text forms the library only writes, and
+`one_block_file` is a dataset file built whole, header and one byte
+block, which the row-block writers must reproduce byte for byte.
+`one_product_resample_means` is the bootstrap with one multinomial draw
+and one `draws @ values` product per block, whose means the sub-blocked
+products must reproduce bit for bit.  `bit` reads one qubit of a
+`BitString`, and `pack_bits` and `cell_codes` are the int64 codes that
+the library's one record coder must reproduce.
 """
 
 import csv
@@ -401,6 +406,39 @@ def bitstring_from_text(text: str) -> BitString:
     if not text or set(text) - {"0", "1"}:
         raise ValueError(f"not a binary string: {text!r}")
     return BitString(len(text), int(text, 2))
+
+
+def one_block_file(dataset) -> bytes:
+    """A calibration or tomography dataset's file, built as its header and
+    one (M, width) byte array of every row."""
+    n, records = dataset.n, len(dataset)
+    tomography = hasattr(dataset, "setting_indices")
+    header = [f"#n={n}", f"#type={'tomography' if tomography else 'calibration'}"]
+    if dataset.seed is not None:
+        header.append(f"#seed={dataset.seed}")
+    bits = np.flip(dataset.outcomes, axis=1) + ord("0")
+    if tomography:
+        labels = [d.label for d in dataset.directions]
+        header.append(f"#directions={','.join(labels)}")
+        codes = np.frombuffer("".join(labels).encode(), dtype=np.uint8)
+        rows = np.full((records, 2 * n), ord(","), dtype=np.uint8)
+        rows[:, 0::2] = codes[dataset.setting_indices]
+        rows[:, -1] = ord(" ")
+        bits = np.hstack([rows, bits])
+    body = np.hstack([bits, np.full((records, 1), ord("\n"), dtype=np.uint8)])
+    return ("\n".join(header) + "\n").encode() + body.tobytes()
+
+
+def one_product_resample_means(counts, values, size, resamples, rng, draw_block):
+    """Bootstrap means drawn in blocks of at most `draw_block` cell counts,
+    one multinomial call and one `draws @ values` product per block."""
+    probabilities = counts / counts.sum()
+    block = max(1, draw_block // len(counts))
+    draws = [
+        rng.multinomial(size, probabilities, min(block, resamples - start)) @ values
+        for start in range(0, resamples, block)
+    ]
+    return np.concatenate(draws) / size
 
 
 def read_csv(path: str) -> list[dict[str, str]]:

@@ -14,14 +14,16 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
-from oracles import monte_carlo_study, parity_counts, read_csv
+from oracles import monte_carlo_study, one_block_file, parity_counts, read_csv
 
 import xshadow
 from xshadow import cli, config as config_module, experiments, protocols, storage
@@ -362,6 +364,45 @@ class TestStorage:
         assert tuple(d.label for d in back.directions) == ("x", "y", "z")
         assert np.array_equal(back.setting_indices, ds.setting_indices)
         assert np.array_equal(back.outcomes, ds.outcomes)
+
+    @pytest.mark.parametrize("kind", ["cal", "tomo"])
+    @pytest.mark.parametrize(
+        "records",
+        [0, 1, storage._BLOCK_ROWS - 1, storage._BLOCK_ROWS, 2 * storage._BLOCK_ROWS + 3],
+    )
+    def test_row_blocks_write_the_one_block_file(self, tmp_path, kind, records):
+        rng = np.random.default_rng(records)
+        outcomes = rng.integers(0, 2, (records, 5), dtype=np.uint8)
+        path = tmp_path / f"{kind}.txt"
+        if kind == "cal":
+            ds = CalibrationDataset(5, outcomes, seed=records)
+            write_calibration(str(path), ds)
+        else:
+            indices = rng.integers(0, 3, (records, 5), dtype=np.uint8)
+            ds = TomographyDataset(5, pauli_directions(), indices, outcomes, seed=records)
+            write_tomography(str(path), ds)
+        payload = path.read_bytes()
+        assert payload == one_block_file(ds)
+        assert len(payload.splitlines()) == records + (3 if kind == "cal" else 4)
+
+    @pytest.mark.parametrize("kind", ["cal", "tomo"])
+    def test_writers_hold_one_row_block(self, tmp_path, kind):
+        # at 100k x 8 the whole file's bytes and their temporaries peaked at
+        # 1.63 MiB (calibration) and 4.01 MiB (tomography) under tracemalloc
+        rng = np.random.default_rng(6)
+        outcomes = rng.integers(0, 2, (100_000, 8), dtype=np.uint8)
+        if kind == "cal":
+            ds, write = CalibrationDataset(8, outcomes), write_calibration
+        else:
+            indices = rng.integers(0, 3, (100_000, 8), dtype=np.uint8)
+            ds, write = TomographyDataset(8, pauli_directions(), indices, outcomes), write_tomography
+        tracemalloc.start()
+        try:
+            write(str(tmp_path / f"{kind}.txt"), ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_body_is_a_view_of_the_file_bytes(self, tmp_path):
         payload = b"#n=2\n#type=calibration\n#seed=5\n01\n10\n"
@@ -713,6 +754,7 @@ class TestStorageProperties:
         ds = CalibrationDataset(n, rng.integers(0, 2, (records, n)), seed=file_seed)
         path = str(storage_dir / "round_trip.txt")
         write_calibration(path, ds)
+        assert pathlib.Path(path).read_bytes() == one_block_file(ds)
         back = read_calibration(path)
         assert (back.n, back.seed) == (n, file_seed)
         assert np.array_equal(back.outcomes, ds.outcomes)
@@ -738,6 +780,7 @@ class TestStorageProperties:
         )
         path = str(storage_dir / "round_trip.txt")
         write_tomography(path, ds)
+        assert pathlib.Path(path).read_bytes() == one_block_file(ds)
         back = read_tomography(path, directions=directions)
         assert (back.n, back.seed, back.directions) == (n, seed, directions)
         assert np.array_equal(back.setting_indices, ds.setting_indices)
@@ -1104,6 +1147,32 @@ class TestClosedFormStudy:
                 assert -0.75 < float(value) < -0.25
 
 
+# `calibrate`'s digest of a 3000-record, n=4 chain-crosstalk calibration
+CALIBRATE_DIGEST = """\
+records=3000 n=4
+top outcomes:
+  0000 0.781333
+  1000 0.047333
+  1100 0.032000
+  0010 0.029000
+  0100 0.023333
+  0001 0.020667
+  1110 0.018000
+  0110 0.015667
+g_hat by wavevector (weight <= 2):
+  0001 +0.894667
+  0010 +0.818667
+  0100 +0.780000
+  1000 +0.774667
+  0011 +0.822667
+  0101 +0.758667
+  1001 +0.728000
+  0110 +0.806667
+  1010 +0.710667
+  1100 +0.800000
+"""
+
+
 class TestSharedState:
     def test_run_experiment_builds_the_circuit_state_once(self, small_config, tmp_path, monkeypatch):
         """A config builds its state on first use and keeps it; a copy made
@@ -1146,6 +1215,26 @@ class TestSharedState:
         run_experiment(small_config, str(tmp_path / "exp"))
         assert len(counted) == 1
         assert not counted[0].spectrum.flags.writeable
+
+    def test_calibrate_counts_the_outcomes_once(self, tmp_path):
+        """The summary's top outcomes and its ghat read the calibration's
+        one outcome count; the printed digest is the one pinned here.  The
+        record coder is counted too, so a count made through another
+        module's name for _outcome_counts is seen."""
+        path = _write_yaml(
+            tmp_path / "cfg.yaml",
+            "n: 4\ndepth: 2\nnoise:\n  model: chain_crosstalk\n  p10: 0.07\n  p01: 0.05\n"
+            "  gamma: 0.5\ncalibration_shots: 3000\ncalibration_seed: 11\n",
+        )
+        out = tmp_path / "cal.txt"
+        with (
+            mock.patch.object(protocols, "_outcome_counts", wraps=protocols._outcome_counts) as counts,
+            mock.patch.object(protocols, "_cell_codes", wraps=protocols._cell_codes) as codes,
+        ):
+            result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert counts.call_count == codes.call_count == 1
+        assert result.output == CALIBRATE_DIGEST + f"wrote {out}\n"
 
     def test_traced_experiment_reports_study_and_state_spans(self, tmp_path):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -1202,10 +1291,13 @@ class TestFrozenReport:
     The digests also depend on the BLAS's accumulation order in the
     bootstrap's `draws @ values`: they were pinned with OpenBLAS 0.3.31,
     whose matrix-vector kernel groups rows by 4, so that blocks of rows
-    that are not a multiple of 4 give other last bits.  No formulation
-    independent of the library keeps them (numpy's pairwise sum and
-    math.fsum each move most of the means), so read a failure on a machine
-    with another BLAS with this in mind."""
+    that are not a multiple of 4 give other last bits.  The bootstrap
+    multiplies each draw block in sub-blocks that start a multiple of 4
+    rows into it and take in a lone last row, which keeps the digests
+    pinned with one product per block; sub-blocks of 5 rows move both.
+    No formulation independent of the library keeps them (numpy's pairwise
+    sum and math.fsum each move most of the means), so read a failure on a
+    machine with another BLAS with this in mind."""
 
     @pytest.mark.parametrize(
         "overrides,digest",

@@ -14,6 +14,7 @@ from oracles import (
     cell_codes,
     independent_model_values,
     measurement_probabilities,
+    one_product_resample_means,
     pack_bits,
     parity_counts,
     sorted_shade_cells,
@@ -566,6 +567,75 @@ class TestCountTableKernel:
         means = protocols._resample_means(counts, values, 17, 23, np.random.default_rng(4))
         codes = np.rint(means * 17).astype(np.int64)
         assert np.array_equal(codes[:, None] // 18 ** np.arange(4) % 18, expected)
+
+    @pytest.mark.parametrize(
+        "cells,resamples,block_rows,product_rows",
+        [
+            (1296, 200, None, None),  # sub-blocks of 48 rows, the last one of 8
+            (1296, 49, None, None),  # 48 rows take in the lone last row
+            (300, 23, 5, 4),  # 5-row blocks: 4 rows take in the lone fifth
+            (300, 40, 6, 4),  # 6-row blocks: sub-blocks of 4 and 2 rows
+            (300, 40, 13, 4),  # 13-row blocks: sub-blocks of 4, 4 and 5 rows
+            (300, 40, 13, 11),  # 11 rows round down to 8: sub-blocks of 8 and 5 rows
+        ],
+        ids=["default", "lone-row", "5-row-blocks", "6-row-blocks", "13-row-blocks", "round-down"],
+    )
+    def test_sub_blocks_equal_the_one_product_oracle(
+        self, monkeypatch, cells, resamples, block_rows, product_rows
+    ):
+        """Random values, so that the sum's order shows in the last bits."""
+        rng = np.random.default_rng(cells + resamples)
+        counts = rng.integers(1, 20, cells)
+        values = rng.standard_normal(cells)
+        if block_rows is not None:
+            monkeypatch.setattr(protocols, "_DRAW_BLOCK", block_rows * cells)
+            monkeypatch.setattr(protocols, "_PRODUCT_CELLS", product_rows * cells)
+        size = int(counts.sum())
+        expected = one_product_resample_means(
+            counts, values, size, resamples, np.random.default_rng(8), protocols._DRAW_BLOCK
+        )
+        means = protocols._resample_means(counts, values, size, resamples, np.random.default_rng(8))
+        assert np.array_equal(means, expected)
+
+    @settings(max_examples=40)
+    @given(
+        cells=st.integers(1, 300),
+        resamples=st.integers(1, 60),
+        block_rows=st.integers(1, 25),
+        product_rows=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_sub_blocks_equal_the_one_product_oracle(
+        self, cells, resamples, block_rows, product_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 20, cells)
+        values = rng.standard_normal(cells)
+        size = int(counts.sum())
+        expected = one_product_resample_means(
+            counts, values, size, resamples, np.random.default_rng(seed), block_rows * cells
+        )
+        with mock.patch.multiple(
+            protocols, _DRAW_BLOCK=block_rows * cells, _PRODUCT_CELLS=product_rows * cells
+        ):
+            means = protocols._resample_means(
+                counts, values, size, resamples, np.random.default_rng(seed)
+            )
+        assert np.array_equal(means, expected)
+
+    def test_a_stream_holds_one_sub_block_of_draws(self):
+        # the (200, 1296) int64 draws and their float64 cast, drawn and
+        # multiplied as one block, peaked at 3.97 MiB under tracemalloc
+        rng = np.random.default_rng(3)
+        counts = rng.integers(1, 200, 1296)
+        values = rng.standard_normal(1296)
+        tracemalloc.start()
+        try:
+            protocols._resample_means(counts, values, int(counts.sum()), 200, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 4))
