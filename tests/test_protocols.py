@@ -54,7 +54,7 @@ from xshadow.qsim import (
     random_circuit_state,
     rotation_gate,
 )
-from xshadow.storage import write_tomography
+from xshadow.storage import write_calibration, write_tomography
 
 
 @pytest.fixture(scope="module")
@@ -843,8 +843,9 @@ class TestTreeOutcomes:
 
 
 class TestFrozenDatasets:
-    """SHA-256 of the written tomography file, pinned so that any change to
-    the Born draw (rotation arithmetic, CDF rule, draw order) shows up.
+    """SHA-256 of written dataset files, pinned so that any change to the
+    Born draw (rotation arithmetic, CDF rule, draw order) or to either
+    noise model's readout stream (mask, uniforms, flip rule) shows up.
     A moved hash is a behaviour change to investigate, not to re-pin."""
 
     @pytest.mark.parametrize(
@@ -865,6 +866,36 @@ class TestFrozenDatasets:
         path = tmp_path / "tomography.txt"
         write_tomography(str(path), data)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # the readout streams of both noise models: shot counts that end in a
+    # partial block of noise._SAMPLE_ROWS rows, and one that ends on a
+    # block boundary
+    @pytest.mark.parametrize(
+        "model,shots,seed,digest",
+        [
+            (ChainCrosstalkModel(12, 0.07, 0.05, 0.5), 20000, 41,
+             "1a9be4c27bd610743fe2938cf44bdd16938d5059dcc06712648443e3f59877e6"),
+            (ChainCrosstalkModel(3, [0.2, 0.0, 1.0], [0.1, 0.3, 0.0], 0.6), 32768, 42,
+             "41dd2ca9ff1c0dbd5f7cf1bcb77ebcc9dd37ec0ed2a10bf800ae3fcffe9121fc"),
+            (IndependentFlipModel(5, [0.1, 0.0, 1.0, 0.3, 0.07], [0.05, 1.0, 0.0, 0.2, 0.4]),
+             33771, 43, "bcb6ffbfdbe273b76298165530cf7b8638f34d6cb50aa7e8b63c35946059f394"),
+        ],
+        ids=["chain-n12", "chain-n3", "independent-n5"],
+    )
+    def test_written_calibration_bytes(self, tmp_path, model, shots, seed, digest):
+        path = tmp_path / "calibration.txt"
+        write_calibration(str(path), run_calibration(model, shots, seed=seed))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_written_independent_tomography_bytes(self, tmp_path):
+        state = random_circuit_state(7, 14, seed=44)
+        model = IndependentFlipModel(7, 0.07, [0.05, 0.1, 0.0, 0.2, 0.3, 0.02, 0.15])
+        data = run_tomography(state, pauli_directions(), model, 33771, seed=144)
+        path = tmp_path / "tomography.txt"
+        write_tomography(str(path), data)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9034e53bb7cb5dde6602bf4cb19bf3ecc4eab72a930a71a6389581c3ce93505d"
+        )
 
 
 class TestSampleBounds:
