@@ -98,12 +98,15 @@ def tomography(config_path: str, out: str, shots: int | None, seed: int | None) 
 def estimate(config_path: str, calibration_path: str, tomography_path: str, out: str) -> None:
     """Estimate the configured correlators three ways and write the table."""
     config = load_config(config_path)
+    for kind, path in (
+        (storage.CALIBRATION_TYPE, calibration_path),
+        (storage.TOMOGRAPHY_TYPE, tomography_path),
+    ):  # both refused on their headers, before either body is decoded
+        n = storage.read_qubit_count(path, kind)
+        if n != config.n:
+            raise XShadowError(f"qubit counts disagree: config n={config.n}, {kind} n={n}")
     cal = storage.read_calibration(calibration_path)
-    if cal.n != config.n:  # refused before the tomography file is read
-        raise XShadowError(f"qubit counts disagree: config n={config.n}, calibration n={cal.n}")
     tomo = storage.read_tomography(tomography_path, config.directions)
-    if tomo.n != config.n:
-        raise XShadowError(f"qubit counts disagree: config n={config.n}, tomography n={tomo.n}")
     rows = experiments.comparison_rows(config, tomo, cal)
     storage.write_report(out, rows)
     for row in rows:

@@ -28,7 +28,9 @@ import numpy as np
 from .exceptions import CapabilityError
 from .qsim import EXACT_SIM_MAX_QUBITS
 
-_SAMPLE_ROWS = 1 << 14  # rows per uniform draw of IndependentFlipModel.sample_bits
+# rows per block of the readout's draws: the twirl masks
+# (protocols._twirled_readout) and both samplers' uniforms
+_SAMPLE_ROWS = 1 << 14
 
 
 def _is_real(value) -> bool:
@@ -54,8 +56,8 @@ class ChainCrosstalkModel:
     flipped in the same shot, qubit i's flip probability is raised from its
     base rate to min(1, rate + gamma); otherwise the base rate applies.
     The constructor is the one check of n, the rates and gamma; the model
-    pushes (M, n) uint8 ideal bits through the channel (`sample_bits`) and
-    gives its twirled table.
+    draws the channel's flip pattern on (M, n) uint8 bits in place
+    (`sample_bits`) and gives its twirled table.
     """
 
     def __init__(self, n: int, p10, p01, gamma: float):
@@ -88,26 +90,24 @@ class ChainCrosstalkModel:
             table = np.concatenate((table * (1.0 - rate), table * rate))
         return table
 
-    def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Flip a column-major copy of the bits one qubit at a time, in
-        order 0..n-1, drawing one uniform per shot and qubit.  A shot's
-        rate is rates[2*prev + bit] of the qubit's table: base p01 or p10
-        by the ideal bit, boosted if qubit i-1 flipped."""
-        out = np.array(ideal_bits, dtype=np.uint8, order="F")
-        shots = out.shape[0]
-        uniforms = np.empty(shots)
-        flips = np.zeros(shots, dtype=np.uint8)  # qubit i-1's flips; none before qubit 0
-        cell = np.empty(shots, dtype=np.uint8)
+    def sample_bits(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Overwrite the writable (M, n) uint8 bits entering the channel
+        with its flip pattern and return them (the readout is the bits
+        XOR the pattern).  Qubits go in order 0..n-1, each drawing one
+        uniform per shot in blocks of _SAMPLE_ROWS rows, which give the
+        stream of one (M,) draw.  A shot's rate is rates[2*prev + bit] of
+        the qubit's table: base p01 or p10 by the bit, boosted if qubit
+        i-1 flipped, as column i-1 by then records.  Column-major bits keep
+        each column's blocks contiguous."""
         for i in range(self.n):
             p01, p10 = self.p01[i], self.p10[i]
             rates = np.array([p01, p10, min(1.0, p01 + self.gamma), min(1.0, p10 + self.gamma)])
-            column = out[:, i]
-            np.multiply(flips, 2, out=cell)
-            cell += column
-            rng.random(out=uniforms)
-            np.less(uniforms, rates[cell], out=flips)
-            column ^= flips
-        return out
+            for start in range(0, len(bits), _SAMPLE_ROWS):
+                rows = slice(start, start + _SAMPLE_ROWS)
+                column = bits[rows, i]
+                prev = bits[rows, i - 1] if i else 0  # qubit i-1's flips on these shots
+                np.less(rng.random(len(column)), rates[2 * prev + column], out=column)
+        return bits
 
 
 class IndependentFlipModel(ChainCrosstalkModel):
@@ -119,14 +119,12 @@ class IndependentFlipModel(ChainCrosstalkModel):
     def __init__(self, n: int, p10, p01):
         super().__init__(n, p10, p01, 0.0)
 
-    def sample_bits(self, ideal_bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Flip a C-order copy of the bits in blocks of _SAMPLE_ROWS rows,
-        at rates[bit, qubit]; the blocks draw the same uniforms as one
-        (M, n) draw."""
-        out = np.array(ideal_bits, dtype=np.uint8, order="C")
-        rates = np.stack((self.p01, self.p10))
-        qubits = np.arange(self.n)
-        for start in range(0, len(out), _SAMPLE_ROWS):
-            rows = out[start:start + _SAMPLE_ROWS]
-            rows ^= rng.random(rows.shape) < rates[rows, qubits]
-        return out
+    def sample_bits(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Overwrite the writable (M, n) uint8 bits entering the channel
+        with its flip pattern and return them, in blocks of _SAMPLE_ROWS
+        rows: a qubit flips at p10 or p01 by its bit, against row-major
+        (rows, n) uniforms, which give the stream of one (M, n) draw."""
+        for start in range(0, len(bits), _SAMPLE_ROWS):
+            rows = bits[start : start + _SAMPLE_ROWS]
+            np.less(rng.random(rows.shape), np.where(rows, self.p10, self.p01), out=rows)
+        return bits

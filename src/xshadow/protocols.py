@@ -46,7 +46,7 @@ import numpy as np
 
 from .bitspace import BitString, walsh_transform
 from .exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
-from .noise import ChainCrosstalkModel
+from .noise import _SAMPLE_ROWS, ChainCrosstalkModel
 from .qsim import (
     Correlator,
     EXACT_SIM_MAX_QUBITS,
@@ -187,17 +187,25 @@ def _twirled_readout(
 ) -> np.ndarray:
     """Read the (M, n) ideal bits out through the X-twirled channel.
 
-    Draw the (M, n) masks t, flip the bits by them, push them through the
-    model's channel and flip the readout back by t.  Draw order: t, then
-    the channel's samples.  The flips run in place on the two fresh
-    arrays, t being flipped ^ ideal, so no third (M, n) array is made.
+    The twirl flips the bits by a mask t before the channel and its
+    readout by t after it, so a record is the ideal bits XOR the flip
+    pattern the channel draws on t XOR ideal.  Draw order: t, then the
+    channel's samples.  t is drawn straight into one column-major (M, n)
+    uint8 array in blocks of _SAMPLE_ROWS rows: integers(0, 2, dtype=uint8)
+    spends one byte of a buffered 32-bit word per value and drops the
+    buffer at the end of a call, so calls of a multiple of 4 values give
+    the stream of one call.  The ideal bits are XORed in, the model
+    overwrites the array with its flip pattern, and the ideal bits are
+    XORed in again; no other (M, n) array is made.
     """
-    flipped = rng.integers(0, 2, size=ideal.shape, dtype=np.uint8)
-    flipped ^= ideal
-    observed = model.sample_bits(flipped, rng)
-    observed ^= flipped
-    observed ^= ideal
-    return observed
+    bits = np.empty(ideal.shape, dtype=np.uint8, order="F")
+    for start in range(0, len(bits), _SAMPLE_ROWS):
+        rows = bits[start : start + _SAMPLE_ROWS]
+        rows[...] = rng.integers(0, 2, size=rows.shape, dtype=np.uint8)
+    bits ^= ideal
+    flips = model.sample_bits(bits, rng)
+    flips ^= ideal
+    return flips
 
 
 def run_calibration(model: ChainCrosstalkModel, shots: int, seed: int) -> CalibrationDataset:

@@ -28,6 +28,7 @@ included, ends in a bare ``\\n``.
 from __future__ import annotations
 
 import csv
+import io
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -85,26 +86,24 @@ def _bit_block(outcomes: np.ndarray) -> np.ndarray:
     return block
 
 
-def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None, memoryview]:
-    """Read the dataset file at `path`, which must be of type `kind`: its
-    header keys and values, its qubit count (#n=, >= 1), its seed (#seed=,
-    or None) and a view of its body, which copies none of it."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
+def _read_header(
+    fh: io.BufferedReader, path: str, kind: str
+) -> tuple[dict[str, str], int, int | None]:
+    """Read the ``#`` header lines of the dataset file open in `fh`, which
+    must be of type `kind`, up to its body: the header keys and values, the
+    qubit count (#n=, >= 1) and the seed (#seed=, or None)."""
     headers: dict[str, str] = {}
-    offset = 0
-    while payload[offset : offset + 1] == b"#":
-        end = payload.find(b"\n", offset)
-        if end < 0:
+    while fh.peek(1)[:1] == b"#":
+        line = fh.readline()
+        if not line.endswith(b"\n"):
             raise DataFormatError(f"{path}: header line is not newline terminated")
-        line = payload[offset + 1 : end].decode("utf-8", errors="replace")
-        key, sep, value = line.partition("=")
+        text = line[1:-1].decode("utf-8", errors="replace")
+        key, sep, value = text.partition("=")
         if not sep or not key:
-            raise DataFormatError(f"{path}: malformed header line {line!r}")
+            raise DataFormatError(f"{path}: malformed header line {text!r}")
         if key in headers:
             raise DataFormatError(f"{path}: repeated #{key}= header")
         headers[key] = value
-        offset = end + 1
     for required in ("n", "type"):
         if required not in headers:
             raise DataFormatError(f"{path}: missing #{required}= header")
@@ -119,7 +118,26 @@ def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None
         raise DataFormatError(f"{path}: #n= must be >= 1, got {n}")
     if headers["type"] != kind:
         raise DataFormatError(f"{path}: expected #type={kind}, got {headers['type']}")
-    return headers, n, numbers["seed"], memoryview(payload)[offset:]
+    return headers, n, numbers["seed"]
+
+
+def read_qubit_count(path: str, kind: str) -> int:
+    """The qubit count (#n=) of the dataset file at `path`, which must be
+    of type `kind`, from its header lines alone."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, kind)[1]
+
+
+def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None, memoryview]:
+    """Read the dataset file at `path`, which must be of type `kind`: its
+    header (_read_header) and a view of its body.  The body is read from
+    the unbuffered file, so that it is not joined to the header reader's
+    read-ahead, which would copy it."""
+    with open(path, "rb") as fh:
+        headers, n, seed = _read_header(fh, path, kind)
+        fh.raw.seek(fh.tell())
+        body = fh.raw.readall()
+    return headers, n, seed, memoryview(body)
 
 
 def _decode_rows(

@@ -13,7 +13,10 @@ gate application, and `born_outcomes` searches the full normalised CDF.
 `chain_sample_bits` is the row-major chain-crosstalk sampler with a
 `np.where` rate per qubit that the column-major one must reproduce draw
 for draw, and `independent_sample_bits` the one-call independent sampler
-that the row-block one must reproduce.  The noise models build their
+that the row-block one must reproduce; both return the readout, which
+the library's samplers give as a flip pattern written over their input.
+After one (M, n) mask draw, they also give the records the library's
+twirled readout must reproduce.  The noise models build their
 twirled table Rbar(. | 0) as a Markov chain of flips; `transition_row`
 gives a model's untwirled rows R(. | ideal), the independent model's as
 a plain product of per-qubit flips, and `twirl_table` averages all 2^n

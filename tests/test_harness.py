@@ -411,8 +411,8 @@ class TestStorage:
         headers, n, seed, body = storage._read_dataset(str(path), "calibration")
         assert headers == {"n": "2", "type": "calibration", "seed": "5"}
         assert (n, seed) == (2, 5)
-        # a view into the one bytes object read from the file: no copy of the body
-        assert isinstance(body.obj, bytes) and body.obj == payload
+        # a view of the one bytes object read after the header: no copy of the body
+        assert isinstance(body.obj, bytes) and body.obj == b"01\n10\n"
         assert bytes(body) == b"01\n10\n"
 
     def test_tomography_row_orientation(self, tmp_path):
@@ -1601,6 +1601,38 @@ class TestCli:
         assert "error: qubit counts disagree: config n=3, calibration n=5" in result.output
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "calibration_n,message",
+        [(10, "config n=3, calibration n=10"), (3, "config n=3, tomography n=10")],
+    )
+    def test_estimate_refuses_on_the_headers_before_decoding(
+        self, tmp_path, monkeypatch, calibration_n, message
+    ):
+        cal_path, tomo_path = str(tmp_path / "cal.txt"), str(tmp_path / "tomo.txt")
+        model = ChainCrosstalkModel(calibration_n, 0.07, 0.05, 0.5)
+        write_calibration(cal_path, run_calibration(model, 20, seed=1))
+        state = random_circuit_state(10, 2, 0)
+        model = ChainCrosstalkModel(10, 0.07, 0.05, 0.5)
+        write_tomography(tomo_path, run_tomography(state, pauli_directions(), model, 20, seed=2))
+        config = _write_yaml(
+            tmp_path / "n3.yaml",
+            "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.05\n",
+        )
+
+        def undecoded(*args, **kwargs):
+            raise AssertionError("dataset body decoded")
+
+        monkeypatch.setattr(storage, "_decode_rows", undecoded)
+        report = tmp_path / "r.csv"
+        result = CliRunner().invoke(
+            main,
+            ["estimate", "--config", config, "--calibration", cal_path,
+             "--tomography", tomo_path, "--out", str(report)],
+        )
+        assert result.exit_code == 1
+        assert f"error: qubit counts disagree: {message}\n" in result.output
+        assert not report.exists()
+
     def test_estimate_rejects_mismatched_directions(self, config_file, tmp_path):
         runner = CliRunner()
         cal_path = str(tmp_path / "cal.txt")
@@ -1854,3 +1886,29 @@ class TestPackage:
             "load_config",
             "random_correlators",
         }
+
+
+class TestPytestConfig:
+    def test_a_failing_hypothesis_test_leaves_the_session_running(self, tmp_path):
+        """Under the project's warning filters, Hypothesis reports a failing
+        example and the tests after it still run: the session counts one
+        failure and one pass, with no INTERNALERROR."""
+        (tmp_path / "test_case.py").write_text(
+            "from hypothesis import given, strategies as st\n\n\n"
+            "@given(st.integers())\n"
+            "def test_fails(x):\n"
+            "    assert x < 0\n\n\n"
+            "def test_passes():\n"
+            "    pass\n"
+        )
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+             "-p", "no:cacheprovider", "-q", "test_case.py"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert "INTERNALERROR" not in result.stdout + result.stderr
+        assert "1 failed, 1 passed" in result.stdout

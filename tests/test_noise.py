@@ -81,7 +81,7 @@ class TestIndependentFlipModel:
         rng = np.random.default_rng(3)
         draws = 40000
         ideal = np.tile(np.array([[1, 0]], dtype=np.uint8), (draws, 1))
-        observed = model.sample_bits(ideal, rng)
+        observed = ideal ^ model.sample_bits(ideal.copy(), rng)
         values = observed[:, 0].astype(int) + 2 * observed[:, 1].astype(int)
         counts = np.bincount(values, minlength=4) / draws
         row = transition_row(model, 0b01)
@@ -91,32 +91,35 @@ class TestIndependentFlipModel:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sampler_equals_the_one_call_oracle(self, order):
-        """Same bits and the same generator stream as one (M, n) draw, over
-        three whole row blocks and one partial block."""
+        """The bits XOR the flip pattern written in place equal the readout
+        of one (M, n) draw, with the same generator stream, over three
+        whole row blocks and one partial block."""
         model = IndependentFlipModel(5, [0.1, 0.0, 1.0, 0.3, 0.07], [0.05, 1.0, 0.0, 0.2, 0.4])
         shots = 3 * noise._SAMPLE_ROWS + 1234
         ideal = np.random.default_rng(3).integers(0, 2, (shots, 5), dtype=np.uint8)
         ideal = np.asarray(ideal, order=order)
+        bits = ideal.copy(order="K")
         rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-        observed = model.sample_bits(ideal, rng)
-        assert np.array_equal(observed, independent_sample_bits(model, ideal, oracle_rng))
-        assert observed.dtype == np.uint8
+        flips = model.sample_bits(bits, rng)
+        assert flips is bits
+        assert np.array_equal(ideal ^ flips, independent_sample_bits(model, ideal, oracle_rng))
         assert rng.random() == oracle_rng.random()  # both drew the same count
 
     def test_sampler_memory_stays_in_row_blocks(self):
-        # 200,000 x 8 ideal bits (1.5 MiB): the one-call form's (M, n) float64
-        # rates and uniforms peaked at 25.9 MiB under tracemalloc, the row
-        # blocks at 3.7 MiB (the output copy and one block's temporaries)
+        # 200,000 x 8 bits (1.5 MiB): the one-call form's (M, n) float64
+        # rates and uniforms peaked at 25.9 MiB under tracemalloc, row blocks
+        # on an output copy at 3.7 MiB, and row blocks written in place at
+        # 2.2 MiB (one block's uniforms and rates, 1 MiB each)
         model = IndependentFlipModel(8, 0.07, 0.05)
-        ideal = np.random.default_rng(4).integers(0, 2, (200_000, 8), dtype=np.uint8)
+        bits = np.random.default_rng(4).integers(0, 2, (200_000, 8), dtype=np.uint8)
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            model.sample_bits(ideal, rng)
+            model.sample_bits(bits, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 3 * 2**20
 
 
 class TestChainCrosstalkModel:
@@ -150,7 +153,7 @@ class TestChainCrosstalkModel:
         ideal = ((values[:, None] >> np.arange(3)) & 1).astype(np.uint8)
         frequencies = []
         for model, seed in ((indep, 11), (chain, 12)):
-            observed = model.sample_bits(ideal, np.random.default_rng(seed))
+            observed = ideal ^ model.sample_bits(ideal.copy(), np.random.default_rng(seed))
             cells = 8 * values + observed @ (1 << np.arange(3))
             frequencies.append(np.bincount(cells, minlength=64).reshape(8, 8) / per_ideal)
         rows = _independent_row(indep, np.arange(8))
@@ -191,7 +194,7 @@ class TestChainCrosstalkModel:
         ideal = np.tile(
             np.array([[(ideal_value >> i) & 1 for i in range(3)]], dtype=np.uint8), (draws, 1)
         )
-        observed = model.sample_bits(ideal, rng)
+        observed = ideal ^ model.sample_bits(ideal.copy(), rng)
         values = observed @ (1 << np.arange(3))
         counts = np.bincount(values, minlength=8) / draws
         row = transition_row(model, ideal_value)
@@ -210,15 +213,19 @@ class TestChainCrosstalkModel:
     )
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sampler_equals_the_row_major_oracle(self, p10, p01, gamma, order):
-        """Same bits and the same generator stream as the np.where sampler."""
+        """The bits XOR the flip pattern written in place equal the np.where
+        sampler's readout, with the same generator stream, in one partial
+        row block and in two whole ones and a partial one."""
         model = ChainCrosstalkModel(4, p10, p01, gamma)
-        ideal = np.random.default_rng(3).integers(0, 2, (5003, 4), dtype=np.uint8)
-        ideal = np.asarray(ideal, order=order)
-        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-        observed = model.sample_bits(ideal, rng)
-        assert np.array_equal(observed, chain_sample_bits(model, ideal, oracle_rng))
-        assert observed.dtype == np.uint8 and observed.flags.f_contiguous
-        assert rng.random() == oracle_rng.random()  # both drew the same count
+        for shots in (5003, 2 * noise._SAMPLE_ROWS + 7):
+            ideal = np.random.default_rng(3).integers(0, 2, (shots, 4), dtype=np.uint8)
+            ideal = np.asarray(ideal, order=order)
+            bits = ideal.copy(order="K")
+            rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+            flips = model.sample_bits(bits, rng)
+            assert flips is bits
+            assert np.array_equal(ideal ^ flips, chain_sample_bits(model, ideal, oracle_rng))
+            assert rng.random() == oracle_rng.random()  # both drew the same count
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -338,8 +345,8 @@ class TestNoisyOutcome:
         model = IndependentFlipModel(3, 0.0, 0.0)
         for value in (0, 3, 7):
             bits = np.array([[(value >> i) & 1 for i in range(3)]], dtype=np.uint8)
-            out = model.sample_bits(bits, rng)[0]
-            assert int(out @ (1 << np.arange(3))) == value
+            out = bits ^ model.sample_bits(bits.copy(), rng)
+            assert int(out[0] @ (1 << np.arange(3))) == value
 
     def test_flip_rate_empirical(self):
         rng = np.random.default_rng(1)

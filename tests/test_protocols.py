@@ -12,7 +12,9 @@ from oracles import (
     bitstring_from_text,
     born_outcomes,
     cell_codes,
+    chain_sample_bits,
     independent_model_values,
+    independent_sample_bits,
     measurement_probabilities,
     one_product_resample_means,
     pack_bits,
@@ -23,7 +25,7 @@ from oracles import (
     xi_by_label,
 )
 
-from xshadow import protocols
+from xshadow import noise, protocols
 from xshadow.bitspace import BitString, walsh_transform
 from xshadow.exceptions import (
     CapabilityError,
@@ -242,6 +244,61 @@ class TestRunCalibration:
             spectrum[1] = 0.5
         with pytest.raises(ValueError, match="pattern has 2 bits, calibration has 3 qubits"):
             g_hat(cal, BitString(2, 1))
+
+
+class TestTwirledReadout:
+    """The readout step against the one-call oracle: one (M, n) mask draw,
+    the model's oracle sampler on the masked bits, then the XORs, at shot
+    counts around noise._SAMPLE_ROWS = B."""
+
+    @pytest.mark.parametrize(
+        "shots",
+        [1, noise._SAMPLE_ROWS - 1, noise._SAMPLE_ROWS, noise._SAMPLE_ROWS + 1,
+         2 * noise._SAMPLE_ROWS + 3],
+        ids=["1", "B-1", "B", "B+1", "2B+3"],
+    )
+    @pytest.mark.parametrize("n", [1, 3, 5, 12])
+    @pytest.mark.parametrize("kind", ["chain", "independent"])
+    def test_records_equal_the_one_call_oracle(self, kind, n, shots):
+        p10, p01 = np.random.default_rng(n).uniform(0.0, 0.6, (2, n))
+        if kind == "chain":
+            model, oracle = ChainCrosstalkModel(n, p10, p01, 0.5), chain_sample_bits
+        else:
+            model, oracle = IndependentFlipModel(n, p10, p01), independent_sample_bits
+        drawn = np.random.default_rng(shots).integers(0, 2, (shots, n), dtype=np.uint8)
+        zeros = np.broadcast_to(np.uint8(0), (shots, n))  # calibration's ideal bits
+        for ideal in (zeros, np.asfortranarray(drawn)):
+            rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+            records = protocols._twirled_readout(ideal, model, rng)
+            masks = oracle_rng.integers(0, 2, size=(shots, n), dtype=np.uint8)
+            expected = oracle(model, masks ^ ideal, oracle_rng) ^ masks
+            assert records.dtype == np.uint8 and records.flags.f_contiguous
+            assert np.array_equal(records, expected)
+            assert rng.random() == oracle_rng.random()  # both drew the same count
+
+    @pytest.mark.parametrize(
+        "model,bound",
+        [
+            (ChainCrosstalkModel(12, 0.07, 0.05, 0.5), 3.5),
+            (IndependentFlipModel(12, 0.07, 0.05), 6.0),
+        ],
+        ids=["chain", "independent"],
+    )
+    def test_calibration_holds_its_records_and_one_row_block(self, model, bound):
+        # 200,000 x 12 records are 2.3 MiB.  Under tracemalloc, a row-major
+        # mask, the sampler's copy and its (M,) float64 uniforms or its
+        # output copy peaked at 8.1 MiB (chain) and 7.8 MiB (independent);
+        # the one array read out in place peaks at 2.6 and 5.4 MiB, with
+        # one row block's (rows, n) uniforms and rates for the independent
+        # sampler
+        tracemalloc.start()
+        try:
+            data = run_calibration(model, 200_000, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 200_000
+        assert peak < bound * 2**20
 
 
 class TestRunTomography:
