@@ -98,11 +98,11 @@ def tomography(config_path: str, out: str, shots: int | None, seed: int | None) 
 def estimate(config_path: str, calibration_path: str, tomography_path: str, out: str) -> None:
     """Estimate the configured correlators three ways and write the table."""
     config = load_config(config_path)
-    for kind, path in (
-        (storage.CALIBRATION_TYPE, calibration_path),
-        (storage.TOMOGRAPHY_TYPE, tomography_path),
+    for kind, path, directions in (
+        (storage.CALIBRATION_TYPE, calibration_path, None),
+        (storage.TOMOGRAPHY_TYPE, tomography_path, config.directions),
     ):  # both refused on their headers, before either body is decoded
-        n = storage.read_qubit_count(path, kind)
+        n = storage.read_qubit_count(path, kind, directions)
         if n != config.n:
             raise XShadowError(f"qubit counts disagree: config n={config.n}, {kind} n={n}")
     cal = storage.read_calibration(calibration_path)

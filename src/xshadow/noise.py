@@ -29,7 +29,7 @@ from .exceptions import CapabilityError
 from .qsim import EXACT_SIM_MAX_QUBITS
 
 # rows per block of the readout's draws: the twirl masks
-# (protocols._twirled_readout) and both samplers' uniforms
+# (protocols._twirled_readout) and the chain sampler's columns
 _SAMPLE_ROWS = 1 << 14
 
 
@@ -43,10 +43,9 @@ def _as_rate_array(rates, n: int, name: str) -> np.ndarray:
     arr = np.asarray(rates, dtype=object)
     if arr.shape not in ((), (n,)) or not all(map(_is_real, arr.flat)):
         raise ValueError(f"{name} must be a number or a list of {n} numbers, got {rates!r}")
-    arr = np.full(n, arr, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
+    if not all(0 <= rate <= 1 for rate in arr.flat):  # NaN fails; no int past float range is cast
         raise ValueError(f"{name} must lie in [0, 1], got {rates!r}")
-    return arr
+    return np.full(n, arr, dtype=float)
 
 
 class ChainCrosstalkModel:
@@ -121,10 +120,11 @@ class IndependentFlipModel(ChainCrosstalkModel):
 
     def sample_bits(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Overwrite the writable (M, n) uint8 bits entering the channel
-        with its flip pattern and return them, in blocks of _SAMPLE_ROWS
+        with its flip pattern and return them, in blocks of _SAMPLE_ROWS // n
         rows: a qubit flips at p10 or p01 by its bit, against row-major
         (rows, n) uniforms, which give the stream of one (M, n) draw."""
-        for start in range(0, len(bits), _SAMPLE_ROWS):
-            rows = bits[start : start + _SAMPLE_ROWS]
+        block = max(1, _SAMPLE_ROWS // self.n)
+        for start in range(0, len(bits), block):
+            rows = bits[start : start + block]
             np.less(rng.random(rows.shape), np.where(rows, self.p10, self.p01), out=rows)
         return bits

@@ -61,12 +61,7 @@ from .shadows import G_FLOOR, compute_xi, half_overlap
 # value of each parity cell (-1)^bit, bit 0 first
 _PARITY_SIGNS = np.array([1.0, -1.0])
 
-# multinomial cell counts drawn by one resampling block, in 4-row-aligned
-# sub-blocks of _PRODUCT_CELLS; the block boundaries are pinned by the
-# frozen report digests (see _resample_means)
-_DRAW_BLOCK = 1 << 20
-
-# cell counts one sub-block of a resampling block holds at once, as int64
+# cell counts one sub-block of a bootstrap stream holds at once, as int64
 # draws and their float64 cast (1 MiB), in a multiple of 4 rows; 4 rows
 # when fewer do not fit
 _PRODUCT_CELLS = 1 << 16
@@ -456,42 +451,30 @@ def _shade_tables(
 
 
 def _resample_means(
-    counts: np.ndarray,
-    values: np.ndarray,
-    size: int,
-    resamples: int,
-    rng: np.random.Generator,
+    counts: np.ndarray, values: np.ndarray, resamples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Means of `resamples` draws of `size` records with replacement.
+    """Means of `resamples` draws, with replacement, of as many records as
+    the table holds: multinomials over the cells weighted by their record
+    counts, exactly the law of drawing the records themselves.
 
-    A draw is a multinomial over cells weighted by their record counts,
-    exactly the law of drawing the records themselves.  The draws come in
-    blocks of at most _DRAW_BLOCK cell counts, and each block in sub-blocks
-    of at most _PRODUCT_CELLS that are drawn and multiplied (`draws @
-    values`) one at a time, which bounds memory.  numpy draws the rows of
-    a multinomial in sequence, so neither split moves the integer draws,
-    but a split can move the means: the BLAS product equals an unsplit one
-    only when every boundary falls a multiple of 4 rows into it (so
-    measured with OpenBLAS, whose matrix-vector kernel groups rows by 4),
-    and not when the last part is one row, which numpy hands to a dot
-    product.  So a sub-block starts 4k rows into its block and takes in a
-    lone last row, and the means are those of one product per block.  The
-    block boundaries need not fall on multiples of 4, so _DRAW_BLOCK, like
-    the seeds, is part of the pinned stream.  A sub-block is too small for
-    OpenBLAS to split between its threads off a multiple of 4 rows, so the
-    means do not depend on the BLAS thread count either (measured with 1
-    and 2 threads).
+    The draws are made and multiplied (`draws @ values`) in sub-blocks of
+    at most _PRODUCT_CELLS cell counts, which bounds memory.  numpy draws a
+    multinomial's rows in sequence, so the split moves no integer draw, nor
+    a mean: OpenBLAS's matrix-vector kernel groups rows by 4, so a product
+    split a multiple of 4 rows in equals the unsplit one, but numpy hands a
+    one-row part to a dot product.  So each sub-block but the last has a
+    multiple of 4 rows, and the last takes in a lone last row.  A sub-block
+    is too small for OpenBLAS to split between its threads, so the means do
+    not depend on the BLAS thread count either.
     """
-    probabilities = counts / counts.sum()
-    block = max(1, _DRAW_BLOCK // len(counts))
+    size = int(counts.sum())
+    probabilities = counts / size
     step = max(4, _PRODUCT_CELLS // len(counts) // 4 * 4)
     means = np.empty(resamples)
-    for start in range(0, resamples, block):
-        low, stop = start, min(start + block, resamples)
-        while low < stop:
-            high = stop if stop - low <= step + 1 else low + step
-            means[low:high] = rng.multinomial(size, probabilities, high - low) @ values
-            low = high
+    starts = range(0, max(1, resamples - 1), step)  # a lone last row joins the last sub-block
+    for low in starts:
+        high = resamples if low == starts[-1] else low + step
+        means[low:high] = rng.multinomial(size, probabilities, high - low) @ values
     return means / size
 
 
@@ -565,13 +548,13 @@ def estimate_correlators(
         raise ValueError(f"need >= 2 bootstrap resamples, got {resamples}")
     tables = _shade_tables(data, correlators)
     streams = [
-        (counts, shades / g, resamples, seed + m * j + i)
+        (counts, shades / g, seed + m * j + i)
         for j, ((counts, shades), row) in enumerate(zip(tables, divisors))
         for i, g in enumerate(row)
     ]
     reports = [
         EstimateReport(float(counts @ values / int(counts.sum())), float(np.std(means, ddof=1)))
-        for (counts, values, _, _), means in zip(streams, _bootstrap_streams(streams))
+        for (counts, values, _), means in zip(streams, _bootstrap_streams(streams, resamples))
     ]
     return [reports[m * j : m * j + m] for j in range(len(correlators))]
 
@@ -584,11 +567,10 @@ def _usable_cpus() -> int:
 
 
 def _bootstrap_streams(
-    streams: Sequence[tuple[np.ndarray, np.ndarray, int, int]],
+    streams: Sequence[tuple[np.ndarray, np.ndarray, int]], resamples: int
 ) -> list[np.ndarray]:
-    """Bootstrap means of every (counts, values, resamples, seed) stream,
-    in list order: _resample_means over all of a table's records, drawn
-    from a generator seeded with seed.
+    """`resamples` bootstrap means of every (counts, values, seed) stream,
+    in list order: _resample_means drawn from a generator seeded with seed.
 
     Each stream owns its generator, so a stream's means do not depend on
     the thread that draws it or on the order of the draws.  Streams of at
@@ -604,12 +586,11 @@ def _bootstrap_streams(
     importing this module does not pay for it.
     """
 
-    def draw(stream: tuple[np.ndarray, np.ndarray, int, int]) -> np.ndarray:
-        counts, values, resamples, seed = stream
-        rng = np.random.default_rng(seed)
-        return _resample_means(counts, values, int(counts.sum()), resamples, rng)
+    def draw(stream: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+        counts, values, seed = stream
+        return _resample_means(counts, values, resamples, np.random.default_rng(seed))
 
-    sizes = [resamples * len(counts) for counts, _, resamples, _ in streams]
+    sizes = [resamples * len(counts) for counts, _, _ in streams]
     large = [i for i, size in enumerate(sizes) if size >= _LARGE_STREAM]
     large.sort(key=sizes.__getitem__, reverse=True)
     workers = min(len(large), _usable_cpus() - 1)

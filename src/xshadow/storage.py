@@ -121,11 +121,15 @@ def _read_header(
     return headers, n, numbers["seed"]
 
 
-def read_qubit_count(path: str, kind: str) -> int:
+def read_qubit_count(path: str, kind: str, directions: Sequence[Direction] | None = None) -> int:
     """The qubit count (#n=) of the dataset file at `path`, which must be
-    of type `kind`, from its header lines alone."""
+    of type `kind`, from its header lines alone; a tomography file given
+    `directions` must also have been written under them (_file_directions)."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path, kind)[1]
+        headers, n, _ = _read_header(fh, path, kind)
+    if directions is not None:
+        _file_directions(headers, path, directions)
+    return n
 
 
 def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None, memoryview]:
@@ -220,27 +224,38 @@ def write_tomography(path: str, dataset: TomographyDataset) -> None:
             fh.write(_tomography_block(dataset, codes, rows))
 
 
-def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
-    headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
+def _file_directions(
+    headers: Mapping[str, str], path: str, directions: Sequence[Direction] | None
+) -> tuple[Direction, ...]:
+    """The direction set of the tomography file with these headers: its
+    #directions= labels, which must pass _check_labels, read as built-in
+    axes, or `directions` when given, whose labels must be those."""
     if "directions" not in headers:
         raise DataFormatError(f"{path}: missing #directions= header")
     labels = tuple(headers["directions"].split(",")) if headers["directions"] else ()
     try:
         _check_labels(labels)
         if directions is None:
-            directions = tuple(direction_from_label(label) for label in labels)
+            return tuple(direction_from_label(label) for label in labels)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     directions = tuple(directions)
     if tuple(d.label for d in directions) != labels:
         raise DataFormatError(f"{path}: file directions {labels} do not match the provided set")
+    return directions
+
+
+def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
+    headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
+    directions = _file_directions(headers, path, directions)
     raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
     between = raw[:, 1 : 2 * n : 2]
     separators = np.frombuffer(b"," * (n - 1) + b" ", dtype=np.uint8)
     # label byte -> setting index; 255, above the index of any of the 92
     # labels, marks every other byte
     lookup = np.full(256, 255, dtype=np.uint8)
-    lookup[np.frombuffer("".join(labels).encode(), dtype=np.uint8)] = np.arange(len(labels))
+    labels = "".join(d.label for d in directions).encode()
+    lookup[np.frombuffer(labels, dtype=np.uint8)] = np.arange(len(directions))
     codes = raw[:, 0 : 2 * n : 2]
     settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
     for block in _row_blocks(len(raw)):

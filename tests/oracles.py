@@ -34,8 +34,8 @@ and `read_csv` parse the text forms the library only writes, and
 `one_block_file` is a dataset file built whole, header and one byte
 block, which the row-block writers must reproduce byte for byte.
 `one_product_resample_means` is the bootstrap with one multinomial draw
-and one `draws @ values` product per block, whose means the sub-blocked
-products must reproduce bit for bit.  `bit` reads one qubit of a
+and one `draws @ values` product, whose means the sub-blocked products
+must reproduce bit for bit.  `bit` reads one qubit of a
 `BitString`, and `pack_bits` and `cell_codes` are the int64 codes that
 the library's one record coder must reproduce.
 """
@@ -49,7 +49,6 @@ import numpy as np
 from xshadow.bitspace import BitString
 from xshadow.exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
 from xshadow.noise import IndependentFlipModel
-from xshadow.protocols import _resample_means
 from xshadow.qsim import IDENTITY_2, Correlator, Direction, pauli_operator, rotation_gate
 from xshadow.shadows import G_FLOOR, compute_xi, half_overlap
 
@@ -432,16 +431,11 @@ def one_block_file(dataset) -> bytes:
     return ("\n".join(header) + "\n").encode() + body.tobytes()
 
 
-def one_product_resample_means(counts, values, size, resamples, rng, draw_block):
-    """Bootstrap means drawn in blocks of at most `draw_block` cell counts,
-    one multinomial call and one `draws @ values` product per block."""
-    probabilities = counts / counts.sum()
-    block = max(1, draw_block // len(counts))
-    draws = [
-        rng.multinomial(size, probabilities, min(block, resamples - start)) @ values
-        for start in range(0, resamples, block)
-    ]
-    return np.concatenate(draws) / size
+def one_product_resample_means(counts, values, resamples, rng):
+    """Bootstrap means of `resamples` draws of as many records as the table
+    holds: one multinomial call and one `draws @ values` product."""
+    size = int(counts.sum())
+    return rng.multinomial(size, counts / size, resamples) @ values / size
 
 
 def read_csv(path: str) -> list[dict[str, str]]:
@@ -460,8 +454,9 @@ def monte_carlo_study(curves, sizes, resamples, rng):
     """
     pooled = {}
     for group, counts, values, truth in curves:
+        probabilities = counts / counts.sum()
         errors = [
-            (_resample_means(counts, values, size, resamples, rng) - truth) ** 2
+            (rng.multinomial(size, probabilities, resamples) @ values / size - truth) ** 2
             for size in sizes
         ]
         pooled.setdefault(group, []).append(errors)

@@ -303,6 +303,80 @@ class TestConfig:
         assert "error: field 'noise': p10 must lie in [0, 1]" in result.output
         assert not out.exists()
 
+    def test_rates_past_float_range_are_refused_by_the_cli(self, tmp_path):
+        # float() of this integer raises OverflowError
+        path = _write_yaml(
+            tmp_path / "huge.yaml",
+            f"n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 1{'0' * 400}\n  p01: 0.05\n",
+        )
+        out = tmp_path / "cal.txt"
+        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught OverflowError
+        assert "error: field 'noise': p10 must lie in [0, 1]" in result.output
+        assert not out.exists()
+
+    # a valid mapping that sets the nested keys; the property test mutates it
+    VALID = {
+        "n": 3,
+        "depth": 2,
+        "noise": {"model": "chain_crosstalk", "p10": [0.07, 0.1, 0.2], "p01": 0.05, "gamma": 0.5},
+        "directions": ["x", "y", "z"],
+        "correlator_degrees": [1, 3],
+        "study_weights": [2],
+        "bootstrap_resamples": 20,
+    }
+    SCALARS = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.just(math.nan),
+        st.integers(2**1024, 10**400),  # past float range
+        st.integers(-(10**400), -(2**1024)),
+        st.integers(-2, 20),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=3),
+    )
+    ODD_VALUES = st.one_of(
+        SCALARS,
+        st.lists(SCALARS, max_size=4),
+        st.dictionaries(st.text(max_size=2), SCALARS, max_size=2),
+    )
+    KEYS = st.one_of(
+        st.tuples(st.just("top"), st.sampled_from(list(ExperimentConfig.__dataclass_fields__))),
+        st.tuples(st.just("noise"), st.sampled_from(["model", "p10", "p01", "gamma"])),
+    )
+
+    @settings(max_examples=300)
+    @given(
+        mutations=st.lists(
+            st.tuples(KEYS, st.sampled_from(["drop", "set", "add"]), ODD_VALUES),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example(mutations=[(("noise", "p10"), "set", 10**400)])
+    @example(mutations=[(("noise", "gamma"), "set", -(10**400))])
+    @example(mutations=[(("top", "depth"), "set", 10**400)])  # parses: no run starts
+    def test_a_mutated_mapping_parses_or_is_refused(self, mutations):
+        """Dropping a key, setting a value of any type or adding an unknown
+        key, at the top level or in the noise block, gives a config or a
+        ConfigError, nothing else."""
+        raw = {**self.VALID, "noise": dict(self.VALID["noise"])}
+        for (block, key), action, value in mutations:
+            noise = raw.get("noise")
+            target = noise if block == "noise" and isinstance(noise, dict) else raw
+            if action == "drop":
+                target.pop(key, None)
+            elif action == "set":
+                target[key] = value
+            else:
+                target[key + "_extra"] = value
+        try:
+            config = parse_config(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, ExperimentConfig)
+
     def test_yaml_parse_error(self, tmp_path):
         path = _write_yaml(tmp_path / "bad.yaml", "n: [unclosed\n")
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -1292,9 +1366,10 @@ class TestFrozenReport:
     bootstrap's `draws @ values`: they were pinned with OpenBLAS 0.3.31,
     whose matrix-vector kernel groups rows by 4, so that blocks of rows
     that are not a multiple of 4 give other last bits.  The bootstrap
-    multiplies each draw block in sub-blocks that start a multiple of 4
-    rows into it and take in a lone last row, which keeps the digests
-    pinned with one product per block; sub-blocks of 5 rows move both.
+    multiplies a stream's draws in sub-blocks that start a multiple of 4
+    rows in and take in a lone last row, which gives the means of one
+    product of all its draws, with which the digests were pinned;
+    sub-blocks of 5 rows move both.
     No formulation independent of the library keeps them (numpy's pairwise
     sum and math.fsum each move most of the means), so read a failure on a
     machine with another BLAS with this in mind."""
@@ -1339,11 +1414,11 @@ class TestBootstrapThreads:
         draws = []
         resample_means = protocols._resample_means
 
-        def recording(counts, values, size, resamples, rng):
+        def recording(counts, values, resamples, rng):
             draws.append(
                 (resamples * len(counts), threading.current_thread(), threading.active_count())
             )
-            return resample_means(counts, values, size, resamples, rng)
+            return resample_means(counts, values, resamples, rng)
 
         monkeypatch.setattr(protocols, "_resample_means", recording)
         if cpus is not None:
@@ -1399,12 +1474,12 @@ class TestBootstrapThreads:
         failed = []
         resample_means = protocols._resample_means
 
-        def failing_draw(counts, values, size, resamples, rng):
+        def failing_draw(counts, values, resamples, rng):
             if rng.bit_generator.state == failing:
                 on_main = threading.current_thread() is threading.main_thread()
                 failed.append((resamples * len(counts), on_main, threading.active_count()))
                 raise error
-            return resample_means(counts, values, size, resamples, rng)
+            return resample_means(counts, values, resamples, rng)
 
         monkeypatch.setattr(protocols, "_resample_means", failing_draw)
         return error, failed
@@ -1439,11 +1514,11 @@ class TestBootstrapThreads:
         begun = []
         draw = protocols._resample_means
 
-        def held(counts, values, size, resamples, rng):
+        def held(counts, values, resamples, rng):
             if resamples * len(counts) >= protocols._LARGE_STREAM:
                 begun.append(threading.current_thread())
                 time.sleep(0.2)  # long enough for the calling thread to fail first
-            return draw(counts, values, size, resamples, rng)
+            return draw(counts, values, resamples, rng)
 
         monkeypatch.setattr(protocols, "_resample_means", held)
         monkeypatch.setattr(protocols, "_usable_cpus", lambda: cpus)
@@ -1662,6 +1737,36 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "do not match" in result.output
         assert not report_path.exists()
+
+    def test_estimate_refuses_the_directions_on_the_headers(self, tmp_path, monkeypatch):
+        cal_path, tomo_path = str(tmp_path / "cal.txt"), str(tmp_path / "tomo.txt")
+        model = ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
+        write_calibration(cal_path, run_calibration(model, 20, seed=1))
+        state = random_circuit_state(3, 2, 0)
+        write_tomography(tomo_path, run_tomography(state, pauli_directions(), model, 20, seed=2))
+        config = _write_yaml(
+            tmp_path / "zxy.yaml",
+            "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 0.1\n  p01: 0.05\n"
+            "directions: [z, x, y]\n",
+        )
+
+        def unread(*args, **kwargs):
+            raise AssertionError("dataset body read")
+
+        monkeypatch.setattr(storage, "_read_dataset", unread)
+        report = tmp_path / "r.csv"
+        result = CliRunner().invoke(
+            main,
+            ["estimate", "--config", config, "--calibration", cal_path,
+             "--tomography", tomo_path, "--out", str(report)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            f"error: {tomo_path}: file directions ('x', 'y', 'z') do not match the provided set\n"
+            in result.output
+        )
+        assert not report.exists()
 
     def test_run_freezes_the_heap_before_main(self, monkeypatch):
         calls = []

@@ -70,6 +70,16 @@ class TestIndependentFlipModel:
         with pytest.raises(ValueError, match="p10"):
             ChainCrosstalkModel(2, rates, 0.1, 0.5)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_rejects_numbers_past_float_range(self, value):
+        # float() of these integers raises OverflowError, not ValueError
+        with pytest.raises(ValueError, match="p01 must lie in"):
+            IndependentFlipModel(2, 0.1, [0.1, value])
+        with pytest.raises(ValueError, match="p10 must lie in"):
+            ChainCrosstalkModel(2, value, 0.1, 0.5)
+        with pytest.raises(ValueError, match="gamma must be"):
+            ChainCrosstalkModel(2, 0.1, 0.1, value)
+
     @pytest.mark.parametrize("rates", [0, 1, 0.25, [0, 0.5], np.array([0.1, 1.0]), np.float32(0.5)])
     def test_accepts_a_number_or_n_numbers(self, rates):
         model = IndependentFlipModel(2, rates, 0.0)

@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -280,7 +284,7 @@ class TestTwirledReadout:
         "model,bound",
         [
             (ChainCrosstalkModel(12, 0.07, 0.05, 0.5), 3.5),
-            (IndependentFlipModel(12, 0.07, 0.05), 6.0),
+            (IndependentFlipModel(12, 0.07, 0.05), 3.5),
         ],
         ids=["chain", "independent"],
     )
@@ -288,9 +292,10 @@ class TestTwirledReadout:
         # 200,000 x 12 records are 2.3 MiB.  Under tracemalloc, a row-major
         # mask, the sampler's copy and its (M,) float64 uniforms or its
         # output copy peaked at 8.1 MiB (chain) and 7.8 MiB (independent);
-        # the one array read out in place peaks at 2.6 and 5.4 MiB, with
-        # one row block's (rows, n) uniforms and rates for the independent
-        # sampler
+        # the one array read out in place peaks at 2.6 and 2.7 MiB, as the
+        # independent sampler's (2^14 // n, n) blocks of uniforms and rates
+        # hold about as many values as a chain block's column (5.4 MiB with
+        # blocks of 2^14 rows); a first call in a process adds 0.6 MiB
         tracemalloc.start()
         try:
             data = run_calibration(model, 200_000, seed=6)
@@ -609,76 +614,96 @@ class TestCountTableKernel:
         c = random_correlators(4, [3], 1, seed=26)[0]
         kw = {"resamples": 200, "seed": 9}
         whole = estimate_correlators(tomos["pauli"], [c], [(1.0,)], **kw)
-        monkeypatch.setattr(protocols, "_DRAW_BLOCK", 1000)  # a few resamples per block
+        monkeypatch.setattr(protocols, "_PRODUCT_CELLS", 1000)  # a few resamples per sub-block
         blocked = estimate_correlators(tomos["pauli"], [c], [(1.0,)], **kw)
         assert blocked == whole
 
     def test_blocked_integer_draws_keep_the_stream(self, monkeypatch):
-        """Blocks of 5 rows, not a multiple of BLAS's 4-row groups: the
-        integer draws must still be the unblocked call's.  The values 18^j
+        """Sub-blocks of 4 rows (5 round down to 4), the last one of 3: the
+        integer draws must still be the unsplit call's.  The values 18^j
         encode a draw of 17 records over 4 cells in one exact float."""
         counts = np.array([3, 5, 2, 7])
         values = 18.0 ** np.arange(4)
         expected = np.random.default_rng(4).multinomial(17, counts / counts.sum(), 23)
-        monkeypatch.setattr(protocols, "_DRAW_BLOCK", 5 * len(counts))
-        means = protocols._resample_means(counts, values, 17, 23, np.random.default_rng(4))
+        monkeypatch.setattr(protocols, "_PRODUCT_CELLS", 5 * len(counts))
+        means = protocols._resample_means(counts, values, 23, np.random.default_rng(4))
         codes = np.rint(means * 17).astype(np.int64)
         assert np.array_equal(codes[:, None] // 18 ** np.arange(4) % 18, expected)
 
     @pytest.mark.parametrize(
-        "cells,resamples,block_rows,product_rows",
+        "cells,resamples,product_rows",
         [
-            (1296, 200, None, None),  # sub-blocks of 48 rows, the last one of 8
-            (1296, 49, None, None),  # 48 rows take in the lone last row
-            (300, 23, 5, 4),  # 5-row blocks: 4 rows take in the lone fifth
-            (300, 40, 6, 4),  # 6-row blocks: sub-blocks of 4 and 2 rows
-            (300, 40, 13, 4),  # 13-row blocks: sub-blocks of 4, 4 and 5 rows
-            (300, 40, 13, 11),  # 11 rows round down to 8: sub-blocks of 8 and 5 rows
+            (1296, 200, None),  # sub-blocks of 48 rows, the last one of 8
+            (1296, 49, None),  # 48 rows take in the lone last row
+            (300, 5, 4),  # 4 rows take in the lone fifth: one product
+            (300, 6, 4),  # sub-blocks of 4 and 2 rows
+            (300, 13, 4),  # sub-blocks of 4, 4 and 5 rows
+            (300, 13, 11),  # 11 rows round down to 8: sub-blocks of 8 and 5 rows
         ],
         ids=["default", "lone-row", "5-row-blocks", "6-row-blocks", "13-row-blocks", "round-down"],
     )
     def test_sub_blocks_equal_the_one_product_oracle(
-        self, monkeypatch, cells, resamples, block_rows, product_rows
+        self, monkeypatch, cells, resamples, product_rows
     ):
         """Random values, so that the sum's order shows in the last bits."""
         rng = np.random.default_rng(cells + resamples)
         counts = rng.integers(1, 20, cells)
         values = rng.standard_normal(cells)
-        if block_rows is not None:
-            monkeypatch.setattr(protocols, "_DRAW_BLOCK", block_rows * cells)
+        if product_rows is not None:
             monkeypatch.setattr(protocols, "_PRODUCT_CELLS", product_rows * cells)
-        size = int(counts.sum())
-        expected = one_product_resample_means(
-            counts, values, size, resamples, np.random.default_rng(8), protocols._DRAW_BLOCK
-        )
-        means = protocols._resample_means(counts, values, size, resamples, np.random.default_rng(8))
+        expected = one_product_resample_means(counts, values, resamples, np.random.default_rng(8))
+        means = protocols._resample_means(counts, values, resamples, np.random.default_rng(8))
         assert np.array_equal(means, expected)
 
     @settings(max_examples=40)
     @given(
         cells=st.integers(1, 300),
         resamples=st.integers(1, 60),
-        block_rows=st.integers(1, 25),
         product_rows=st.integers(1, 25),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_any_sub_blocks_equal_the_one_product_oracle(
-        self, cells, resamples, block_rows, product_rows, seed
+        self, cells, resamples, product_rows, seed
     ):
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, 20, cells)
         values = rng.standard_normal(cells)
-        size = int(counts.sum())
-        expected = one_product_resample_means(
-            counts, values, size, resamples, np.random.default_rng(seed), block_rows * cells
-        )
-        with mock.patch.multiple(
-            protocols, _DRAW_BLOCK=block_rows * cells, _PRODUCT_CELLS=product_rows * cells
-        ):
-            means = protocols._resample_means(
-                counts, values, size, resamples, np.random.default_rng(seed)
-            )
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = one_product_resample_means(counts, values, resamples, oracle_rng)
+        with mock.patch.object(protocols, "_PRODUCT_CELLS", product_rows * cells):
+            means = protocols._resample_means(counts, values, resamples, rng)
         assert np.array_equal(means, expected)
+
+    def test_means_do_not_depend_on_the_blas_thread_count(self):
+        """One process per OpenBLAS thread count, which is read when numpy
+        loads.  The last two streams are above 2^20 cell counts, where
+        OpenBLAS splits one product between its threads: as one product,
+        7776 cells x 201 resamples moved between 1 and 2 threads (200 rows
+        split at 100, a multiple of 4, and did not)."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, numpy as np\n"
+            "from xshadow.protocols import _resample_means\n"
+            "for cells, resamples in ((1296, 200), (300, 41), (7776, 200), (7776, 201)):\n"
+            "    rng = np.random.default_rng(cells + resamples)\n"
+            "    counts = rng.integers(1, 200, cells)\n"
+            "    values = rng.standard_normal(cells)\n"
+            "    means = _resample_means(counts, values, resamples, rng)\n"
+            "    sys.stdout.buffer.write(means.tobytes())\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                check=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                timeout=120,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0]) == 8 * (200 + 41 + 200 + 201)
+        assert outputs[0] == outputs[1]
 
     def test_a_stream_holds_one_sub_block_of_draws(self):
         # the (200, 1296) int64 draws and their float64 cast, drawn and
@@ -688,7 +713,7 @@ class TestCountTableKernel:
         values = rng.standard_normal(1296)
         tracemalloc.start()
         try:
-            protocols._resample_means(counts, values, int(counts.sum()), 200, rng)
+            protocols._resample_means(counts, values, 200, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
