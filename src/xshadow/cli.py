@@ -23,7 +23,7 @@ import sys
 import click
 
 from . import experiments, storage
-from .config import ExperimentConfig, load_config
+from .config import MAX_SHOTS, ExperimentConfig, load_config
 from .exceptions import XShadowError
 from .protocols import calibration_sample_bound, tomography_sample_bound
 
@@ -33,8 +33,8 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (XShadowError, ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (XShadowError, ValueError, OSError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -62,7 +62,7 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
-@click.option("--shots", type=click.IntRange(min=1), default=None, help="override calibration_shots")
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=None, help="override calibration_shots")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override calibration_seed")
 @_guarded
 def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
@@ -77,7 +77,7 @@ def calibrate(config_path: str, out: str, shots: int | None, seed: int | None) -
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="dataset file to write")
-@click.option("--shots", type=click.IntRange(min=1), default=None, help="override tomography_shots")
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=None, help="override tomography_shots")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override tomography_seed")
 @_guarded
 def tomography(config_path: str, out: str, shots: int | None, seed: int | None) -> None:
@@ -139,7 +139,7 @@ def complexity(epsilon: float, delta: float, g: float, kappa: float, degree: int
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False), help="output directory")
-@click.option("--shots", type=click.IntRange(min=1), default=None, help="override both dataset sizes")
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=None, help="override both dataset sizes")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="override collection seeds (seed, seed+1)")
 @_guarded
 def experiment(config_path: str, out: str, shots: int | None, seed: int | None) -> None:

@@ -46,6 +46,11 @@ from .shadows import compute_xi
 # n are the block's other keys
 NOISE_MODELS = {"independent": IndependentFlipModel, "chain_crosstalk": ChainCrosstalkModel}
 _DEGREE_KEYS = ("correlator_degrees", "study_weights")
+# the Born draw sorts a dataset's shots by uint32 indices
+MAX_SHOTS = 2**32 - 1
+# subsample_grid rounds this many log-spaced sizes into a Python set, and the
+# study writes one row per size and group
+MAX_GRID_POINTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,8 @@ class ExperimentConfig:
     noise: ChainCrosstalkModel
     directions: tuple[Direction, ...] = pauli_directions()
     circuit_seed: int = field(default=0, metadata={"minimum": 0})
-    calibration_shots: int = field(default=10**6, metadata={"minimum": 1})
-    tomography_shots: int = field(default=10**6, metadata={"minimum": 1})
+    calibration_shots: int = field(default=10**6, metadata={"minimum": 1, "maximum": MAX_SHOTS})
+    tomography_shots: int = field(default=10**6, metadata={"minimum": 1, "maximum": MAX_SHOTS})
     calibration_seed: int = field(default=1, metadata={"minimum": 0})
     tomography_seed: int = field(default=2, metadata={"minimum": 0})
     bootstrap_resamples: int = field(default=200, metadata={"minimum": 2})
@@ -67,7 +72,7 @@ class ExperimentConfig:
     study_weights: tuple[int, ...] = correlator_degrees  # the same default, also clipped
     wavevectors_per_weight: int = field(default=4, metadata={"minimum": 1})
     correlators_per_degree_study: int = field(default=5, metadata={"minimum": 1})
-    grid_points: int = field(default=8, metadata={"minimum": 2})
+    grid_points: int = field(default=8, metadata={"minimum": 2, "maximum": MAX_GRID_POINTS})
     grid_min: int = field(default=1000, metadata={"minimum": 1})
     study_seed: int = field(default=7, metadata={"minimum": 0})
 

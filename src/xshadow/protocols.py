@@ -72,10 +72,10 @@ _PRODUCT_CELLS = 1 << 16
 # hand-off costs more than its draws
 _LARGE_STREAM = 1 << 14
 
-# amplitudes or flag-table entries one chunk of shots may hold while
-# descending the outcome tree: 2^20 // max(2^n, k) shots per chunk, as a
-# node holds up to 2^n amplitudes and its flag tables k entries (a fixed
-# 16,384-shot chunk peaked at 103 MiB of node tables at n=12)
+# amplitudes or flag-table entries one chunk of shots may hold at the
+# root of the outcome tree: 2^20 // max(2^n, k) shots, as the root holds
+# 2^n amplitudes and its flag tables k entries (a fixed 16,384-shot chunk
+# peaked at 103 MiB of node tables at n=12)
 _TREE_AMPLITUDES = 1 << 20
 
 # setting indices are stored as uint8
@@ -247,7 +247,30 @@ def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     index of each entry among them: a flag table instead of a sort."""
     seen = np.zeros(size, dtype=bool)
     seen[values] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
+    return np.flatnonzero(seen), np.cumsum(seen)[values] - 1
+
+
+def _tree_chunk(shots: int, n: int, k: int) -> int:
+    """Shots per chunk of the outcome-tree descent: the larger of the root
+    rule's _TREE_AMPLITUDES // max(2^n, k) and the largest chunk whose
+    worst-case level fits in half the dataset's M * 2n bytes.  Level q
+    holds two complex tables of up to min(chunk, k^(n-q) 2^(n-1-q)) pairs
+    of 2^(q+1) amplitudes, and flag tables of k entries (a bool and an
+    int64 count) per node, of which there are min(chunk, (2k)^(n-1-q));
+    this bounds any setting matrix, not only a uniform one."""
+
+    def level_bytes(chunk: int) -> int:
+        return max(
+            (32 * min(chunk, k ** (n - q) << (n - 1 - q)) << (q + 1))
+            + 9 * k * min(chunk, (2 * k) ** (n - 1 - q))
+            for q in range(n)
+        )
+
+    low, high = max(1, _TREE_AMPLITUDES // max(1 << n, k)), shots
+    while low < high:  # level_bytes grows with the chunk
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if level_bytes(mid) <= shots * n else (low, mid - 1)
+    return low
 
 
 def _tree_outcomes(
@@ -267,34 +290,37 @@ def _tree_outcomes(
     end.  Gates on the lower qubits leave these marginals as they are, so
     no full rotated table is built.  Shots sorted by setting (qubit n-1
     first) share their nodes while their (setting, bit) prefixes agree;
-    chunks of _TREE_AMPLITUDES // max(2^n, k) shots bound both the node
-    tables and a level's flag tables, which hold k entries per node.
+    a level gathers its parents from the last level's rotation, which it
+    frees before rotating them, and _tree_chunk sizes the chunks of shots.
     """
     shots, n = settings.shape
     k = len(gates)
-    order = np.lexsort(settings.T)  # the last key, qubit n-1, is the primary one
+    # qubit n-1 is the primary key; the uint32 order is made first, so that
+    # lexsort's freed intp result leaves no hole in the heap below it
+    order = np.empty(shots, dtype=np.uint32 if shots <= 1 << 32 else np.intp)
+    order[:] = np.lexsort(settings.T)
     bits = np.empty((shots, n), dtype=np.uint8, order="F")  # row i: shot order[i]
-    root = amplitudes.reshape(1, 2, -1)
     norm = np.vdot(amplitudes, amplitudes).real
-    chunk = max(1, _TREE_AMPLITUDES // max(1 << n, k))
+    chunk = _tree_chunk(shots, n, k)
     for start in range(0, shots, chunk):
         rows = order[start : start + chunk]
         resid = born[rows] * norm
         node = np.zeros(len(rows), dtype=np.intp)
-        nodes = root
+        rotated, children = amplitudes, np.zeros(1, dtype=np.intp)  # the root
         for q in range(n - 1, -1, -1):
-            pairs, pair = _dense_ids(node * k + settings[rows, q], len(nodes) * k)
-            rotated = np.matmul(gates[pairs % k], nodes[pairs // k])
-            low = rotated[:, 0]
-            p0 = np.einsum("ij,ij->i", low.real, low.real)
-            p0 += np.einsum("ij,ij->i", low.imag, low.imag)
+            pairs, pair = _dense_ids(node * k + settings[rows, q], len(children) * k)
+            parents = rotated.reshape(-1, 2, 1 << q)[children[pairs // k]]
+            del rotated  # a level holds two tables: the parents and their rotation
+            rotated = np.matmul(gates[pairs % k], parents)
+            del parents
+            p0 = np.einsum("ij,ij->i", rotated[:, 0].real, rotated[:, 0].real)
+            p0 += np.einsum("ij,ij->i", rotated[:, 0].imag, rotated[:, 0].imag)
             p0 = p0[pair]
             bit = resid >= p0
             np.subtract(resid, p0, out=resid, where=bit)
             bits[start : start + len(rows), q] = bit
             if q:
                 children, node = _dense_ids(2 * pair + bit, 2 * len(pairs))
-                nodes = rotated.reshape(2 * len(pairs), 2, -1)[children]
     for q in range(n):  # back to shot order: one scatter per column, not per level
         column = bits[:, q]
         column[order] = column.copy()

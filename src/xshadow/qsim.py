@@ -158,14 +158,6 @@ def apply_single_qubit(amplitudes: np.ndarray, gate: np.ndarray, qubit: int, n: 
     return np.dot(gate, rows).reshape(2, *shape[::2]).transpose(1, 0, 2).reshape(1 << n)
 
 
-def _apply_cz(amplitudes: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    mask = ((idx >> a) & (idx >> b) & 1).astype(bool)
-    out = amplitudes.copy()
-    out[mask] *= -1.0
-    return out
-
-
 def random_circuit_state(n: int, depth: int, seed: int) -> StateVector:
     """State prepared by a brickwork random circuit on a line of n qubits.
 
@@ -181,6 +173,9 @@ def random_circuit_state(n: int, depth: int, seed: int) -> StateVector:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     rng = np.random.default_rng(seed)
+    index = np.arange(1 << n)
+    # CZ on qubits (q, q+1) negates the amplitudes where both bits are 1
+    cz_flips = [np.flatnonzero((index >> q) & (index >> (q + 1)) & 1) for q in range(n - 1)]
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     for layer in range(depth):
@@ -196,7 +191,7 @@ def random_circuit_state(n: int, depth: int, seed: int) -> StateVector:
             )
             amps = apply_single_qubit(amps, rot, qubit, n)
         for qubit in range(layer % 2, n - 1, 2):
-            amps = _apply_cz(amps, qubit, qubit + 1, n)
+            amps[cz_flips[qubit]] *= -1.0  # amps is apply_single_qubit's own new array
     return StateVector(n, amps)
 
 

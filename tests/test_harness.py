@@ -52,6 +52,7 @@ from xshadow.protocols import (
 )
 from xshadow.noise import ChainCrosstalkModel
 from xshadow.qsim import (
+    EXACT_SIM_MAX_QUBITS,
     Direction,
     direction_from_label,
     exact_expectation,
@@ -183,6 +184,26 @@ class TestConfig:
             if f.metadata:
                 bounds[f.name] = f.metadata["minimum"]
         assert bounds == self.MINIMUMS
+
+    # each capped integer key's greatest accepted value: a dataset's shots
+    # are sorted by uint32 indices, and the subsample grid is a Python set
+    MAXIMUMS = {
+        "n": EXACT_SIM_MAX_QUBITS,
+        "calibration_shots": 2**32 - 1,
+        "tomography_shots": 2**32 - 1,
+        "grid_points": 10**4,
+    }
+
+    @pytest.mark.parametrize("key,maximum", MAXIMUMS.items())
+    def test_each_capped_field_takes_its_cap(self, key, maximum):
+        # parsed only: a run at the cap would ask for the memory it caps
+        assert getattr(_config(**{key: maximum}), key) == maximum
+        for value in (maximum + 1, 10**15):
+            with pytest.raises(ConfigError, match=f"field '{key}' must be .*<= {maximum}, got"):
+                _config(**{key: value})
+        caps = {f.name: f.metadata["maximum"] for f in dataclasses.fields(ExperimentConfig)
+                if "maximum" in f.metadata}
+        assert caps == self.MAXIMUMS
 
     def test_direction_set_is_checked_only_when_given(self, monkeypatch):
         def refuse(directions):
@@ -1621,6 +1642,28 @@ class TestCli:
         ds = read_calibration(out)
         assert len(ds) == 77
         assert ds.seed == 5
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.1 PiB for an array", ""])
+    def test_memory_error_is_an_error_line(self, config_file, tmp_path, monkeypatch, message):
+        def exhausted(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(experiments, "collect_tomography", exhausted)
+        out = tmp_path / "tomo.txt"
+        result = CliRunner().invoke(main, ["tomography", "--config", config_file, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message or 'MemoryError'}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
+    def test_shots_option_takes_the_config_cap(self, config_file, tmp_path, command):
+        out = str(tmp_path / "out")
+        result = CliRunner().invoke(
+            main, [command, "--config", config_file, "--out", out, "--shots", str(2**32)]
+        )
+        assert result.exit_code == 2
+        assert "4294967295" in result.output
+        assert not os.path.exists(out)
 
     def test_estimate_rejects_mismatched_qubit_count(self, config_file, tmp_path):
         runner = CliRunner()

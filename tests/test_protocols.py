@@ -295,7 +295,9 @@ class TestTwirledReadout:
         # the one array read out in place peaks at 2.6 and 2.7 MiB, as the
         # independent sampler's (2^14 // n, n) blocks of uniforms and rates
         # hold about as many values as a chain block's column (5.4 MiB with
-        # blocks of 2^14 rows); a first call in a process adds 0.6 MiB
+        # blocks of 2^14 rows).  A first call in a process adds 0.6 MiB of
+        # numpy's own allocations, so a warm-up call runs untraced
+        run_calibration(model, 1000, seed=6)
         tracemalloc.start()
         try:
             data = run_calibration(model, 200_000, seed=6)
@@ -883,14 +885,14 @@ _BORN_CASES = dict(
 
 class TestTreeOutcomes:
     """The tree-descent Born draw against the inverse CDF of the full
-    rotated distribution, with chunks of at most 2^chunk_log2 shots so
-    that chunk boundaries split shared setting prefixes."""
+    rotated distribution, with chunks of 2^chunk_log2 shots so that chunk
+    boundaries split shared setting prefixes."""
 
     @settings(max_examples=60)
     @given(**_BORN_CASES)
     def test_draws_match_inverse_cdf_oracle(self, n, direction_set, shots, chunk_log2, seed):
         state, directions, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
-        with mock.patch.object(protocols, "_TREE_AMPLITUDES", 1 << (n + chunk_log2)):
+        with mock.patch.object(protocols, "_tree_chunk", return_value=1 << chunk_log2):
             drawn = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
         expected = born_outcomes(state, directions, setting_matrix, u)
         assert drawn.dtype == np.uint8 and drawn.flags.f_contiguous
@@ -900,15 +902,73 @@ class TestTreeOutcomes:
     @settings(max_examples=60)
     @given(**_BORN_CASES)
     def test_chunk_size_leaves_draws_unchanged(self, n, direction_set, shots, chunk_log2, seed):
+        # small chunks, the rule's own, and the largest it can give: one
+        # chunk of every shot
         state, _, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
-        with mock.patch.object(protocols, "_TREE_AMPLITUDES", 1 << (n + chunk_log2)):
+        with mock.patch.object(protocols, "_tree_chunk", return_value=1 << chunk_log2):
             small = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
         default = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+        with mock.patch.object(protocols, "_tree_chunk", return_value=shots):
+            whole = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
         assert np.array_equal(small, default)
+        assert np.array_equal(whole, default)
+
+    @pytest.mark.parametrize(
+        "shots,n,k,chunk",
+        [
+            (10_000, 12, 3, 256),  # collect_n12: the root rule's chunk
+            (100_000, 8, 3, 4096),  # experiment_n8: the root rule's chunk
+            (10**6, 12, 3, 1460),  # the dataset's bytes allow more
+            (200_000, 3, 256, 4096),  # k-entry flag tables keep the root rule's chunk
+        ],
+    )
+    def test_chunk_rule(self, shots, n, k, chunk):
+        assert protocols._tree_chunk(shots, n, k) == chunk
+
+    @settings(max_examples=200)
+    @given(shots=st.integers(1, 10**8), n=st.integers(1, 16), k=st.integers(1, 256))
+    def test_chunk_is_the_largest_whose_worst_level_fits(self, shots, n, k):
+        def worst_level(chunk):  # two complex tables and a bool + int64 flag per node entry
+            level = []
+            for q in range(n):
+                nodes = min(chunk, (2 * k) ** (n - 1 - q))
+                pairs = min(chunk, k * (2 * k) ** (n - 1 - q))
+                level.append(2 * 16 * pairs * 2 ** (q + 1) + (1 + 8) * k * nodes)
+            return max(level)
+
+        chunk = protocols._tree_chunk(shots, n, k)
+        root = max(1, 2**20 // max(2**n, k))
+        assert chunk >= root
+        if chunk > root:
+            assert chunk <= shots and worst_level(chunk) <= shots * n
+        if chunk < shots:
+            assert worst_level(chunk + 1) > shots * n
+
+    def test_two_tables_per_level(self):
+        # n=12, 10,000 shots (collect_n12's size, 256-shot chunks): a level
+        # that kept the last level's rotation and nodes while rotating
+        # peaked at 1.75 MiB; two tables per level and the uint32 order
+        # peak at 1.03 MiB (bits and order alone are 0.15 MiB)
+        n, shots = 12, 10_000
+        state = random_circuit_state(n, 20, seed=0)
+        gates = np.array([rotation_gate(d) for d in pauli_directions()])
+        rng = np.random.default_rng(2)
+        setting_matrix = np.asfortranarray(rng.integers(0, 3, size=(shots, n), dtype=np.uint8))
+        u = rng.random(shots)
+        protocols._tree_outcomes(state.amplitudes, gates, setting_matrix[:1000], u[:1000])
+        tracemalloc.start()
+        try:
+            protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
     def test_many_directions_keep_chunks_small(self):
         # 256 directions at n=3: 2^17-shot chunks held k flags and an int64
-        # count per node, an 82 MiB tracemalloc peak at 20,000 shots
+        # count per node, an 82 MiB tracemalloc peak at 20,000 shots; the
+        # root rule's 4,096-shot chunks peak at 16.9 MiB here and at 14.9
+        # MiB with 200,000 shots, where the dataset's bytes allow no more
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(256, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
