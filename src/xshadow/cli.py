@@ -23,9 +23,9 @@ import sys
 import click
 
 from . import experiments, storage
-from .config import MAX_SHOTS, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .exceptions import XShadowError
-from .protocols import calibration_sample_bound, tomography_sample_bound
+from .protocols import MAX_SHOTS, calibration_sample_bound, tomography_sample_bound
 
 
 def _guarded(fn):

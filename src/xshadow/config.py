@@ -32,6 +32,7 @@ import yaml
 
 from .exceptions import ConfigError, NotInformationallyCompleteError
 from .noise import ChainCrosstalkModel, IndependentFlipModel
+from .protocols import MAX_SHOTS
 from .qsim import (
     EXACT_SIM_MAX_QUBITS,
     Direction,
@@ -46,8 +47,6 @@ from .shadows import compute_xi
 # n are the block's other keys
 NOISE_MODELS = {"independent": IndependentFlipModel, "chain_crosstalk": ChainCrosstalkModel}
 _DEGREE_KEYS = ("correlator_degrees", "study_weights")
-# the Born draw sorts a dataset's shots by uint32 indices
-MAX_SHOTS = 2**32 - 1
 # subsample_grid rounds this many log-spaced sizes into a Python set, and the
 # study writes one row per size and group
 MAX_GRID_POINTS = 10**4

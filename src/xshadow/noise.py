@@ -22,15 +22,24 @@ its table, keeping only its own sampler.
 from __future__ import annotations
 
 import numbers
+from typing import Iterator
 
 import numpy as np
 
 from .exceptions import CapabilityError
 from .qsim import EXACT_SIM_MAX_QUBITS
 
-# rows per block of the readout's draws: the twirl masks
-# (protocols._twirled_readout) and the chain sampler's columns
-_SAMPLE_ROWS = 1 << 14
+# rows per block of work on an (M, n) dataset array: the readout's draws
+# (protocols._twirled_readout's masks, both samplers) and the dataset
+# codecs (storage); a block's transient memory stays small and its bytes
+# stay in cache
+_BLOCK_ROWS = 1 << 14
+
+
+def _row_blocks(records: int, rows: int = _BLOCK_ROWS) -> Iterator[slice]:
+    """Consecutive slices of `rows` rows (the last one partial) that cover
+    `records` rows."""
+    return (slice(start, start + rows) for start in range(0, records, rows))
 
 
 def _is_real(value) -> bool:
@@ -93,7 +102,7 @@ class ChainCrosstalkModel:
         """Overwrite the writable (M, n) uint8 bits entering the channel
         with its flip pattern and return them (the readout is the bits
         XOR the pattern).  Qubits go in order 0..n-1, each drawing one
-        uniform per shot in blocks of _SAMPLE_ROWS rows, which give the
+        uniform per shot in blocks of _BLOCK_ROWS rows, which give the
         stream of one (M,) draw.  A shot's rate is rates[2*prev + bit] of
         the qubit's table: base p01 or p10 by the bit, boosted if qubit
         i-1 flipped, as column i-1 by then records.  Column-major bits keep
@@ -101,8 +110,7 @@ class ChainCrosstalkModel:
         for i in range(self.n):
             p01, p10 = self.p01[i], self.p10[i]
             rates = np.array([p01, p10, min(1.0, p01 + self.gamma), min(1.0, p10 + self.gamma)])
-            for start in range(0, len(bits), _SAMPLE_ROWS):
-                rows = slice(start, start + _SAMPLE_ROWS)
+            for rows in _row_blocks(len(bits)):
                 column = bits[rows, i]
                 prev = bits[rows, i - 1] if i else 0  # qubit i-1's flips on these shots
                 np.less(rng.random(len(column)), rates[2 * prev + column], out=column)
@@ -120,11 +128,10 @@ class IndependentFlipModel(ChainCrosstalkModel):
 
     def sample_bits(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Overwrite the writable (M, n) uint8 bits entering the channel
-        with its flip pattern and return them, in blocks of _SAMPLE_ROWS // n
+        with its flip pattern and return them, in blocks of _BLOCK_ROWS // n
         rows: a qubit flips at p10 or p01 by its bit, against row-major
         (rows, n) uniforms, which give the stream of one (M, n) draw."""
-        block = max(1, _SAMPLE_ROWS // self.n)
-        for start in range(0, len(bits), block):
-            rows = bits[start : start + block]
-            np.less(rng.random(rows.shape), np.where(rows, self.p10, self.p01), out=rows)
+        for rows in _row_blocks(len(bits), max(1, _BLOCK_ROWS // self.n)):
+            block = bits[rows]
+            np.less(rng.random(block.shape), np.where(block, self.p10, self.p01), out=block)
         return bits

@@ -21,7 +21,8 @@ count of each (setting, bit) cell of the support enters; ghat(w) for
 every w is one Walsh transform of the calibration's outcome histogram,
 made once per dataset (CalibrationDataset.spectrum).  The shade kernel
 (_shade_tables) bins the records once per maximal support of a batch of
-correlators and reads each support nested in it off that table.  One
+correlators, and bins that table's cells, weighted by their counts, on
+each support nested in it: one tally (_record_cells) for both.  One
 estimator, estimate_correlators, serves one correlator or many and the
 mitigated, unmitigated and indep columns alike: it divides a support's
 table of unmitigated shades by each g(v) it is handed, ghat(v) (g_hat),
@@ -46,7 +47,7 @@ import numpy as np
 
 from .bitspace import BitString, walsh_transform
 from .exceptions import CapabilityError, SingularNoiseError, UnmitigatableComponentError
-from .noise import _SAMPLE_ROWS, ChainCrosstalkModel
+from .noise import ChainCrosstalkModel, _row_blocks
 from .qsim import (
     Correlator,
     EXACT_SIM_MAX_QUBITS,
@@ -80,6 +81,10 @@ _TREE_AMPLITUDES = 1 << 20
 
 # setting indices are stored as uint8
 _MAX_DIRECTIONS = 256
+
+# shots of one dataset: the Born draw sorts them by uint32 indices, and the
+# shade kernel's float64 sums of record counts stay exact (below 2^53)
+MAX_SHOTS = 2**32 - 1
 
 
 def _uint8_digits(values, limit: int, what: str) -> np.ndarray:
@@ -186,7 +191,7 @@ def _twirled_readout(
     readout by t after it, so a record is the ideal bits XOR the flip
     pattern the channel draws on t XOR ideal.  Draw order: t, then the
     channel's samples.  t is drawn straight into one column-major (M, n)
-    uint8 array in blocks of _SAMPLE_ROWS rows: integers(0, 2, dtype=uint8)
+    uint8 array in row blocks (_row_blocks): integers(0, 2, dtype=uint8)
     spends one byte of a buffered 32-bit word per value and drops the
     buffer at the end of a call, so calls of a multiple of 4 values give
     the stream of one call.  The ideal bits are XORed in, the model
@@ -194,9 +199,9 @@ def _twirled_readout(
     XORed in again; no other (M, n) array is made.
     """
     bits = np.empty(ideal.shape, dtype=np.uint8, order="F")
-    for start in range(0, len(bits), _SAMPLE_ROWS):
-        rows = bits[start : start + _SAMPLE_ROWS]
-        rows[...] = rng.integers(0, 2, size=rows.shape, dtype=np.uint8)
+    for rows in _row_blocks(len(bits)):
+        block = bits[rows]
+        block[...] = rng.integers(0, 2, size=block.shape, dtype=np.uint8)
     bits ^= ideal
     flips = model.sample_bits(bits, rng)
     flips ^= ideal
@@ -295,9 +300,10 @@ def _tree_outcomes(
     """
     shots, n = settings.shape
     k = len(gates)
-    # qubit n-1 is the primary key; the uint32 order is made first, so that
-    # lexsort's freed intp result leaves no hole in the heap below it
-    order = np.empty(shots, dtype=np.uint32 if shots <= 1 << 32 else np.intp)
+    # qubit n-1 is the primary key; the uint32 order (shots <= MAX_SHOTS) is
+    # made first, so that lexsort's freed intp result leaves no hole in the
+    # heap below it
+    order = np.empty(shots, dtype=np.uint32)
     order[:] = np.lexsort(settings.T)
     bits = np.empty((shots, n), dtype=np.uint8, order="F")  # row i: shot order[i]
     norm = np.vdot(amplitudes, amplitudes).real
@@ -351,10 +357,10 @@ def run_tomography(
     full 2^n table and shots with a common setting prefix share work; it
     writes the column-major (M, n) uint8 bits the readout step takes.  Any
     direction set is collected (parse_config and the estimators refuse
-    one that is not informationally complete).
+    one that is not informationally complete).  At most MAX_SHOTS shots.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     directions = tuple(directions)
     _check_direction_labels([d.label for d in directions])
     _check_direction_count(len(directions))
@@ -371,43 +377,29 @@ def run_tomography(
 
 
 def _record_cells(
-    digits: np.ndarray, support: tuple[int, ...], base: int
+    digits: np.ndarray, support: Sequence[int], base: int, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin every record on the support, one pass over the records.
+    """Bin a record set on the support, one pass over its rows.
 
-    `digits` is the (M, n) digit table 2*setting + bit of _shade_tables;
-    a record's cell is the code of its digits on the support at base 2k
-    (_cell_codes).  A code space no larger than the record count is
-    counted by bincount, a larger one sorted.  Returns each observed
-    cell's code and record count, in code order.
+    A row of `digits` holds a record's digit 2*setting + bit on every
+    qubit and stands for `weights` records (one when None); its cell is
+    the code of its digits on the support at base 2k (_cell_codes).  A
+    code space no larger than the row count is tallied by bincount, a
+    larger one by bincount over np.unique's inverse.  Weighted sums are
+    float64 but exact, as no dataset exceeds MAX_SHOTS < 2^53 records.
+    Returns each observed cell's code and int64 record count, in code
+    order.
     """
     space = base ** len(support)
     codes = _cell_codes(digits, support, base)
     if space <= len(digits):
-        table = np.bincount(codes, minlength=space)
-        cells = np.flatnonzero(table)
-        return cells, table[cells]
-    return np.unique(codes, return_counts=True)
-
-
-def _merged_cells(
-    cells: np.ndarray, counts: np.ndarray, positions: Sequence[int], base: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells and counts of a sub-support, read off its container's table.
-
-    The sub-support's qubits are the container's digits at `positions`
-    (ascending), so each container cell re-coded on those digits is the
-    sub-support cell of its records; equal codes have their counts summed.
-    Integer arithmetic throughout, and the result is in code order, so it
-    equals binning the records on the sub-support.
-    """
-    codes = np.zeros_like(cells)
-    for j, position in enumerate(positions):
-        codes += cells // base**position % base * base**j
-    merged, inverse = np.unique(codes, return_inverse=True)
-    sums = np.zeros(len(merged), dtype=counts.dtype)
-    np.add.at(sums, inverse, counts)
-    return merged, sums
+        tally = np.bincount(codes, weights, minlength=space)
+        cells = np.flatnonzero(tally)
+        tally = tally[cells]
+    else:
+        cells, inverse = np.unique(codes, return_inverse=True)
+        tally = np.bincount(inverse, weights)
+    return cells, tally.astype(np.int64, copy=False)
 
 
 def _shade_tables(
@@ -422,11 +414,13 @@ def _shade_tables(
 
     Supports are planned in descending degree (ties in list order): one
     inside an already planned support, its container, is read off the
-    container's table (_merged_cells); any other becomes a container and
-    its records are binned (_record_cells), all from one table of digits.
-    So the records are binned once per distinct maximal support.  A cell's
-    shade is the product of (-1)^bit * overlap(nu, mu) over the support.
-    Every support is checked before any binning.
+    container's table; any other becomes a container and its records are
+    binned (_record_cells) from one table of digits.  So the records are
+    binned once per distinct maximal support.  A container's table is a
+    record set of its own: one row of digits per cell, weighted by the
+    cell's count, which _record_cells tallies on each nested support.  A
+    cell's shade is the product of (-1)^bit * overlap(nu, mu) over the
+    support.  Every support is checked before any binning.
     """
     for correlator in correlators:
         if correlator.n != data.n:
@@ -435,7 +429,7 @@ def _shade_tables(
         raise ValueError("empty tomography dataset")
     operators = compute_xi(data.directions)
     base = 2 * len(data.directions)
-    weights: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
+    factors: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
     containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
     for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
         degree = correlators[index].degree
@@ -456,22 +450,27 @@ def _shade_tables(
     tables: list = [None] * len(correlators)
     for outer, members in containers:
         outer_support = BitString(data.n, outer).support()
-        table = _record_cells(digits, outer_support, base)
+        outer_cells, outer_counts = _record_cells(digits, outer_support, base)
+        # each cell's digits, read off its code by Python-int powers: an
+        # int64 power array would turn uint64 codes into float64
+        cell_digits = np.empty((len(outer_cells), len(outer_support)), digits.dtype, order="F")
+        for j in range(len(outer_support)):
+            cell_digits[:, j] = outer_cells // base**j % base
         for index in members:
             correlator = correlators[index]
             support = correlator.pattern.support()
             if support == outer_support:
-                cells, counts = table
+                cells, counts = outer_cells, outer_counts
             else:
                 positions = [outer_support.index(q) for q in support]
-                cells, counts = _merged_cells(*table, positions, base)
+                cells, counts = _record_cells(cell_digits, positions, base, outer_counts)
             shades = np.ones(len(cells))
             for j, qubit in enumerate(support):
                 mu = correlator.observables[qubit]
-                if mu not in weights:
+                if mu not in factors:
                     overlaps = [half_overlap(op, mu) for op in operators]
-                    weights[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
-                shades *= weights[mu][cells // base**j % base]
+                    factors[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
+                shades *= factors[mu][cells // base**j % base]
             tables[index] = (counts, shades)
     return tables
 

@@ -21,19 +21,20 @@ trips exactly.
 Every label is one printable ASCII character other than space, ``,``
 and ``#``, and labels do not repeat, so each kind of file has one
 fixed row width: it is written as its header, then one byte block per
-_BLOCK_ROWS records, and read as one byte block.  Every row, the last
-included, ends in a bare ``\\n``.
+noise._BLOCK_ROWS records (noise._row_blocks), and read as one byte
+block.  Every row, the last included, ends in a bare ``\\n``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DataFormatError
+from .noise import _row_blocks
 from .protocols import CalibrationDataset, TomographyDataset
 from .qsim import Direction, _check_direction_labels, direction_from_label
 
@@ -42,10 +43,6 @@ TOMOGRAPHY_TYPE = "tomography"
 # one printable ASCII character: tomography rows then have a fixed width,
 # and no label reads as a separator (space, comma) or starts a header (#)
 _LABEL_CHARACTERS = frozenset(map(chr, range(0x21, 0x7F))) - {",", "#"}
-# rows encoded or decoded at a time: a block's bytes and its columns stay
-# in cache while column-major arrays are turned into the row-major file or
-# back, and a writer holds one block's bytes, not the file's
-_BLOCK_ROWS = 1 << 14
 
 REPORT_COLUMNS = (
     "correlator_id",
@@ -69,12 +66,6 @@ def _header_lines(kind: str, n: int, seed: int | None, extra: Sequence[tuple[str
     for key, value in extra:
         lines.append(f"#{key}={value}")
     return "\n".join(lines) + "\n"
-
-
-def _row_blocks(records: int) -> Iterator[slice]:
-    """Consecutive slices of _BLOCK_ROWS rows (the last one partial) that
-    cover `records` rows."""
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, records, _BLOCK_ROWS))
 
 
 def _bit_block(outcomes: np.ndarray) -> np.ndarray:
@@ -150,7 +141,7 @@ def _decode_rows(
     """Split the body into rows of width - 1 bytes and a newline, the last
     n of them bits written MSB first.  Returns the raw (M, width) rows and
     the bits as the dataset's column-major uint8 (M, n) array, decoded in
-    blocks of _BLOCK_ROWS rows.  Each check runs on the whole array and
+    row blocks (_row_blocks).  Each check runs on the whole array and
     looks for the first bad row only once it has failed, so a valid file
     pays for no per-row mask."""
     raw = np.frombuffer(body, dtype=np.uint8)

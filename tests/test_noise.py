@@ -105,7 +105,7 @@ class TestIndependentFlipModel:
         of one (M, n) draw, with the same generator stream, over three
         whole row blocks and one partial block."""
         model = IndependentFlipModel(5, [0.1, 0.0, 1.0, 0.3, 0.07], [0.05, 1.0, 0.0, 0.2, 0.4])
-        shots = 3 * noise._SAMPLE_ROWS + 1234
+        shots = 3 * noise._BLOCK_ROWS + 1234
         ideal = np.random.default_rng(3).integers(0, 2, (shots, 5), dtype=np.uint8)
         ideal = np.asarray(ideal, order=order)
         bits = ideal.copy(order="K")
@@ -227,7 +227,7 @@ class TestChainCrosstalkModel:
         sampler's readout, with the same generator stream, in one partial
         row block and in two whole ones and a partial one."""
         model = ChainCrosstalkModel(4, p10, p01, gamma)
-        for shots in (5003, 2 * noise._SAMPLE_ROWS + 7):
+        for shots in (5003, 2 * noise._BLOCK_ROWS + 7):
             ideal = np.random.default_rng(3).integers(0, 2, (shots, 4), dtype=np.uint8)
             ideal = np.asarray(ideal, order=order)
             bits = ideal.copy(order="K")

@@ -253,12 +253,12 @@ class TestRunCalibration:
 class TestTwirledReadout:
     """The readout step against the one-call oracle: one (M, n) mask draw,
     the model's oracle sampler on the masked bits, then the XORs, at shot
-    counts around noise._SAMPLE_ROWS = B."""
+    counts around noise._BLOCK_ROWS = B."""
 
     @pytest.mark.parametrize(
         "shots",
-        [1, noise._SAMPLE_ROWS - 1, noise._SAMPLE_ROWS, noise._SAMPLE_ROWS + 1,
-         2 * noise._SAMPLE_ROWS + 3],
+        [1, noise._BLOCK_ROWS - 1, noise._BLOCK_ROWS, noise._BLOCK_ROWS + 1,
+         2 * noise._BLOCK_ROWS + 3],
         ids=["1", "B-1", "B", "B+1", "2B+3"],
     )
     @pytest.mark.parametrize("n", [1, 3, 5, 12])
@@ -352,6 +352,17 @@ class TestRunTomography:
             TomographyDataset(
                 2, directions, np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 2), dtype=np.uint8)
             )
+
+    def test_shots_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
+        # the Born draw's order is uint32, so more shots are refused up front
+        state = random_circuit_state(1, 2, seed=0)
+
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError, match="shots must lie in"):
+            run_tomography(state, pauli_directions(), _noiseless(1), protocols.MAX_SHOTS + 1, 0)
 
 
 def _g_statistic(observed, expected):
@@ -834,6 +845,28 @@ class TestCountTableKernel:
             assert np.array_equal(counts, expected_counts)
             assert np.array_equal(shades, expected_shades)
 
+    def test_nested_cells_of_codes_past_2_to_the_53(self):
+        """256 directions at n = 6: codes on all six qubits reach 512^6 =
+        2^54 as uint64, past float64's integers, and the nested supports
+        are tallied off the container's cells, read from those codes."""
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(256, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+        settings = rng.integers(0, 256, size=(3000, 6))
+        data = TomographyDataset(6, directions, settings, rng.integers(0, 2, size=(3000, 6)))
+        assert (settings[:, 5] >= 128).any()  # a top digit >= 256: a code >= 2^53
+        correlators = [
+            Correlator(BitString(6, v), {q: directions[7 * q] for q in BitString(6, v).support()})
+            for v in (0b111111, 0b000011, 0b000001)
+        ]
+        tables = protocols._shade_tables(data, correlators)
+        for c, (counts, shades) in zip(correlators[1:], tables[1:]):
+            ((alone_counts, alone_shades),) = protocols._shade_tables(data, [c])
+            assert counts.dtype == alone_counts.dtype
+            assert np.array_equal(counts, alone_counts)
+            assert np.array_equal(shades, alone_shades)
+
     def test_cell_code_overflow_is_a_capability_error(self):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
         n = 25
@@ -1010,7 +1043,7 @@ class TestFrozenDatasets:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     # the readout streams of both noise models: shot counts that end in a
-    # partial block of noise._SAMPLE_ROWS rows, and one that ends on a
+    # partial block of noise._BLOCK_ROWS rows, and one that ends on a
     # block boundary
     @pytest.mark.parametrize(
         "model,shots,seed,digest",
