@@ -10,7 +10,7 @@ into its measurement basis, and push the ideal outcome through the same
 XOR-twirl sandwich before recording (setting, outcome).
 
 Datasets are stored as column-major (M, n) uint8 arrays (column i =
-qubit i, contiguous).
+qubit i, contiguous), each checked by one rule (_dataset_array).
 All functions draw from a caller-supplied seed through a fresh numpy
 Generator, with the draw order documented per function, so datasets are
 reproducible bit-for-bit.
@@ -18,15 +18,16 @@ reproducible bit-for-bit.
 Estimation works on count tables: every estimator averages a product of
 per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters; ghat(w) for
-every w is one Walsh transform of the calibration's outcome histogram,
-made once per dataset (CalibrationDataset.spectrum).  The shade kernel
-(_shade_tables) bins the records once per maximal support of a batch of
-correlators, and bins that table's cells, weighted by their counts, on
-each support nested in it: one tally (_record_cells) for both.  One
-estimator, estimate_correlators, serves one correlator or many and the
-mitigated, unmitigated and indep columns alike: it divides a support's
-table of unmitigated shades by each g(v) it is handed, ghat(v) (g_hat),
-1 or the independent-flip model's prod (1 - p10 - p01) (independent_g).
+every w is one Walsh transform of the calibration's outcome histogram
+(CalibrationDataset.outcome_counts), made once per dataset
+(CalibrationDataset.spectrum).  The shade kernel (_shade_tables) bins
+the records once per maximal support of a batch of correlators, and bins
+that table's cells, weighted by their counts, on each support nested in
+it: one tally (_record_cells) for both.  One estimator,
+estimate_correlators, serves one correlator or many and the mitigated,
+unmitigated and indep columns alike: it divides a support's table of
+unmitigated shades by each g(v) it is handed, ghat(v) (g_hat), 1 or the
+independent-flip model's prod (1 - p10 - p01) (independent_g).
 Bootstrap draws are multinomial over the cells, exactly the law of
 drawing records with replacement.  Every (table, divisor) pair is one
 bootstrap stream with its own seed, so the streams are independent: the
@@ -87,11 +88,16 @@ _MAX_DIRECTIONS = 256
 MAX_SHOTS = 2**32 - 1
 
 
-def _uint8_digits(values, limit: int, what: str) -> np.ndarray:
-    """`values` as a column-major uint8 array.  Every entry must be an
-    integer in [0, limit); this is checked before the cast, which would
-    turn 256 into 0 and -1 into 255."""
+def _dataset_array(values, n: int, limit: int, what: str) -> np.ndarray:
+    """`values` as a dataset's column-major (M, n) uint8 array.  n must be
+    >= 1, the shape (M, n) and every entry an integer in [0, limit); all
+    are checked before the cast, which would turn 256 into 0 and -1 into
+    255."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     values = np.asarray(values)
+    if values.ndim != 2 or values.shape[1] != n:
+        raise ValueError(f"expected an (M, {n}) array of {what}, got {values.shape}")
     if values.size and (
         values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= limit
     ):
@@ -108,20 +114,23 @@ class CalibrationDataset:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        outcomes = _uint8_digits(self.outcomes, 2, "outcome bits")
-        if outcomes.ndim != 2 or outcomes.shape[1] != self.n:
-            raise ValueError(f"expected an (M, {self.n}) bit array, got {outcomes.shape}")
-        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "outcomes", _dataset_array(self.outcomes, self.n, 2, "outcome bits"))
 
     def __len__(self) -> int:
         return self.outcomes.shape[0]
 
     @functools.cached_property
     def outcome_counts(self) -> np.ndarray:
-        """Record count of every outcome value (_outcome_counts), the one
-        count of the records that the spectrum and the calibration summary
-        read.  Built on first use and kept read-only by this dataset."""
-        counts = _outcome_counts(self)
+        """Record count of every outcome value, a table of 2^n int64 counts
+        (n <= EXACT_SIM_MAX_QUBITS): each record's bits coded at base 2
+        (_cell_codes), then counted.  The one count of the records that the
+        spectrum and the calibration summary read; built on first use and
+        kept read-only by this dataset."""
+        if self.n > EXACT_SIM_MAX_QUBITS:
+            raise CapabilityError(f"n={self.n} exceeds the {EXACT_SIM_MAX_QUBITS}-qubit outcome table")
+        if len(self) == 0:
+            raise ValueError("empty calibration dataset")
+        counts = np.bincount(_cell_codes(self.outcomes, range(self.n), 2), minlength=1 << self.n)
         counts.flags.writeable = False
         return counts
 
@@ -155,14 +164,10 @@ class TomographyDataset:
 
     def __post_init__(self) -> None:
         _check_direction_count(len(self.directions))
-        settings = _uint8_digits(self.setting_indices, len(self.directions), "setting indices")
-        outcomes = _uint8_digits(self.outcomes, 2, "outcome bits")
-        if settings.ndim != 2 or settings.shape[1] != self.n:
-            raise ValueError(f"expected an (M, {self.n}) setting array, got {settings.shape}")
-        if outcomes.shape != settings.shape:
-            raise ValueError(
-                f"outcome shape {outcomes.shape} does not match settings {settings.shape}"
-            )
+        settings = _dataset_array(self.setting_indices, self.n, len(self.directions), "setting indices")
+        outcomes = _dataset_array(self.outcomes, self.n, 2, "outcome bits")
+        if len(outcomes) != len(settings):
+            raise ValueError(f"{len(outcomes)} outcome rows for {len(settings)} setting rows")
         object.__setattr__(self, "setting_indices", settings)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -235,16 +240,6 @@ def _cell_codes(digits: np.ndarray, qubits: Sequence[int], base: int) -> np.ndar
             codes *= dtype.type(base)
         codes += digits[:, qubit]
     return codes
-
-
-def _outcome_counts(cal: CalibrationDataset) -> np.ndarray:
-    """Record count of every outcome value, a table of 2^n int64 counts:
-    each record's bits coded at base 2 (_cell_codes), then counted."""
-    if cal.n > EXACT_SIM_MAX_QUBITS:
-        raise CapabilityError(f"n={cal.n} exceeds the {EXACT_SIM_MAX_QUBITS}-qubit outcome table")
-    if len(cal) == 0:
-        raise ValueError("empty calibration dataset")
-    return np.bincount(_cell_codes(cal.outcomes, range(cal.n), 2), minlength=1 << cal.n)
 
 
 def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

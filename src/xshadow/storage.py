@@ -240,8 +240,8 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
     directions = _file_directions(headers, path, directions)
     raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
-    between = raw[:, 1 : 2 * n : 2]
-    separators = np.frombuffer(b"," * (n - 1) + b" ", dtype=np.uint8)
+    # separator columns, compared to one byte each: no template sized by #n=
+    commas, spaces = raw[:, 1 : 2 * n - 1 : 2], raw[:, 2 * n - 1]
     # label byte -> setting index; 255, above the index of any of the 92
     # labels, marks every other byte
     lookup = np.full(256, 255, dtype=np.uint8)
@@ -250,8 +250,9 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
     codes = raw[:, 0 : 2 * n : 2]
     settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
     for block in _row_blocks(len(raw)):
-        if not np.all(between[block] == separators):
-            row = block.start + int(np.flatnonzero((between[block] != separators).any(axis=1))[0])
+        if not (np.all(commas[block] == ord(",")) and np.all(spaces[block] == ord(" "))):
+            bad = (commas[block] != ord(",")).any(axis=1) | (spaces[block] != ord(" "))
+            row = block.start + int(np.flatnonzero(bad)[0])
             raise DataFormatError(
                 f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
             )

@@ -37,6 +37,7 @@ from xshadow.experiments import (
     comparison_rows,
     correlator_rms_rows,
     fit_loglog_slope,
+    g_rms_rows,
     run_experiment,
     subsample_grid,
 )
@@ -204,6 +205,29 @@ class TestConfig:
         caps = {f.name: f.metadata["maximum"] for f in dataclasses.fields(ExperimentConfig)
                 if "maximum" in f.metadata}
         assert caps == self.MAXIMUMS
+
+    def test_wavevectors_per_weight_needs_no_cap(self):
+        # it only bounds a pick among the C(n, w) <= 924 supports of a weight
+        config = _config(n=6, wavevectors_per_weight=10**18, calibration_shots=2000, grid_min=10)
+        assert config.wavevectors_per_weight == 10**18
+        cal = collect_calibration(config)
+        every_support = dataclasses.replace(config, wavevectors_per_weight=math.comb(6, 3))
+        assert g_rms_rows(config, cal) == g_rms_rows(every_support, cal)
+
+    def test_grid_min_needs_no_cap(self, tmp_path, monkeypatch):
+        # subsample_grid refuses a grid_min above a tenth of the records
+        # before experiment collects anything
+        config = _config(grid_min=10**18)
+        assert config.grid_min == 10**18
+
+        def refuse(config):
+            raise AssertionError("collected")
+
+        monkeypatch.setattr(experiments, "collect_calibration", refuse)
+        monkeypatch.setattr(experiments, "collect_tomography", refuse)
+        with pytest.raises(ValueError, match=f"too small for subsampling from {10**18}$"):
+            run_experiment(config, str(tmp_path / "exp"))
+        assert not (tmp_path / "exp").exists()
 
     def test_direction_set_is_checked_only_when_given(self, monkeypatch):
         def refuse(directions):
@@ -499,6 +523,20 @@ class TestStorage:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
 
+    def test_an_empty_body_reads_without_a_row_sized_by_the_header(self, tmp_path):
+        # a separator template of #n= bytes, built before any row was read,
+        # peaked at 190.7 MiB under tracemalloc
+        path = tmp_path / "tomo.txt"
+        path.write_text("#n=100000000\n#type=tomography\n#directions=x,y,z\n")
+        tracemalloc.start()
+        try:
+            data = read_tomography(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (data.n, len(data)) == (10**8, 0)
+        assert peak < 2**20
+
     def test_body_is_a_view_of_the_file_bytes(self, tmp_path):
         payload = b"#n=2\n#type=calibration\n#seed=5\n01\n10\n"
         path = tmp_path / "cal.txt"
@@ -705,8 +743,9 @@ class TestStorage:
             ("tomo", 7, "2", "rows must contain only 0 and 1; row {row} does not"),
             ("tomo", 2, "w", "row {row} has unknown label 'w'"),
             ("tomo", 3, ";", "row {row} must be '<labels> <bits>' with 3 comma-separated labels"),
+            ("tomo", 5, ",", "row {row} must be '<labels> <bits>' with 3 comma-separated labels"),
         ],
-        ids=["cal-bit", "tomo-bit", "tomo-label", "tomo-separator"],
+        ids=["cal-bit", "tomo-bit", "tomo-label", "tomo-separator", "tomo-space"],
     )
     def test_bad_row_is_located_in_any_decode_block(
         self, tmp_path, row, kind, column, byte, needle
@@ -1306,8 +1345,8 @@ class TestSharedState:
             counted.append(cal)
             return outcome_counts(cal)
 
-        outcome_counts = protocols._outcome_counts
-        monkeypatch.setattr(protocols, "_outcome_counts", counting)
+        outcome_counts = CalibrationDataset.outcome_counts.func
+        monkeypatch.setattr(CalibrationDataset.outcome_counts, "func", counting)
         run_experiment(small_config, str(tmp_path / "exp"))
         assert len(counted) == 1
         assert not counted[0].spectrum.flags.writeable
@@ -1315,8 +1354,8 @@ class TestSharedState:
     def test_calibrate_counts_the_outcomes_once(self, tmp_path):
         """The summary's top outcomes and its ghat read the calibration's
         one outcome count; the printed digest is the one pinned here.  The
-        record coder is counted too, so a count made through another
-        module's name for _outcome_counts is seen."""
+        record coder is counted too, so a count made past the dataset's
+        outcome_counts is seen."""
         path = _write_yaml(
             tmp_path / "cfg.yaml",
             "n: 4\ndepth: 2\nnoise:\n  model: chain_crosstalk\n  p10: 0.07\n  p01: 0.05\n"
@@ -1324,7 +1363,11 @@ class TestSharedState:
         )
         out = tmp_path / "cal.txt"
         with (
-            mock.patch.object(protocols, "_outcome_counts", wraps=protocols._outcome_counts) as counts,
+            mock.patch.object(
+                CalibrationDataset.outcome_counts,
+                "func",
+                wraps=CalibrationDataset.outcome_counts.func,
+            ) as counts,
             mock.patch.object(protocols, "_cell_codes", wraps=protocols._cell_codes) as codes,
         ):
             result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])

@@ -115,8 +115,15 @@ class TestCellCodes:
 
 class TestDatasets:
     def test_calibration_shape_validation(self):
-        with pytest.raises(ValueError):
-            CalibrationDataset(3, np.zeros((5, 2), dtype=np.uint8))
+        for n, outcomes, message in (
+            (3, np.zeros((5, 2), dtype=np.uint8), r"expected an \(M, 3\) array of outcome bits"),
+            (3, np.zeros(3, dtype=np.uint8), r"expected an \(M, 3\) array of outcome bits"),
+            (3, np.zeros((2, 3, 1), dtype=np.uint8), r"expected an \(M, 3\) array"),
+            (0, np.zeros((5, 0), dtype=np.uint8), "n must be >= 1, got 0"),
+            (0, np.array([256]), "n must be >= 1, got 0"),  # refused before shape and values
+        ):
+            with pytest.raises(ValueError, match=message):
+                CalibrationDataset(n, outcomes)
 
     def test_calibration_record(self):
         ds = CalibrationDataset(3, np.array([[1, 0, 1]], dtype=np.uint8))
@@ -138,6 +145,16 @@ class TestDatasets:
                 np.zeros((2, 2), dtype=np.uint8),
                 np.zeros((1, 2), dtype=np.uint8),
             )
+        row, empty = np.zeros((1, 2), dtype=np.uint8), np.zeros((5, 0), dtype=np.uint8)
+        for n, settings, outcomes, message in (
+            (2, np.zeros(2, dtype=np.uint8), row, r"expected an \(M, 2\) array of setting indices"),
+            (2, row, np.zeros(2, dtype=np.uint8), r"expected an \(M, 2\) array of outcome bits"),
+            (2, row, np.zeros((1, 3), dtype=np.uint8), r"expected an \(M, 2\) array of outcome"),
+            (0, empty, empty, "n must be >= 1, got 0"),
+            (0, np.array([256]), np.array([-1]), "n must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                TomographyDataset(n, (z,), settings, outcomes)
 
     @pytest.mark.parametrize(
         "settings,outcomes,message",
@@ -238,9 +255,8 @@ class TestRunCalibration:
 
     def test_spectrum_is_built_once_and_read_only(self):
         cal = run_calibration(ChainCrosstalkModel(3, 0.1, 0.05, 0.4), 500, seed=7)
-        with mock.patch.object(
-            protocols, "_outcome_counts", wraps=protocols._outcome_counts
-        ) as counts:
+        outcome_counts = CalibrationDataset.outcome_counts
+        with mock.patch.object(outcome_counts, "func", wraps=outcome_counts.func) as counts:
             spectrum = cal.spectrum
             assert cal.spectrum is spectrum and g_hat(cal, BitString(3, 0b011)) == spectrum[3]
         assert counts.call_count == 1
