@@ -20,10 +20,10 @@ per-qubit weights w_q[setting, bit] over the support, so only the record
 count of each (setting, bit) cell of the support enters; ghat(w) for
 every w is one Walsh transform of the calibration's outcome histogram
 (CalibrationDataset.outcome_counts), made once per dataset
-(CalibrationDataset.spectrum).  The shade kernel (_shade_tables) bins
-the records once per maximal support of a batch of correlators, and bins
-that table's cells, weighted by their counts, on each support nested in
-it: one tally (_record_cells) for both.  One estimator,
+(CalibrationDataset.spectrum).  The shade kernel (_shade_tables) is one
+pass over a batch of correlators: it bins the records once per maximal
+support and each nested support from its container's cells, weighted by
+their counts, by one tally (_record_cells) of digit tables.  One estimator,
 estimate_correlators, serves one correlator or many and the mitigated,
 unmitigated and indep columns alike: it divides a support's table of
 unmitigated shades by each g(v) it is handed, ghat(v) (g_hat), 1 or the
@@ -83,8 +83,8 @@ _TREE_AMPLITUDES = 1 << 20
 # setting indices are stored as uint8
 _MAX_DIRECTIONS = 256
 
-# shots of one dataset: the Born draw sorts them by uint32 indices, and the
-# shade kernel's float64 sums of record counts stay exact (below 2^53)
+# shots of one dataset, refused past by both collectors: the Born draw sorts
+# them by uint32 indices, and float64 sums of record counts stay exact (< 2^53)
 MAX_SHOTS = 2**32 - 1
 
 
@@ -213,15 +213,21 @@ def _twirled_readout(
     return flips
 
 
+def _check_shots(shots: int) -> None:
+    """Both collectors' shot rule, checked before any generator is made."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+
+
 def run_calibration(model: ChainCrosstalkModel, shots: int, seed: int) -> CalibrationDataset:
     """Collect twirled calibration records from the all-zeros state.
 
     Per shot: draw t uniformly; the ideal readout is t itself (the flip
     layer maps |0...0> to |t>); sample the noisy readout; XOR with t.
     Draw order: the full (shots, n) t matrix, then the channel's samples.
+    At most MAX_SHOTS shots, which keeps the spectrum's sums exact.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    _check_shots(shots)
     rng = np.random.default_rng(seed)
     zeros = np.broadcast_to(np.uint8(0), (shots, model.n))
     return CalibrationDataset(model.n, _twirled_readout(zeros, model, rng), seed=seed)
@@ -354,8 +360,7 @@ def run_tomography(
     direction set is collected (parse_config and the estimators refuse
     one that is not informationally complete).  At most MAX_SHOTS shots.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
+    _check_shots(shots)
     directions = tuple(directions)
     _check_direction_labels([d.label for d in directions])
     _check_direction_count(len(directions))
@@ -377,23 +382,27 @@ def _record_cells(
     """Bin a record set on the support, one pass over its rows.
 
     A row of `digits` holds a record's digit 2*setting + bit on every
-    qubit and stands for `weights` records (one when None); its cell is
-    the code of its digits on the support at base 2k (_cell_codes).  A
-    code space no larger than the row count is tallied by bincount, a
-    larger one by bincount over np.unique's inverse.  Weighted sums are
-    float64 but exact, as no dataset exceeds MAX_SHOTS < 2^53 records.
-    Returns each observed cell's code and int64 record count, in code
-    order.
+    qubit and stands for `weights` records (one when None).  Rows are
+    coded on the support at base 2k (_cell_codes) and tallied by bincount,
+    over np.unique's inverse when the code space exceeds the row count.
+    Weighted sums are float64 but exact, as no dataset exceeds MAX_SHOTS
+    < 2^53 records.  Returns, in code order, each observed cell's digits
+    on the support as a column-major (cells, d) table of the digits' dtype
+    (read off the codes by Python-int powers, so uint64 codes keep their
+    low digits) and its int64 record count.
     """
     space = base ** len(support)
     codes = _cell_codes(digits, support, base)
     if space <= len(digits):
         tally = np.bincount(codes, weights, minlength=space)
-        cells = np.flatnonzero(tally)
-        tally = tally[cells]
+        codes = np.flatnonzero(tally)
+        tally = tally[codes]
     else:
-        cells, inverse = np.unique(codes, return_inverse=True)
+        codes, inverse = np.unique(codes, return_inverse=True)
         tally = np.bincount(inverse, weights)
+    cells = np.empty((len(codes), len(support)), digits.dtype, order="F")
+    for j in range(len(support)):
+        cells[:, j] = codes // base**j % base
     return cells, tally.astype(np.int64, copy=False)
 
 
@@ -404,18 +413,18 @@ def _shade_tables(
     correlator order.
 
     The shadow operators xi are those of the dataset's own direction set
-    (compute_xi), in setting order, so a set that is not informationally
-    complete is refused before any record is binned.
+    (compute_xi), in setting order; a set that is not informationally
+    complete, or a degree whose cells overflow a 64-bit code, is refused
+    before any record is binned.
 
-    Supports are planned in descending degree (ties in list order): one
-    inside an already planned support, its container, is read off the
-    container's table; any other becomes a container and its records are
-    binned (_record_cells) from one table of digits.  So the records are
-    binned once per distinct maximal support.  A container's table is a
-    record set of its own: one row of digits per cell, weighted by the
-    cell's count, which _record_cells tallies on each nested support.  A
-    cell's shade is the product of (-1)^bit * overlap(nu, mu) over the
-    support.  Every support is checked before any binning.
+    Correlators are taken in descending degree (ties in list order).  A
+    support inside an already binned one, its container, is tallied
+    (_record_cells) on the container's cell table, one row per cell
+    weighted by its count; any other is binned from one digit table of
+    the records and becomes a container, so the records are binned once
+    per distinct maximal support.  A cell's shade is the product over the
+    support of (-1)^bit * overlap(nu, mu), each factor read off by the
+    cell's digit from its observable's table.
     """
     for correlator in correlators:
         if correlator.n != data.n:
@@ -424,49 +433,38 @@ def _shade_tables(
         raise ValueError("empty tomography dataset")
     operators = compute_xi(data.directions)
     base = 2 * len(data.directions)
-    factors: dict[Direction, np.ndarray] = {}  # cell digit -> factor, per observable
-    containers: list[tuple[int, list[int]]] = []  # (container pattern, member indices)
-    for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
-        degree = correlators[index].degree
-        if base**degree > 1 << 64:
-            raise CapabilityError(f"{base}^{degree} support cells overflow a 64-bit code")
-        pattern = correlators[index].pattern.value
-        for outer, members in containers:
-            if pattern & ~outer == 0:
-                members.append(index)
-                break
-        else:
-            containers.append((pattern, [index]))
+    degree = max((correlator.degree for correlator in correlators), default=0)
+    if base**degree > 1 << 64:
+        raise CapabilityError(f"{base}^{degree} support cells overflow a 64-bit code")
+    factors = {  # cell digit -> factor, per observable
+        mu: np.outer([half_overlap(op, mu) for op in operators], _PARITY_SIGNS).ravel()
+        for mu in set().union(*(c.observables.values() for c in correlators))
+    }
     # every record's digit 2*setting + bit on every qubit, column-major, in
     # the narrowest unsigned dtype (uint8 for k <= 128)
     digits = np.empty(data.setting_indices.shape, np.min_scalar_type(base - 1), order="F")
     np.multiply(data.setting_indices, 2, out=digits, dtype=digits.dtype, casting="unsafe")
     digits += data.outcomes
+    containers: list = []  # (pattern, support, cells, counts) of every binned support
     tables: list = [None] * len(correlators)
-    for outer, members in containers:
-        outer_support = BitString(data.n, outer).support()
-        outer_cells, outer_counts = _record_cells(digits, outer_support, base)
-        # each cell's digits, read off its code by Python-int powers: an
-        # int64 power array would turn uint64 codes into float64
-        cell_digits = np.empty((len(outer_cells), len(outer_support)), digits.dtype, order="F")
-        for j in range(len(outer_support)):
-            cell_digits[:, j] = outer_cells // base**j % base
-        for index in members:
-            correlator = correlators[index]
-            support = correlator.pattern.support()
-            if support == outer_support:
-                cells, counts = outer_cells, outer_counts
-            else:
-                positions = [outer_support.index(q) for q in support]
-                cells, counts = _record_cells(cell_digits, positions, base, outer_counts)
-            shades = np.ones(len(cells))
-            for j, qubit in enumerate(support):
-                mu = correlator.observables[qubit]
-                if mu not in factors:
-                    overlaps = [half_overlap(op, mu) for op in operators]
-                    factors[mu] = np.outer(overlaps, _PARITY_SIGNS).ravel()
-                shades *= factors[mu][cells // base**j % base]
-            tables[index] = (counts, shades)
+    for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
+        correlator = correlators[index]
+        pattern, support = correlator.pattern.value, correlator.pattern.support()
+        for outer, outer_support, outer_cells, outer_counts in containers:
+            if pattern & ~outer == 0:
+                if support == outer_support:  # its own table: no second tally
+                    cells, counts = outer_cells, outer_counts
+                else:
+                    positions = [outer_support.index(q) for q in support]
+                    cells, counts = _record_cells(outer_cells, positions, base, outer_counts)
+                break
+        else:
+            cells, counts = _record_cells(digits, support, base)
+            containers.append((pattern, support, cells, counts))
+        shades = np.ones(len(cells))
+        for j, qubit in enumerate(support):
+            shades *= factors[correlator.observables[qubit]][cells[:, j]]
+        tables[index] = (counts, shades)
     return tables
 
 

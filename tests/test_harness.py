@@ -12,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from oracles import monte_carlo_study, one_block_file, parity_counts, read_csv
@@ -391,21 +393,15 @@ class TestConfig:
         st.tuples(st.just("noise"), st.sampled_from(["model", "p10", "p01", "gamma"])),
     )
 
-    @settings(max_examples=300)
-    @given(
-        mutations=st.lists(
-            st.tuples(KEYS, st.sampled_from(["drop", "set", "add"]), ODD_VALUES),
-            min_size=1,
-            max_size=3,
-        )
+    MUTATIONS = st.lists(
+        st.tuples(KEYS, st.sampled_from(["drop", "set", "add"]), ODD_VALUES),
+        min_size=1,
+        max_size=3,
     )
-    @example(mutations=[(("noise", "p10"), "set", 10**400)])
-    @example(mutations=[(("noise", "gamma"), "set", -(10**400))])
-    @example(mutations=[(("top", "depth"), "set", 10**400)])  # parses: no run starts
-    def test_a_mutated_mapping_parses_or_is_refused(self, mutations):
-        """Dropping a key, setting a value of any type or adding an unknown
-        key, at the top level or in the noise block, gives a config or a
-        ConfigError, nothing else."""
+
+    def _mutated(self, mutations):
+        """VALID after dropping, setting or adding (as `<key>_extra`) each
+        key, at the top level or in the noise block."""
         raw = {**self.VALID, "noise": dict(self.VALID["noise"])}
         for (block, key), action, value in mutations:
             noise = raw.get("noise")
@@ -416,11 +412,45 @@ class TestConfig:
                 target[key] = value
             else:
                 target[key + "_extra"] = value
+        return raw
+
+    @settings(max_examples=300)
+    @given(mutations=MUTATIONS)
+    @example(mutations=[(("noise", "p10"), "set", 10**400)])
+    @example(mutations=[(("noise", "gamma"), "set", -(10**400))])
+    @example(mutations=[(("top", "depth"), "set", 10**400)])  # parses: no run starts
+    def test_a_mutated_mapping_parses_or_is_refused(self, mutations):
+        """Dropping a key, setting a value of any type or adding an unknown
+        key, at the top level or in the noise block, gives a config or a
+        ConfigError, nothing else."""
         try:
-            config = parse_config(raw)
+            config = parse_config(self._mutated(mutations))
         except ConfigError:
             return
         assert isinstance(config, ExperimentConfig)
+
+    @settings(max_examples=150)
+    @given(mutations=MUTATIONS)
+    @example(mutations=[(("top", "calibration_seed"), "set", 20)])  # written
+    @example(mutations=[(("noise", "p10"), "set", math.nan)])  # refused
+    def test_a_mutated_config_file_is_run_or_refused_by_the_cli(self, mutations):
+        """`calibrate --shots 8` on the mutated mapping, written as YAML,
+        exits 0 with the dataset written, or exits 1 through SystemExit with
+        an error line and no file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            text = yaml.safe_dump(self._mutated(mutations))
+            path = _write_yaml(pathlib.Path(tmp, "c.yaml"), text)
+            out = pathlib.Path(tmp, "cal.txt")
+            result = CliRunner().invoke(
+                main, ["calibrate", "--config", path, "--out", str(out), "--shots", "8"]
+            )
+            if result.exit_code == 0:
+                assert out.exists(), result.output
+                return
+            assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit), repr(result.exception)
+            assert "error: " in result.output
+            assert not out.exists()
 
     def test_yaml_parse_error(self, tmp_path):
         path = _write_yaml(tmp_path / "bad.yaml", "n: [unclosed\n")

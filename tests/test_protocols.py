@@ -370,15 +370,20 @@ class TestRunTomography:
             )
 
     def test_shots_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
-        # the Born draw's order is uint32, so more shots are refused up front
+        # the Born draw's order is uint32 and the spectrum's sums are exact
+        # below 2^53, so both collectors refuse more shots up front
         state = random_circuit_state(1, 2, seed=0)
+        shots = protocols.MAX_SHOTS + 1
+        message = rf"^shots must lie in \[1, {protocols.MAX_SHOTS}\], got {shots}$"
 
         def no_generator(seed):
             raise AssertionError("a generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        with pytest.raises(ValueError, match="shots must lie in"):
-            run_tomography(state, pauli_directions(), _noiseless(1), protocols.MAX_SHOTS + 1, 0)
+        with pytest.raises(ValueError, match=message):
+            run_tomography(state, pauli_directions(), _noiseless(1), shots, 0)
+        with pytest.raises(ValueError, match=message):
+            run_calibration(_noiseless(3), shots, 0)
 
 
 def _g_statistic(observed, expected):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import (
@@ -70,6 +72,15 @@ class TestComputeXi:
         x, y, _ = pauli_directions()
         with pytest.raises(NotInformationallyCompleteError):
             compute_xi((x, y))
+
+    def test_nearly_incomplete_set_is_refused_by_its_shadows(self):
+        # z tilted to 1e-7 from x: the frame passes the rank check, but its
+        # pseudo-inverse is too ill-conditioned for the outcome shadows of x
+        # to average to 1/2 (the set is accepted from a tilt of 1e-6)
+        x, y, _ = pauli_directions()
+        tilted = Direction("t", (math.cos(1e-7), 0.0, math.sin(1e-7)))
+        with pytest.raises(NotInformationallyCompleteError, match="'x' do not average to 1/2"):
+            compute_xi((x, y, tilted))
 
     def test_overcomplete_set_reconstructs_frame(self):
         directions = _tilted_directions()
