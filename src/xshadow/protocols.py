@@ -9,8 +9,9 @@ Tomography: per shot, draw a uniform setting from S^n, rotate each qubit
 into its measurement basis, and push the ideal outcome through the same
 XOR-twirl sandwich before recording (setting, outcome).
 
-Datasets are stored as column-major (M, n) uint8 arrays (column i =
-qubit i, contiguous), each checked by one rule (_dataset_array).
+A dataset is one column-major (M, n) array (column i = qubit i,
+contiguous) checked by one rule (_dataset_array): a calibration's bits,
+or a tomography record's digit 2*setting + bit (its 2k-outcome result).
 All functions draw from a caller-supplied seed through a fresh numpy
 Generator, with the draw order documented per function, so datasets are
 reproducible bit-for-bit.
@@ -64,9 +65,9 @@ from .shadows import G_FLOOR, compute_xi, half_overlap
 _PARITY_SIGNS = np.array([1.0, -1.0])
 
 # cell counts one sub-block of a bootstrap stream holds at once, as int64
-# draws and their float64 cast (1 MiB), in a multiple of 4 rows; 4 rows
-# when fewer do not fit
-_PRODUCT_CELLS = 1 << 16
+# draws and their float64 cast (64 KiB each), in a multiple of 4 rows; 4
+# rows when fewer do not fit (past 2,048 cells)
+_PRODUCT_CELLS = 1 << 13
 
 # a bootstrap stream of at least this many cell counts (resamples x cells)
 # is large: it may run on a worker thread, since Generator.multinomial
@@ -80,7 +81,7 @@ _LARGE_STREAM = 1 << 14
 # peaked at 103 MiB of node tables at n=12)
 _TREE_AMPLITUDES = 1 << 20
 
-# setting indices are stored as uint8
+# setting indices read out as uint8 (record digits are uint16 at most)
 _MAX_DIRECTIONS = 256
 
 # shots of one dataset, refused past by both collectors: the Born draw sorts
@@ -89,10 +90,10 @@ MAX_SHOTS = 2**32 - 1
 
 
 def _dataset_array(values, n: int, limit: int, what: str) -> np.ndarray:
-    """`values` as a dataset's column-major (M, n) uint8 array.  n must be
-    >= 1, the shape (M, n) and every entry an integer in [0, limit); all
-    are checked before the cast, which would turn 256 into 0 and -1 into
-    255."""
+    """`values` as a dataset's column-major (M, n) array in the narrowest
+    unsigned dtype that holds limit - 1.  n must be >= 1, the shape (M, n)
+    and every entry an integer in [0, limit); all are checked before the
+    cast, which for uint8 would turn 256 into 0 and -1 into 255."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.asarray(values)
@@ -102,7 +103,7 @@ def _dataset_array(values, n: int, limit: int, what: str) -> np.ndarray:
         values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= limit
     ):
         raise ValueError(f"{what} must be integers in [0, {limit})")
-    return np.asarray(values, dtype=np.uint8, order="F")
+    return np.asarray(values, dtype=np.min_scalar_type(limit - 1), order="F")
 
 
 @dataclass(frozen=True)
@@ -154,25 +155,31 @@ def _check_direction_count(k: int) -> None:
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Generalised outcomes (setting, bitstring) as column-major (M, n) uint8 arrays."""
+    """Generalised outcomes (setting, bitstring) as one column-major (M, n)
+    array of digits 2*setting + bit: uint8 up to k = 128 directions, else uint16."""
 
     n: int
     directions: tuple[Direction, ...]
-    setting_indices: np.ndarray
-    outcomes: np.ndarray
+    digits: np.ndarray
     seed: int | None = None
 
     def __post_init__(self) -> None:
         _check_direction_count(len(self.directions))
-        settings = _dataset_array(self.setting_indices, self.n, len(self.directions), "setting indices")
-        outcomes = _dataset_array(self.outcomes, self.n, 2, "outcome bits")
-        if len(outcomes) != len(settings):
-            raise ValueError(f"{len(outcomes)} outcome rows for {len(settings)} setting rows")
-        object.__setattr__(self, "setting_indices", settings)
-        object.__setattr__(self, "outcomes", outcomes)
+        limit = 2 * len(self.directions)
+        object.__setattr__(self, "digits", _dataset_array(self.digits, self.n, limit, "record digits"))
 
     def __len__(self) -> int:
-        return self.setting_indices.shape[0]
+        return self.digits.shape[0]
+
+    @property
+    def setting_indices(self) -> np.ndarray:
+        """Setting indices, derived: a new column-major (M, n) uint8 array."""
+        return np.asarray(self.digits >> 1, dtype=np.uint8, order="F")
+
+    @property
+    def outcomes(self) -> np.ndarray:
+        """Outcome bits, derived: a new column-major (M, n) uint8 array."""
+        return np.asarray(self.digits & 1, dtype=np.uint8, order="F")
 
 
 @dataclass(frozen=True)
@@ -347,18 +354,19 @@ def run_tomography(
     the ideal outcome from the Born distribution, flip by a fresh mask t,
     push through the noisy channel, unflip, and record (setting, outcome).
 
-    Draw order: the (shots, n) setting matrix, then one uniform variate
-    per shot for the Born draw, then the (shots, n) t matrix, then the
-    channel's samples.
+    Draw order: the (shots, n) uint8 setting matrix, then one uniform
+    variate per shot for the Born draw, then the (shots, n) t matrix, then
+    the channel's samples.
 
     Each Born draw is the inverse CDF of its setting's rotated
     distribution at the shot's variate u: the outcome x with
     P(< x) <= u * total < P(<= x).  It is drawn qubit by qubit down the
     outcome tree (see _tree_outcomes), so no shot needs its setting's
     full 2^n table and shots with a common setting prefix share work; it
-    writes the column-major (M, n) uint8 bits the readout step takes.  Any
-    direction set is collected (parse_config and the estimators refuse
-    one that is not informationally complete).  At most MAX_SHOTS shots.
+    writes the column-major (M, n) uint8 bits the readout step takes; the
+    read-out bits are folded into the setting matrix.  Any direction set is
+    collected (parse_config and the estimators refuse one that is not
+    informationally complete).  At most MAX_SHOTS shots.
     """
     _check_shots(shots)
     directions = tuple(directions)
@@ -372,8 +380,12 @@ def run_tomography(
     gates = np.array([rotation_gate(d) for d in directions])
     # the Born variates, freed before the readout; _tree_outcomes draws nothing
     ideal = _tree_outcomes(state.amplitudes, gates, settings, rng.random(shots))
-    outcomes = _twirled_readout(ideal, model, rng)
-    return TomographyDataset(n, directions, settings, outcomes, seed=seed)
+    bits = _twirled_readout(ideal, model, rng)
+    # digits 2*setting + bit, in the settings' array (a copy past k = 128)
+    digits = settings.astype(np.min_scalar_type(2 * k - 1), copy=False)
+    digits <<= 1
+    digits |= bits
+    return TomographyDataset(n, directions, digits, seed=seed)
 
 
 def _record_cells(
@@ -420,9 +432,9 @@ def _shade_tables(
     Correlators are taken in descending degree (ties in list order).  A
     support inside an already binned one, its container, is tallied
     (_record_cells) on the container's cell table, one row per cell
-    weighted by its count; any other is binned from one digit table of
-    the records and becomes a container, so the records are binned once
-    per distinct maximal support.  A cell's shade is the product over the
+    weighted by its count; any other is binned from the dataset's digits
+    and becomes a container, so the records are binned once per distinct
+    maximal support.  A cell's shade is the product over the
     support of (-1)^bit * overlap(nu, mu), each factor read off by the
     cell's digit from its observable's table.
     """
@@ -440,11 +452,6 @@ def _shade_tables(
         mu: np.outer([half_overlap(op, mu) for op in operators], _PARITY_SIGNS).ravel()
         for mu in set().union(*(c.observables.values() for c in correlators))
     }
-    # every record's digit 2*setting + bit on every qubit, column-major, in
-    # the narrowest unsigned dtype (uint8 for k <= 128)
-    digits = np.empty(data.setting_indices.shape, np.min_scalar_type(base - 1), order="F")
-    np.multiply(data.setting_indices, 2, out=digits, dtype=digits.dtype, casting="unsafe")
-    digits += data.outcomes
     containers: list = []  # (pattern, support, cells, counts) of every binned support
     tables: list = [None] * len(correlators)
     for index in sorted(range(len(correlators)), key=lambda i: -correlators[i].degree):
@@ -459,7 +466,7 @@ def _shade_tables(
                     cells, counts = _record_cells(outer_cells, positions, base, outer_counts)
                 break
         else:
-            cells, counts = _record_cells(digits, support, base)
+            cells, counts = _record_cells(data.digits, support, base)
             containers.append((pattern, support, cells, counts))
         shades = np.ones(len(cells))
         for j, qubit in enumerate(support):
@@ -476,14 +483,15 @@ def _resample_means(
     counts, exactly the law of drawing the records themselves.
 
     The draws are made and multiplied (`draws @ values`) in sub-blocks of
-    at most _PRODUCT_CELLS cell counts, which bounds memory.  numpy draws a
-    multinomial's rows in sequence, so the split moves no integer draw, nor
-    a mean: OpenBLAS's matrix-vector kernel groups rows by 4, so a product
-    split a multiple of 4 rows in equals the unsplit one, but numpy hands a
-    one-row part to a dot product.  So each sub-block but the last has a
-    multiple of 4 rows, and the last takes in a lone last row.  A sub-block
-    is too small for OpenBLAS to split between its threads, so the means do
-    not depend on the BLAS thread count either.
+    at most _PRODUCT_CELLS cell counts, or 4 rows past 2,048 cells, which
+    bounds memory.  numpy draws a multinomial's rows in sequence, so the
+    split moves no integer draw, nor a mean: OpenBLAS's matrix-vector
+    kernel groups rows by 4, so a product split a multiple of 4 rows in
+    equals the unsplit one, but numpy hands a one-row part to a dot
+    product.  So each sub-block but the last has a multiple of 4 rows, and
+    the last takes in a lone last row.  A sub-block is too small for
+    OpenBLAS to split between its threads, so the means do not depend on
+    the BLAS thread count either.
     """
     size = int(counts.sum())
     probabilities = counts / size

@@ -190,29 +190,25 @@ def _check_labels(labels: Sequence[str]) -> None:
             )
 
 
-def _tomography_block(dataset: TomographyDataset, codes: np.ndarray, rows: slice) -> np.ndarray:
-    """The records in `rows` as (rows, 3n+1) ascii bytes: n labels (setting
-    index -> byte through `codes`) with commas, a space, n bits MSB first,
-    a newline."""
-    n = dataset.n
-    outcomes = dataset.outcomes[rows]
-    block = np.empty((len(outcomes), 3 * n + 1), dtype=np.uint8)
-    block[:, : 2 * n] = ord(",")
-    block[:, 0 : 2 * n : 2] = codes[dataset.setting_indices[rows]]
-    block[:, 2 * n - 1] = ord(" ")
-    block[:, 2 * n :] = _bit_block(outcomes)
-    return block
-
-
 def write_tomography(path: str, dataset: TomographyDataset) -> None:
+    """Write the header, then each row block of digits as (rows, 3n+1) ascii
+    bytes: n labels (digit 2*setting + bit -> the setting's label byte) with
+    commas, a space, n bits MSB first, a newline."""
     labels = [d.label for d in dataset.directions]
     _check_labels(labels)
     extra = [("directions", ",".join(labels))]
-    codes = np.frombuffer("".join(labels).encode(), dtype=np.uint8)
+    codes = np.repeat(np.frombuffer("".join(labels).encode(), dtype=np.uint8), 2)
+    n = dataset.n
     with open(path, "wb") as fh:
-        fh.write(_header_lines(TOMOGRAPHY_TYPE, dataset.n, dataset.seed, extra).encode())
+        fh.write(_header_lines(TOMOGRAPHY_TYPE, n, dataset.seed, extra).encode())
         for rows in _row_blocks(len(dataset)):
-            fh.write(_tomography_block(dataset, codes, rows))
+            digits = dataset.digits[rows]
+            block = np.empty((len(digits), 3 * n + 1), dtype=np.uint8)
+            block[:, : 2 * n] = ord(",")
+            block[:, 0 : 2 * n : 2] = codes[digits]
+            block[:, 2 * n - 1] = ord(" ")
+            block[:, 2 * n :] = _bit_block(digits & 1)
+            fh.write(block)
 
 
 def _file_directions(
@@ -239,16 +235,17 @@ def _file_directions(
 def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
     headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
     directions = _file_directions(headers, path, directions)
-    raw, outcomes = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
+    # the bits, into which each row block's label digits are then added
+    raw, digits = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
     # separator columns, compared to one byte each: no template sized by #n=
     commas, spaces = raw[:, 1 : 2 * n - 1 : 2], raw[:, 2 * n - 1]
-    # label byte -> setting index; 255, above the index of any of the 92
-    # labels, marks every other byte
+    # label byte -> digit 2 * setting index, at most 182 for the 92 labels;
+    # 255 marks every other byte
+    top = 2 * len(directions) - 2
     lookup = np.full(256, 255, dtype=np.uint8)
     labels = "".join(d.label for d in directions).encode()
-    lookup[np.frombuffer(labels, dtype=np.uint8)] = np.arange(len(directions))
+    lookup[np.frombuffer(labels, dtype=np.uint8)] = 2 * np.arange(len(directions))
     codes = raw[:, 0 : 2 * n : 2]
-    settings = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
     for block in _row_blocks(len(raw)):
         if not (np.all(commas[block] == ord(",")) and np.all(spaces[block] == ord(" "))):
             bad = (commas[block] != ord(",")).any(axis=1) | (spaces[block] != ord(" "))
@@ -256,17 +253,12 @@ def read_tomography(path: str, directions: Sequence[Direction] | None = None) ->
             raise DataFormatError(
                 f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
             )
-        np.take(lookup, codes[block].T, out=settings[block].T)
-    if settings.max(initial=0) >= len(labels):
-        row, where = np.argwhere(settings >= len(labels))[0]
-        raise DataFormatError(f"{path}: row {row} has unknown label {chr(codes[row, where])!r}")
-    return TomographyDataset(
-        n=n,
-        directions=directions,
-        setting_indices=settings,
-        outcomes=outcomes,
-        seed=seed,
-    )
+        doubled = np.take(lookup, codes[block].T)  # transposed: runs down the columns
+        if doubled.max(initial=0) > top:  # refused before it is added: 255 + 1 wraps to 0
+            row, where = np.argwhere(doubled.T > top)[0] + (block.start, 0)
+            raise DataFormatError(f"{path}: row {row} has unknown label {chr(codes[row, where])!r}")
+        np.add(digits[block].T, doubled, out=digits[block].T)
+    return TomographyDataset(n=n, directions=directions, digits=digits, seed=seed)
 
 
 def _format_cell(value: object) -> str:

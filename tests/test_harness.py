@@ -499,12 +499,9 @@ class TestStorage:
     def test_tomography_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         dirs = tuple(direction_from_label(l) for l in "xyz")
+        settings = rng.integers(0, 3, (150, 3), dtype=np.uint8)
         ds = TomographyDataset(
-            3,
-            dirs,
-            rng.integers(0, 3, (150, 3), dtype=np.uint8),
-            rng.integers(0, 2, (150, 3), dtype=np.uint8),
-            seed=23,
+            3, dirs, 2 * settings + rng.integers(0, 2, (150, 3), dtype=np.uint8), seed=23
         )
         path = str(tmp_path / "tomo.txt")
         write_tomography(path, ds)
@@ -528,7 +525,7 @@ class TestStorage:
             write_calibration(str(path), ds)
         else:
             indices = rng.integers(0, 3, (records, 5), dtype=np.uint8)
-            ds = TomographyDataset(5, pauli_directions(), indices, outcomes, seed=records)
+            ds = TomographyDataset(5, pauli_directions(), 2 * indices + outcomes, seed=records)
             write_tomography(str(path), ds)
         payload = path.read_bytes()
         assert payload == one_block_file(ds)
@@ -544,7 +541,8 @@ class TestStorage:
             ds, write = CalibrationDataset(8, outcomes), write_calibration
         else:
             indices = rng.integers(0, 3, (100_000, 8), dtype=np.uint8)
-            ds, write = TomographyDataset(8, pauli_directions(), indices, outcomes), write_tomography
+            ds = TomographyDataset(8, pauli_directions(), 2 * indices + outcomes)
+            write = write_tomography
         tracemalloc.start()
         try:
             write(str(tmp_path / f"{kind}.txt"), ds)
@@ -552,6 +550,45 @@ class TestStorage:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+    @pytest.mark.parametrize("kind", ["cal", "tomo"])
+    def test_writers_truncate_an_existing_file(self, tmp_path, kind):
+        rng = np.random.default_rng(9)
+        path = str(tmp_path / f"{kind}.txt")
+        for records in (50, 3):  # the second file is the shorter
+            outcomes = rng.integers(0, 2, (records, 4), dtype=np.uint8)
+            if kind == "cal":
+                ds = CalibrationDataset(4, outcomes, seed=records)
+                write_calibration(path, ds)
+                back = read_calibration(path)
+            else:
+                indices = rng.integers(0, 3, (records, 4), dtype=np.uint8)
+                ds = TomographyDataset(4, pauli_directions(), 2 * indices + outcomes, seed=records)
+                write_tomography(path, ds)
+                back = read_tomography(path)
+                assert np.array_equal(back.digits, ds.digits)
+            assert pathlib.Path(path).read_bytes() == one_block_file(ds)
+            assert (back.seed, len(back)) == (records, records)
+
+    def test_reader_holds_its_body_one_record_array_and_a_row_block(self, tmp_path):
+        # 200,000 x 12 records: a 7.1 MiB body and 2.3 MiB of digits.  With
+        # the settings and the bits in two (M, n) arrays the read peaked at
+        # 13.3 MiB under tracemalloc; a row block's temporaries, mostly
+        # np.take's intp copy of the label bytes, are 1.9 MiB
+        n, records = 12, 200_000
+        rng = np.random.default_rng(7)
+        path = str(tmp_path / "tomo.txt")
+        data = TomographyDataset(n, pauli_directions(), rng.integers(0, 6, (records, n)))
+        write_tomography(path, data)
+        read_tomography(path)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            data = read_tomography(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == records
+        assert peak < os.path.getsize(path) + records * n + 16 * n * _BLOCK_ROWS
 
     def test_an_empty_body_reads_without_a_row_sized_by_the_header(self, tmp_path):
         # a separator template of #n= bytes, built before any row was read,
@@ -581,12 +618,7 @@ class TestStorage:
     def test_tomography_row_orientation(self, tmp_path):
         # qubit 0 leads the label list but trails the bitstring
         dirs = (direction_from_label("x"), direction_from_label("z"))
-        ds = TomographyDataset(
-            2,
-            dirs,
-            np.array([[0, 1]], dtype=np.uint8),
-            np.array([[1, 0]], dtype=np.uint8),
-        )
+        ds = TomographyDataset(2, dirs, np.array([[1, 2]], dtype=np.uint8))  # x read 1, z read 0
         path = str(tmp_path / "t.txt")
         write_tomography(path, ds)
         with open(path) as fh:
@@ -595,12 +627,7 @@ class TestStorage:
 
     def test_multichar_labels_are_refused(self, tmp_path):
         custom = (Direction("xp", (1.0, 0.0, 0.0)), Direction("zp", (0.0, 0.0, 1.0)))
-        ds = TomographyDataset(
-            2,
-            custom,
-            np.array([[0, 1], [1, 1]], dtype=np.uint8),
-            np.array([[1, 0], [0, 1]], dtype=np.uint8),
-        )
+        ds = TomographyDataset(2, custom, np.array([[1, 2], [2, 3]], dtype=np.uint8))
         path = tmp_path / "custom.txt"
         with pytest.raises(ValueError, match="'xp' is not one printable ASCII character"):
             write_tomography(str(path), ds)
@@ -627,7 +654,7 @@ class TestStorage:
     def test_writer_refuses_bad_label_sets(self, tmp_path, labels):
         directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
         no_records = np.zeros((0, 1), dtype=np.uint8)
-        ds = TomographyDataset(1, directions, no_records, no_records)
+        ds = TomographyDataset(1, directions, no_records)
         path = tmp_path / "bad.txt"
         with pytest.raises(ValueError):
             write_tomography(str(path), ds)
@@ -676,7 +703,7 @@ class TestStorage:
 
         def recording(cls):
             def build(**fields):
-                handed.extend(v for k, v in fields.items() if k in ("outcomes", "setting_indices"))
+                handed.extend(v for k, v in fields.items() if k in ("outcomes", "digits"))
                 return cls(**fields)
 
             return build
@@ -691,9 +718,9 @@ class TestStorage:
         for records in (20, 0):
             path = str(tmp_path / f"tomo{records}.txt")
             settings = rng.integers(0, len(dirs), (records, 3))
-            write_tomography(path, TomographyDataset(3, dirs, settings, settings % 2))
+            write_tomography(path, TomographyDataset(3, dirs, 2 * settings + settings % 2))
             read_tomography(path, directions=dirs)
-        assert len(handed) == 5
+        assert len(handed) == 3
         for array in handed:  # the dataset constructors then copy nothing
             assert array.dtype == np.uint8 and array.flags.f_contiguous
 
@@ -705,9 +732,7 @@ class TestStorage:
 
     def test_direction_set_mismatch(self, tmp_path):
         dirs = (direction_from_label("x"),)
-        ds = TomographyDataset(
-            1, dirs, np.zeros((1, 1), dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)
-        )
+        ds = TomographyDataset(1, dirs, np.zeros((1, 1), dtype=np.uint8))
         path = str(tmp_path / "m.txt")
         write_tomography(path, ds)
         with pytest.raises(DataFormatError, match="do not match"):
@@ -788,7 +813,7 @@ class TestStorage:
             write_calibration(str(path), CalibrationDataset(3, zeros))
             width = 4
         else:
-            write_tomography(str(path), TomographyDataset(3, pauli_directions(), zeros, zeros))
+            write_tomography(str(path), TomographyDataset(3, pauli_directions(), zeros))
             width = 10
         payload = bytearray(path.read_bytes())
         body_start = len(payload) - records * width
@@ -798,6 +823,23 @@ class TestStorage:
         with pytest.raises(DataFormatError) as error:
             reader(str(path))
         assert str(error.value) == f"{path}: " + needle.format(row=row)
+
+    @pytest.mark.parametrize(
+        "row", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 3], ids=["block-start", "partial"]
+    )
+    def test_an_unknown_label_is_refused_before_it_meets_its_bit(self, tmp_path, row):
+        # an unknown label reads as 255, which a bit of 1 would wrap to the
+        # valid digit 0 (setting 0, bit 0)
+        records = 2 * _BLOCK_ROWS + 5
+        ones = np.ones((records, 3), dtype=np.uint8)  # setting 0, bit 1 everywhere
+        path = tmp_path / "tomo.txt"
+        write_tomography(str(path), TomographyDataset(3, pauli_directions(), ones))
+        payload = bytearray(path.read_bytes())
+        payload[len(payload) - (records - row) * 10 + 2] = ord("w")  # qubit 1's label
+        path.write_bytes(bytes(payload))
+        with pytest.raises(DataFormatError) as error:
+            read_tomography(str(path))
+        assert str(error.value) == f"{path}: row {row} has unknown label 'w'"
 
     def test_csv_round_trip(self, tmp_path):
         rows = [
@@ -860,7 +902,7 @@ class TestDirectionSetRule:
             call = lambda: run_tomography(state, directions, model, 10, seed=0)
         elif entry == "write_tomography":
             no_records = np.zeros((0, 1), dtype=np.uint8)
-            dataset = TomographyDataset(1, directions, no_records, no_records)
+            dataset = TomographyDataset(1, directions, no_records)
             call = lambda: write_tomography(str(path), dataset)
         elif entry == "read_tomography":
             path.write_text(f"#n=1\n#type=tomography\n#directions={','.join(labels)}\nz 0\n")
@@ -894,6 +936,16 @@ def storage_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("storage")
 
 
+def _fresh_file(directory: pathlib.Path, name: str) -> str:
+    """The path of `name` in `directory`, with no file there.  Writing over
+    an existing file took 32-55 ms per example on one host's ext4 root, against
+    0.6 ms after an unlink; TestStorage.test_writers_truncate_an_existing_file
+    keeps the writers' truncating open covered."""
+    path = directory / name
+    path.unlink(missing_ok=True)
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def valid_files(storage_dir):
     """The bytes of a valid n=3 calibration file and tomography file."""
@@ -916,7 +968,7 @@ class TestStorageProperties:
     def test_calibration_round_trip(self, storage_dir, n, records, seed, file_seed):
         rng = np.random.default_rng(seed)
         ds = CalibrationDataset(n, rng.integers(0, 2, (records, n)), seed=file_seed)
-        path = str(storage_dir / "round_trip.txt")
+        path = _fresh_file(storage_dir, "round_trip.txt")
         write_calibration(path, ds)
         assert pathlib.Path(path).read_bytes() == one_block_file(ds)
         back = read_calibration(path)
@@ -935,14 +987,10 @@ class TestStorageProperties:
     def test_tomography_round_trip(self, storage_dir, n, labels, records, seed):
         directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
         rng = np.random.default_rng(seed)
-        ds = TomographyDataset(
-            n,
-            directions,
-            rng.integers(0, len(labels), (records, n)),
-            rng.integers(0, 2, (records, n)),
-            seed=seed,
-        )
-        path = str(storage_dir / "round_trip.txt")
+        settings = rng.integers(0, len(labels), (records, n))
+        outcomes = rng.integers(0, 2, (records, n))
+        ds = TomographyDataset(n, directions, 2 * settings + outcomes, seed=seed)
+        path = _fresh_file(storage_dir, "round_trip.txt")
         write_tomography(path, ds)
         assert pathlib.Path(path).read_bytes() == one_block_file(ds)
         back = read_tomography(path, directions=directions)
@@ -960,9 +1008,7 @@ class TestStorageProperties:
         labels = list(good)
         labels.insert(position % (len(labels) + 1), bad)
         directions = tuple(Direction(label, (0.0, 0.0, 1.0)) for label in labels)
-        ds = TomographyDataset(
-            1, directions, np.zeros((1, 1), dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)
-        )
+        ds = TomographyDataset(1, directions, np.zeros((1, 1), dtype=np.uint8))
         path = storage_dir / "refused.txt"
         path.unlink(missing_ok=True)
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -987,11 +1033,11 @@ class TestStorageProperties:
                 payload[position % len(payload)] = byte
             else:
                 del payload[position % len(payload)]
-        path = storage_dir / "mutated.txt"
-        path.write_bytes(bytes(payload))
+        path = _fresh_file(storage_dir, "mutated.txt")
+        pathlib.Path(path).write_bytes(bytes(payload))
         reader = read_calibration if kind == "cal" else read_tomography
         try:
-            reader(str(path))  # a mutation may leave a valid file
+            reader(path)  # a mutation may leave a valid file
         except DataFormatError:
             pass
 

@@ -131,46 +131,30 @@ class TestDatasets:
 
     def test_tomography_validation(self):
         z = direction_from_label("z")
-        with pytest.raises(ValueError):
-            TomographyDataset(
-                2,
-                (z,),
-                np.array([[0, 1]], dtype=np.uint8),  # index 1 outside the set
-                np.zeros((1, 2), dtype=np.uint8),
-            )
-        with pytest.raises(ValueError):
-            TomographyDataset(
-                2,
-                (z,),
-                np.zeros((2, 2), dtype=np.uint8),
-                np.zeros((1, 2), dtype=np.uint8),
-            )
-        row, empty = np.zeros((1, 2), dtype=np.uint8), np.zeros((5, 0), dtype=np.uint8)
-        for n, settings, outcomes, message in (
-            (2, np.zeros(2, dtype=np.uint8), row, r"expected an \(M, 2\) array of setting indices"),
-            (2, row, np.zeros(2, dtype=np.uint8), r"expected an \(M, 2\) array of outcome bits"),
-            (2, row, np.zeros((1, 3), dtype=np.uint8), r"expected an \(M, 2\) array of outcome"),
-            (0, empty, empty, "n must be >= 1, got 0"),
-            (0, np.array([256]), np.array([-1]), "n must be >= 1, got 0"),
+        with pytest.raises(ValueError, match=r"record digits must be integers in \[0, 2\)"):
+            TomographyDataset(2, (z,), np.array([[0, 2]], dtype=np.uint8))  # setting 1 of 1
+        for n, digits, message in (
+            (2, np.zeros(2, dtype=np.uint8), r"expected an \(M, 2\) array of record digits"),
+            (2, np.zeros((1, 3), dtype=np.uint8), r"expected an \(M, 2\) array of record"),
+            (0, np.zeros((5, 0), dtype=np.uint8), "n must be >= 1, got 0"),
+            (0, np.array([256]), "n must be >= 1, got 0"),
         ):
             with pytest.raises(ValueError, match=message):
-                TomographyDataset(n, (z,), settings, outcomes)
+                TomographyDataset(n, (z,), digits)
 
     @pytest.mark.parametrize(
-        "settings,outcomes,message",
+        "digits",
         [
-            ([[256, 0]], [[0, 0]], "setting indices"),  # a uint8 cast makes it 0
-            ([[-1, 0]], [[0, 0]], "setting indices"),  # ... and this 255
-            ([[0, 0]], [[2, 0]], "outcome bits"),  # digit 2*0 + 2 is setting 1's
-            ([[0, 0]], [[-1, 0]], "outcome bits"),
-            ([[0.0, 0.0]], [[0, 0]], "setting indices"),
+            [[256, 0]],  # a uint8 cast makes it 0
+            [[-1, 0]],  # ... and this 255
+            [[6, 0]],  # setting 3 of 3
+            [[0.0, 0.0]],
         ],
+        ids=["256", "minus-1", "6", "float"],
     )
-    def test_out_of_range_values_are_refused_before_the_uint8_cast(
-        self, settings, outcomes, message
-    ):
-        with pytest.raises(ValueError, match=message):
-            TomographyDataset(2, pauli_directions(), np.array(settings), np.array(outcomes))
+    def test_out_of_range_digits_are_refused_before_the_cast(self, digits):
+        with pytest.raises(ValueError, match=r"record digits must be integers in \[0, 6\)"):
+            TomographyDataset(2, pauli_directions(), np.array(digits))
 
     @pytest.mark.parametrize("bit", [-1, 2, 256])
     def test_out_of_range_calibration_bits_are_refused(self, bit):
@@ -181,14 +165,15 @@ class TestDatasets:
     def test_arrays_are_column_major(self):
         rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)  # row-major, wider int
         cal = CalibrationDataset(3, rows)
-        tomo = TomographyDataset(3, pauli_directions(), rows, rows)
+        tomo = TomographyDataset(3, pauli_directions(), 3 * rows)  # digit 2*bit + bit
         collected = (
             run_calibration(_noiseless(3), 10, seed=0),
             run_tomography(random_circuit_state(3, 2, seed=0), pauli_directions(),
                            _noiseless(3), 10, seed=0),
         )
-        arrays = [cal.outcomes, tomo.setting_indices, tomo.outcomes, collected[0].outcomes,
-                  collected[1].setting_indices, collected[1].outcomes]
+        arrays = [cal.outcomes, tomo.digits, tomo.setting_indices, tomo.outcomes,
+                  collected[0].outcomes, collected[1].digits, collected[1].setting_indices,
+                  collected[1].outcomes]
         for array in arrays:
             assert array.dtype == np.uint8 and array.flags.f_contiguous
         assert pack_bits(cal.outcomes[1]) == bitstring_from_text("110").value
@@ -196,12 +181,7 @@ class TestDatasets:
     def test_tomography_record(self):
         x = direction_from_label("x")
         z = direction_from_label("z")
-        ds = TomographyDataset(
-            2,
-            (x, z),
-            np.array([[1, 0]], dtype=np.uint8),
-            np.array([[0, 1]], dtype=np.uint8),
-        )
+        ds = TomographyDataset(2, (x, z), np.array([[2, 1]], dtype=np.uint8))
         assert tuple(ds.directions[i].label for i in ds.setting_indices[0]) == ("z", "x")
         assert BitString(2, int(pack_bits(ds.outcomes[0]))).to_text() == "10"
 
@@ -355,6 +335,40 @@ class TestRunTomography:
         with pytest.raises(ValueError):
             run_tomography(state, (z, z), _noiseless(1), 10, seed=0)
 
+    def test_the_dataset_keeps_one_record_array(self):
+        # 50,000 x 10 records: the digits are 0.48 MiB, and the setting and
+        # outcome arrays kept side by side were 0.95 MiB under tracemalloc
+        n, shots = 10, 50_000
+        state, model = random_circuit_state(n, 8, seed=0), ChainCrosstalkModel(n, 0.07, 0.05, 0.5)
+        run_tomography(state, pauli_directions(), model, 1000, seed=1)  # numpy's first calls
+        tracemalloc.start()
+        try:
+            data = run_tomography(state, pauli_directions(), model, shots, seed=1)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert data.digits.dtype == np.uint8 and data.digits.nbytes == shots * n
+        assert kept < shots * n + 2**16
+
+    def test_past_128_directions_the_digits_widen_to_uint16(self):
+        """The readout bits are folded into a widened copy of the uint8
+        setting draw: the derived arrays equal the draws run_tomography
+        makes, in its order."""
+        rng = np.random.default_rng(8)
+        vectors = rng.normal(size=(130, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
+        state, model = random_circuit_state(3, 4, seed=2), ChainCrosstalkModel(3, 0.07, 0.05, 0.5)
+        data = run_tomography(state, directions, model, 2000, seed=4)
+        assert data.digits.dtype == np.uint16 and data.digits.flags.f_contiguous
+        rng = np.random.default_rng(4)
+        settings = np.asfortranarray(rng.integers(0, 130, size=(2000, 3), dtype=np.uint8))
+        gates = np.array([rotation_gate(d) for d in directions])
+        ideal = protocols._tree_outcomes(state.amplitudes, gates, settings, rng.random(2000))
+        assert (settings >= 128).any()  # digits past 255
+        assert np.array_equal(data.setting_indices, settings)
+        assert np.array_equal(data.outcomes, protocols._twirled_readout(ideal, model, rng))
+
     def test_directions_beyond_uint8_indices_are_a_capability_error(self):
         vectors = np.random.default_rng(4).normal(size=(300, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -365,9 +379,7 @@ class TestRunTomography:
         with pytest.raises(CapabilityError):
             run_tomography(state, directions, _noiseless(2), 50, seed=1)
         with pytest.raises(CapabilityError):
-            TomographyDataset(
-                2, directions, np.zeros((1, 2), dtype=np.uint8), np.zeros((1, 2), dtype=np.uint8)
-            )
+            TomographyDataset(2, directions, np.zeros((1, 2), dtype=np.uint16))
 
     def test_shots_past_the_cap_are_refused_before_any_draw(self, monkeypatch):
         # the Born draw's order is uint32 and the spectrum's sums are exact
@@ -573,7 +585,7 @@ class TestEstimators:
     def test_incomplete_direction_set_is_refused_before_binning(self, monkeypatch):
         directions = (direction_from_label("x"), direction_from_label("y"))
         zeros = np.zeros((4, 2), dtype=np.uint8)
-        data = TomographyDataset(2, directions, zeros, zeros)
+        data = TomographyDataset(2, directions, zeros)
         c = Correlator(BitString(2, 0b01), {0: directions[0]})
 
         def no_binning(*args):
@@ -667,8 +679,8 @@ class TestCountTableKernel:
     @pytest.mark.parametrize(
         "cells,resamples,product_rows",
         [
-            (1296, 200, None),  # sub-blocks of 48 rows, the last one of 8
-            (1296, 49, None),  # 48 rows take in the lone last row
+            (1296, 200, None),  # sub-blocks of 4 rows (6 round down to 4)
+            (1296, 49, None),  # the last 4 rows take in the lone last row
             (300, 5, 4),  # 4 rows take in the lone fifth: one product
             (300, 6, 4),  # sub-blocks of 4 and 2 rows
             (300, 13, 4),  # sub-blocks of 4, 4 and 5 rows
@@ -741,7 +753,9 @@ class TestCountTableKernel:
 
     def test_a_stream_holds_one_sub_block_of_draws(self):
         # the (200, 1296) int64 draws and their float64 cast, drawn and
-        # multiplied as one block, peaked at 3.97 MiB under tracemalloc
+        # multiplied as one block, peaked at 3.97 MiB under tracemalloc, and
+        # sub-blocks of 2^16 cell counts (48 rows) at 0.96 MiB; those of 4
+        # rows peak at 0.09 MiB, and 2^13 cell counts of both are 0.125 MiB
         rng = np.random.default_rng(3)
         counts = rng.integers(1, 200, 1296)
         values = rng.standard_normal(1296)
@@ -751,7 +765,7 @@ class TestCountTableKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert peak < 0.15 * 2**20
 
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 4))
@@ -760,9 +774,7 @@ class TestCountTableKernel:
         tomo = tomos["tilted"]
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(tomo))
-        shuffled = TomographyDataset(
-            tomo.n, tomo.directions, tomo.setting_indices[order], tomo.outcomes[order]
-        )
+        shuffled = TomographyDataset(tomo.n, tomo.directions, tomo.digits[order])
         shuffled_cal = CalibrationDataset(cal.n, cal.outcomes[rng.permutation(len(cal))])
         c = random_correlators(4, [degree], 1, seed=seed, directions=tomo.directions)[0]
         g_ind = independent_g(c, self.P10, self.P01)
@@ -811,11 +823,9 @@ class TestCountTableKernel:
         directions = pauli_directions() if direction_set == "pauli" else _tilted_directions()
         xi = xi_by_label(directions)
         rng = np.random.default_rng(seed)
+        settings = rng.integers(0, len(directions), size=(records, n), dtype=np.uint8)
         data = TomographyDataset(
-            n,
-            directions,
-            rng.integers(0, len(directions), size=(records, n), dtype=np.uint8),
-            rng.integers(0, 2, size=(records, n), dtype=np.uint8),
+            n, directions, 2 * settings + rng.integers(0, 2, size=(records, n), dtype=np.uint8)
         )
         patterns = []
         for kind, bits in picks:
@@ -851,12 +861,8 @@ class TestCountTableKernel:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
         xi = xi_by_label(directions)
-        data = TomographyDataset(
-            3,
-            directions,
-            np.column_stack([np.arange(500) % 130, rng.integers(0, 130, (500, 2))]),
-            rng.integers(0, 2, size=(500, 3)),
-        )
+        settings = np.column_stack([np.arange(500) % 130, rng.integers(0, 130, (500, 2))])
+        data = TomographyDataset(3, directions, 2 * settings + rng.integers(0, 2, size=(500, 3)))
         correlators = [
             Correlator(BitString(3, v), {q: directions[q] for q in BitString(3, v).support()})
             for v in (0b111, 0b001, 0b110, 0b100)
@@ -875,7 +881,7 @@ class TestCountTableKernel:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         directions = tuple(Direction(f"d{i}", tuple(v)) for i, v in enumerate(vectors))
         settings = rng.integers(0, 256, size=(3000, 6))
-        data = TomographyDataset(6, directions, settings, rng.integers(0, 2, size=(3000, 6)))
+        data = TomographyDataset(6, directions, 2 * settings + rng.integers(0, 2, size=(3000, 6)))
         assert (settings[:, 5] >= 128).any()  # a top digit >= 256: a code >= 2^53
         correlators = [
             Correlator(BitString(6, v), {q: directions[7 * q] for q in BitString(6, v).support()})
@@ -888,16 +894,29 @@ class TestCountTableKernel:
             assert np.array_equal(counts, alone_counts)
             assert np.array_equal(shades, alone_shades)
 
+    def test_the_kernel_builds_no_record_sized_table(self):
+        # 200,000 x 12 records are 2.3 MiB of digits.  A digit table built
+        # from two (M, n) arrays peaked at 4.26 MiB under tracemalloc; what
+        # is left is a support's codes and np.bincount's intp copy of them,
+        # 10 bytes a record (1.97 MiB)
+        n, records = 12, 200_000
+        rng = np.random.default_rng(1)
+        data = TomographyDataset(n, pauli_directions(), rng.integers(0, 6, (records, n)))
+        correlators = random_correlators(n, [1, 2, 3, 4], 3, seed=2)
+        protocols._shade_tables(data, correlators[:2])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            protocols._shade_tables(data, correlators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < records * n
+
     def test_cell_code_overflow_is_a_capability_error(self):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
         n = 25
         z = direction_from_label("z")
-        data = TomographyDataset(
-            n,
-            pauli_directions(),
-            np.full((3, n), 2, dtype=np.uint8),
-            np.zeros((3, n), dtype=np.uint8),
-        )
+        data = TomographyDataset(n, pauli_directions(), np.full((3, n), 4, dtype=np.uint8))
         fits = Correlator(BitString(n, (1 << 24) - 1), {q: z for q in range(24)})
         ((report,),) = estimate_correlators(data, [fits], [(1.0,)], resamples=2, seed=0)
         assert report.estimate == 3.0**24  # z measured along z: overlap 3, outcome 0
