@@ -268,11 +268,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     computed before out_dir is made, so a run that fails (an infeasible
     grid, a singular independent model, a ghat(v) below G_FLOOR) writes
     nothing.
+
+    The tomography is drawn first: each collector seeds its own generator,
+    so the order moves no output, and the Born draw's transients, the
+    run's largest, then meet no calibration records.
     """
     for records in (config.calibration_shots, config.tomography_shots):
         subsample_grid(records, config.grid_points, config.grid_min)
-    cal = collect_calibration(config)
     tomo = collect_tomography(config)
+    cal = collect_calibration(config)
     report = comparison_rows(config, tomo, cal)
     cal_rows, cal_slopes = g_rms_rows(config, cal)
     tomo_rows, tomo_slopes = correlator_rms_rows(config, tomo, cal)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 from oracles import (
     MeasurementSetting,
     bit,
@@ -24,7 +24,6 @@ from oracles import (
 )
 
 from xshadow.bitspace import BitString, walsh_transform
-from xshadow.cli import main as cli_main
 from xshadow.noise import ChainCrosstalkModel, IndependentFlipModel
 from xshadow.protocols import (
     calibration_sample_bound,
@@ -488,14 +487,13 @@ class TestDeterminismPersistence:
             "calibration_shots: 100000\ntomography_shots: 100000\n",
             encoding="utf-8",
         )
-        runner = CliRunner()
         pairs = {}
         for name, command in (("cal", "calibrate"), ("tomo", "tomography")):
             files = []
             for attempt in range(2):
                 out = tmp_path / f"{name}{attempt}.txt"
-                result = runner.invoke(
-                    cli_main, [command, "--config", str(config), "--out", str(out)]
+                result = invoke(
+                    [command, "--config", str(config), "--out", str(out)]
                 )
                 assert result.exit_code == 0, result.output
                 files.append(out.read_bytes())

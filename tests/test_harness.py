@@ -23,13 +23,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
+from cli_runner import invoke
 from hypothesis import example, given, settings, strategies as st
 from oracles import monte_carlo_study, one_block_file, parity_counts, read_csv
 
 import xshadow
 from xshadow import cli, config as config_module, experiments, protocols, storage
-from xshadow.cli import main
 from xshadow.config import ExperimentConfig, load_config, parse_config
 from xshadow.exceptions import ConfigError, DataFormatError, UnmitigatableComponentError
 from xshadow.experiments import (
@@ -318,7 +317,7 @@ class TestConfig:
     def test_unknown_keys_of_mixed_types_are_refused_by_the_cli(self, tmp_path, text):
         path = _write_yaml(tmp_path / "mixed.yaml", text)
         out = tmp_path / "cal.txt"
-        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        result = invoke(["calibrate", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught TypeError
         assert "error: unknown" in result.output
@@ -345,7 +344,7 @@ class TestConfig:
             "n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: .nan\n  p01: .nan\n",
         )
         out = tmp_path / "cal.txt"
-        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        result = invoke(["calibrate", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "error: field 'noise': p10 must lie in [0, 1]" in result.output
         assert not out.exists()
@@ -357,7 +356,7 @@ class TestConfig:
             f"n: 3\ndepth: 2\nnoise:\n  model: independent\n  p10: 1{'0' * 400}\n  p01: 0.05\n",
         )
         out = tmp_path / "cal.txt"
-        result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+        result = invoke(["calibrate", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught OverflowError
         assert "error: field 'noise': p10 must lie in [0, 1]" in result.output
@@ -441,8 +440,8 @@ class TestConfig:
             text = yaml.safe_dump(self._mutated(mutations))
             path = _write_yaml(pathlib.Path(tmp, "c.yaml"), text)
             out = pathlib.Path(tmp, "cal.txt")
-            result = CliRunner().invoke(
-                main, ["calibrate", "--config", path, "--out", str(out), "--shots", "8"]
+            result = invoke(
+                ["calibrate", "--config", path, "--out", str(out), "--shots", "8"]
             )
             if result.exit_code == 0:
                 assert out.exists(), result.output
@@ -1087,7 +1086,7 @@ class TestExperiments:
             out = tmp_path / f"{command}-{shots}-{seed}.txt"
             args = [command, "--config", path, "--out", str(out)]
             args += ["--shots", shots] * (shots is not None) + ["--seed", seed] * (seed is not None)
-            assert CliRunner().invoke(main, args).exit_code == 0
+            assert invoke(args).exit_code == 0
             read = read_calibration if command == "calibrate" else read_tomography
             dataset = read(str(out))
             assert (len(dataset), dataset.seed) == expected
@@ -1178,6 +1177,29 @@ class TestExperiments:
         for name, path in first.items():
             with open(path, "rb") as a, open(second[name], "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_run_experiment_draws_the_tomography_before_holding_the_calibration(self, tmp_path):
+        # the Born draw's transients are the run's high-water mark; with the
+        # calibration's (M, n) records held under them the run peaked M*n
+        # bytes (0.76 MiB) above the draw alone, 4.12 against 3.36 MiB
+        shots, n = 100_000, 8
+        config = _config(
+            n=n, depth=20, calibration_shots=shots, tomography_shots=shots, bootstrap_resamples=10
+        )
+        run_experiment(config, str(tmp_path / "warm-up"))  # lazy imports and the cached state
+        peaks = []
+        for step in (
+            lambda: collect_tomography(config),
+            lambda: run_experiment(config, str(tmp_path / "out")),
+        ):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        alone, whole = peaks
+        assert whole - alone < shots * n / 2
 
 
 class TestBatchedReport:
@@ -1446,7 +1468,7 @@ class TestSharedState:
             ) as counts,
             mock.patch.object(protocols, "_cell_codes", wraps=protocols._cell_codes) as codes,
         ):
-            result = CliRunner().invoke(main, ["calibrate", "--config", path, "--out", str(out)])
+            result = invoke(["calibrate", "--config", path, "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert counts.call_count == codes.call_count == 1
         assert result.output == CALIBRATE_DIGEST + f"wrote {out}\n"
@@ -1718,24 +1740,22 @@ class TestCli:
         )
 
     def test_calibrate_and_estimate_flow(self, config_file, tmp_path):
-        runner = CliRunner()
         cal_path = str(tmp_path / "cal.txt")
         tomo_path = str(tmp_path / "tomo.txt")
         report_path = str(tmp_path / "report.csv")
 
-        result = runner.invoke(
-            main, ["calibrate", "--config", config_file, "--out", cal_path]
+        result = invoke(
+            ["calibrate", "--config", config_file, "--out", cal_path]
         )
         assert result.exit_code == 0, result.output
         assert "records=5000" in result.output
 
-        result = runner.invoke(
-            main, ["tomography", "--config", config_file, "--out", tomo_path]
+        result = invoke(
+            ["tomography", "--config", config_file, "--out", tomo_path]
         )
         assert result.exit_code == 0, result.output
 
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "estimate",
                 "--config",
@@ -1752,10 +1772,8 @@ class TestCli:
         assert len(read_csv(report_path)) == 2
 
     def test_shots_and_seed_overrides(self, config_file, tmp_path):
-        runner = CliRunner()
         out = str(tmp_path / "c.txt")
-        result = runner.invoke(
-            main,
+        result = invoke(
             ["calibrate", "--config", config_file, "--out", out, "--shots", "77", "--seed", "5"],
         )
         assert result.exit_code == 0, result.output
@@ -1770,7 +1788,7 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "collect_tomography", exhausted)
         out = tmp_path / "tomo.txt"
-        result = CliRunner().invoke(main, ["tomography", "--config", config_file, "--out", str(out)])
+        result = invoke(["tomography", "--config", config_file, "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == f"error: {message or 'MemoryError'}\n"
         assert not out.exists()
@@ -1778,25 +1796,23 @@ class TestCli:
     @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
     def test_shots_option_takes_the_config_cap(self, config_file, tmp_path, command):
         out = str(tmp_path / "out")
-        result = CliRunner().invoke(
-            main, [command, "--config", config_file, "--out", out, "--shots", str(2**32)]
+        result = invoke(
+            [command, "--config", config_file, "--out", out, "--shots", str(2**32)]
         )
         assert result.exit_code == 2
         assert "4294967295" in result.output
         assert not os.path.exists(out)
 
     def test_estimate_rejects_mismatched_qubit_count(self, config_file, tmp_path):
-        runner = CliRunner()
         cal = run_calibration(ChainCrosstalkModel(3, 0.07, 0.05, 0.5), 50, seed=1)
         cal_path = str(tmp_path / "cal3.txt")
         write_calibration(cal_path, cal)
         tomo_path = str(tmp_path / "tomo.txt")
-        result = runner.invoke(
-            main, ["tomography", "--config", config_file, "--out", tomo_path]
+        result = invoke(
+            ["tomography", "--config", config_file, "--out", tomo_path]
         )
         assert result.exit_code == 0
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "estimate",
                 "--config",
@@ -1830,8 +1846,7 @@ class TestCli:
 
         monkeypatch.setattr(storage, "read_tomography", unread)
         report = tmp_path / "r.csv"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["estimate", "--config", config, "--calibration", cal_path,
              "--tomography", tomo_path, "--out", str(report)],
         )
@@ -1862,8 +1877,7 @@ class TestCli:
 
         monkeypatch.setattr(storage, "_decode_rows", undecoded)
         report = tmp_path / "r.csv"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["estimate", "--config", config, "--calibration", cal_path,
              "--tomography", tomo_path, "--out", str(report)],
         )
@@ -1872,18 +1886,16 @@ class TestCli:
         assert not report.exists()
 
     def test_estimate_rejects_mismatched_directions(self, config_file, tmp_path):
-        runner = CliRunner()
         cal_path = str(tmp_path / "cal.txt")
         tomo_path = str(tmp_path / "tomo.txt")
         for command, path in (("calibrate", cal_path), ("tomography", tomo_path)):
-            result = runner.invoke(main, [command, "--config", config_file, "--out", path])
+            result = invoke([command, "--config", config_file, "--out", path])
             assert result.exit_code == 0, result.output
         with open(config_file, encoding="utf-8") as fh:
             text = fh.read()
         reordered = _write_yaml(tmp_path / "zxy.yaml", text + "directions: [z, x, y]\n")
         report_path = tmp_path / "r.csv"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "estimate",
                 "--config",
@@ -1918,8 +1930,7 @@ class TestCli:
 
         monkeypatch.setattr(storage, "_read_dataset", unread)
         report = tmp_path / "r.csv"
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["estimate", "--config", config, "--calibration", cal_path,
              "--tomography", tomo_path, "--out", str(report)],
         )
@@ -1947,14 +1958,13 @@ class TestCli:
 
     def test_cli_runner_leaves_the_heap_unfrozen(self):
         before = gc.get_freeze_count()
-        result = CliRunner().invoke(main, ["complexity", "--epsilon", "0.1", "--delta", "0.05"])
+        result = invoke(["complexity", "--epsilon", "0.1", "--delta", "0.05"])
         assert result.exit_code == 0
         assert gc.get_freeze_count() == before
 
     def test_complexity_output(self):
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["complexity", "--epsilon", "0.1", "--delta", "0.05"]
+        result = invoke(
+            ["complexity", "--epsilon", "0.1", "--delta", "0.05"]
         )
         assert result.exit_code == 0
         assert "calibration_shots >= 11805" in result.output
@@ -1969,8 +1979,7 @@ class TestCli:
         ],
     )
     def test_complexity_rejects_bad_inputs(self, args):
-        runner = CliRunner()
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         assert "error:" in result.output
 
@@ -1988,26 +1997,24 @@ class TestCli:
     )
     def test_complexity_refuses_extreme_inputs_without_a_traceback(self, option, value, needle):
         args = ["complexity", "--epsilon", "0.1", "--delta", "0.05", option, value]
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an uncaught error
         assert f"error: {needle}" in result.output
         assert "Traceback" not in result.output
 
     def test_bad_config_is_diagnosed(self, tmp_path):
-        runner = CliRunner()
         path = _write_yaml(tmp_path / "bad.yaml", "n: 2\ndepth: 1\nnope: 3\n")
-        result = runner.invoke(
-            main, ["calibrate", "--config", path, "--out", str(tmp_path / "o.txt")]
+        result = invoke(
+            ["calibrate", "--config", path, "--out", str(tmp_path / "o.txt")]
         )
         assert result.exit_code == 1
         assert "unknown config field" in result.output
 
     def test_experiment_command(self, config_file, tmp_path):
-        runner = CliRunner()
         out = str(tmp_path / "exp")
-        result = runner.invoke(
-            main, ["experiment", "--config", config_file, "--out", out, "--shots", "3000"]
+        result = invoke(
+            ["experiment", "--config", config_file, "--out", out, "--shots", "3000"]
         )
         assert result.exit_code == 0, result.output
         assert result.output.count("wrote ") == 6
@@ -2019,7 +2026,7 @@ class TestCli:
             tmp_path / "neg.yaml", pathlib.Path(config_file).read_text(encoding="utf-8") + "study_seed: -3\n"
         )
         out = tmp_path / "exp"
-        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        result = invoke(["experiment", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "'study_seed' must be >= 0" in result.output
         assert not out.exists()
@@ -2030,8 +2037,8 @@ class TestCli:
         self, config_file, tmp_path, command, shots
     ):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, [command, "--config", config_file, "--out", str(out), "--shots", shots]
+        result = invoke(
+            [command, "--config", config_file, "--out", str(out), "--shots", shots]
         )
         assert result.exit_code == 2
         assert "--shots" in result.output
@@ -2040,8 +2047,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["calibrate", "tomography", "experiment"])
     def test_negative_seed_override_writes_nothing(self, config_file, tmp_path, command):
         out = tmp_path / "out"
-        result = CliRunner().invoke(
-            main, [command, "--config", config_file, "--out", str(out), "--seed", "-1"]
+        result = invoke(
+            [command, "--config", config_file, "--out", str(out), "--seed", "-1"]
         )
         assert result.exit_code == 2
         assert "--seed" in result.output
@@ -2060,7 +2067,7 @@ class TestCli:
             "bootstrap_resamples: 10\n",
         )
         out = tmp_path / "exp"
-        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        result = invoke(["experiment", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "is singular" in result.output
         assert not out.exists()
@@ -2075,7 +2082,7 @@ class TestCli:
             "calibration_shots: 5000\ntomography_shots: 5000\ndirections: [x, y]\n",
         )
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, [command, "--config", path, "--out", str(out)])
+        result = invoke([command, "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "error: field 'directions'" in result.output
         assert "Traceback" not in result.output
@@ -2090,10 +2097,107 @@ class TestCli:
             "calibration_shots: 5000\ntomography_shots: 20000\n",
         )
         out = tmp_path / "exp"
-        result = CliRunner().invoke(main, ["experiment", "--config", path, "--out", str(out)])
+        result = invoke(["experiment", "--config", path, "--out", str(out)])
         assert result.exit_code == 1
         assert "too small for subsampling" in result.output
         assert not out.exists() or not any(out.iterdir())
+
+    OPTIONS = {
+        "calibrate": ["--config", "--out", "--shots", "--seed"],
+        "tomography": ["--config", "--out", "--shots", "--seed"],
+        "estimate": ["--config", "--calibration", "--tomography", "--out"],
+        "complexity": ["--epsilon", "--delta", "--g", "--kappa", "--degree"],
+        "experiment": ["--config", "--out", "--shots", "--seed"],
+    }
+
+    def test_help_names_every_command(self):
+        result = invoke(["--help"])
+        assert result.exit_code == 0, result.output
+        for command in self.OPTIONS:
+            assert re.search(rf"^\s+{command}\b", result.output, re.M), command
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_help_names_every_option(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0, result.output
+        for option in self.OPTIONS[command]:
+            assert re.search(rf"^\s+{option} [A-Z]", result.output, re.M), option
+
+    def test_an_option_value_may_start_with_a_dash(self, config_file, tmp_path, monkeypatch):
+        # argparse alone reads "-1e-3" or "-cfg.yaml" as an option, not a value
+        base = ["complexity", "--epsilon", "0.1", "--delta", "0.05"]
+        result = invoke([*base, "--g", "-1e-3"])
+        assert result.exit_code == 0, result.output
+        assert result.output == invoke([*base, "--g=-1e-3"]).output
+        assert "calibration_shots >= 11804414254" in result.output
+        result = invoke(["complexity", "--epsilon", "-1e-3", "--delta", "0.05"])
+        assert result.exit_code == 1
+        assert result.output == "error: epsilon must be > 0, got -0.001\n"
+        dashed = tmp_path / "-cfg.yaml"
+        dashed.write_text(pathlib.Path(config_file).read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "cal.txt"
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["calibrate", "--config", dashed.name, "--out", str(out), "--shots", "50"])
+        assert result.exit_code == 0, result.output
+        assert len(read_calibration(str(out))) == 50
+
+    def _refused_before_any_work(self, tmp_path, monkeypatch, args, option):
+        """`args` exits 2 naming `option`, loads no config and writes nothing."""
+
+        def unloaded(path):
+            raise AssertionError("config loaded")
+
+        monkeypatch.setattr(cli, "load_config", unloaded)
+        before = sorted(tmp_path.rglob("*"))
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"argument {option}: " in result.output
+        assert "Traceback" not in result.output
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("calibrate", "--config"),
+            ("tomography", "--config"),
+            ("experiment", "--config"),
+            ("estimate", "--config"),
+            ("estimate", "--calibration"),
+            ("estimate", "--tomography"),
+        ],
+    )
+    def test_an_input_missing_or_a_directory_is_a_usage_error(
+        self, config_file, tmp_path, monkeypatch, command, option, kind
+    ):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        # the parser checks no input's contents, so the config stands for each
+        inputs = {"--config": config_file}
+        if command == "estimate":
+            inputs.update({"--calibration": config_file, "--tomography": config_file})
+        inputs[option] = str(bad)
+        args = [command, *itertools.chain(*inputs.items()), "--out", str(tmp_path / "out")]
+        self._refused_before_any_work(tmp_path, monkeypatch, args, option)
+
+    @pytest.mark.parametrize("command", ["calibrate", "tomography", "estimate", "experiment"])
+    def test_an_out_of_the_wrong_kind_is_a_usage_error(
+        self, config_file, tmp_path, monkeypatch, command
+    ):
+        # a dataset or report is a file, so a directory is refused; the
+        # experiment writes a directory, so an existing file is refused
+        out = tmp_path / "out"
+        if command == "experiment":
+            out.write_text("kept\n", encoding="utf-8")
+        else:
+            out.mkdir()
+        inputs = ["--calibration", config_file, "--tomography", config_file]
+        args = [command, "--config", config_file, *inputs * (command == "estimate")]
+        self._refused_before_any_work(tmp_path, monkeypatch, [*args, "--out", str(out)], "--out")
+        if command == "experiment":
+            assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestReadme:
@@ -2117,10 +2221,14 @@ class TestReadme:
 class TestPackage:
     def test_cli_import_leaves_the_thread_pool_out(self):
         """concurrent.futures is imported only once a bootstrap needs a
-        pool, so a CLI process that never starts one does not pay for it."""
+        pool, so a CLI process that never starts one does not pay for it;
+        the command line itself is the standard library's argparse."""
         root = pathlib.Path(__file__).resolve().parent.parent
         path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        code = "import sys, xshadow.cli; print('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys, xshadow.cli\n"
+            "print('concurrent.futures' in sys.modules, 'click' in sys.modules)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             check=True,
@@ -2129,7 +2237,7 @@ class TestPackage:
             env={**os.environ, "PYTHONPATH": path},
             timeout=60,
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "False False\n"
 
     def test_public_names(self):
         """The top level exports the README example's names and the error
