@@ -39,13 +39,17 @@ def _refusing(convert, refused, why: str):
 
 
 _INPUT = _refusing(str, lambda p: os.path.isdir(p) or not os.path.exists(p), "is not a file")
+_PATH = _refusing(str, lambda p: not p, "is empty")
+_OUT_FILE = _refusing(_refusing(_PATH, os.path.isdir, "is a directory"),
+                      lambda p: not os.path.isdir(os.path.dirname(p) or os.curdir),
+                      "is not in an existing directory")
 # parameter: (argparse type, help, default or ... if required); its option is --<first word>
 _OPTIONS = {
     "config_path": (_INPUT, "config YAML file", ...),
     "calibration_path": (_INPUT, "calibration dataset file", ...),
     "tomography_path": (_INPUT, "tomography dataset file", ...),
-    "out": (_refusing(str, os.path.isdir, "is a directory"), "file to write", ...),
-    "out_dir": (_refusing(str, os.path.isfile, "is a file"), "output directory", ...),
+    "out": (_OUT_FILE, "file to write", ...),
+    "out_dir": (_refusing(_PATH, os.path.isfile, "is a file"), "output directory", ...),
     "shots": (_refusing(int, lambda v: not 1 <= v <= MAX_SHOTS, f"is not in [1, {MAX_SHOTS}]"),
               "override the dataset size(s)", None),
     "seed": (_refusing(int, lambda v: v < 0, "is negative"), "override the seed(s): s, s+1", None),

@@ -30,9 +30,9 @@ from .exceptions import CapabilityError
 from .qsim import EXACT_SIM_MAX_QUBITS
 
 # rows per block of work on an (M, n) dataset array: the readout's draws
-# (protocols._twirled_readout's masks, both samplers) and the dataset
-# codecs (storage); a block's transient memory stays small and its bytes
-# stay in cache
+# (protocols._twirl_flips's masks, both samplers) and the dataset codecs
+# (storage); a block's transient memory stays small and its bytes stay in
+# cache
 _BLOCK_ROWS = 1 << 14
 
 

@@ -9,6 +9,11 @@ Tomography: per shot, draw a uniform setting from S^n, rotate each qubit
 into its measurement basis, and push the ideal outcome through the same
 XOR-twirl sandwich before recording (setting, outcome).
 
+Under the twirl a record is its ideal bits XOR a flip pattern
+(_twirl_flips), which both collectors XOR into their one dataset array: a
+tomography's is its setting matrix, made digits in place with the Born
+draw's ideal bits ORed in.
+
 A dataset is one column-major (M, n) array (column i = qubit i,
 contiguous) checked by one rule (_dataset_array): a calibration's bits,
 or a tomography record's digit 2*setting + bit (its 2k-outcome result).
@@ -75,6 +80,12 @@ _PRODUCT_CELLS = 1 << 13
 # hand-off costs more than its draws
 _LARGE_STREAM = 1 << 14
 
+# rows per block of a dense tally at least (_dense_tally): at n = 10 with
+# 500k records and 80 correlators the shade kernel took 42 ms in blocks of
+# noise._BLOCK_ROWS = 2^14 rows, 36 ms in 2^16-row blocks and 37 ms as one
+# record-sized bincount, whose intp copy of the codes is 8 bytes a record
+_TALLY_ROWS = 1 << 16
+
 # amplitudes or flag-table entries one chunk of shots may hold at the
 # root of the outcome tree: 2^20 // max(2^n, k) shots, as the root holds
 # 2^n amplitudes and its flag tables k entries (a fixed 16,384-shot chunk
@@ -124,14 +135,14 @@ class CalibrationDataset:
     def outcome_counts(self) -> np.ndarray:
         """Record count of every outcome value, a table of 2^n int64 counts
         (n <= EXACT_SIM_MAX_QUBITS): each record's bits coded at base 2
-        (_cell_codes), then counted.  The one count of the records that the
-        spectrum and the calibration summary read; built on first use and
-        kept read-only by this dataset."""
+        and counted in row blocks (_dense_tally).  The one count of the
+        records that the spectrum and the calibration summary read; built
+        on first use and kept read-only by this dataset."""
         if self.n > EXACT_SIM_MAX_QUBITS:
             raise CapabilityError(f"n={self.n} exceeds the {EXACT_SIM_MAX_QUBITS}-qubit outcome table")
         if len(self) == 0:
             raise ValueError("empty calibration dataset")
-        counts = np.bincount(_cell_codes(self.outcomes, range(self.n), 2), minlength=1 << self.n)
+        counts = _dense_tally(self.outcomes, range(self.n), 2)
         counts.flags.writeable = False
         return counts
 
@@ -194,30 +205,30 @@ class EstimateReport:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _twirled_readout(
-    ideal: np.ndarray, model: ChainCrosstalkModel, rng: np.random.Generator
+def _twirl_flips(
+    model: ChainCrosstalkModel, shots: int, rng: np.random.Generator, digits=None
 ) -> np.ndarray:
-    """Read the (M, n) ideal bits out through the X-twirled channel.
+    """The flip pattern the X-twirled channel puts on `shots` shots, as a
+    column-major (M, n) uint8 array: a shot's record is its ideal bits,
+    the low bits of `digits` (all zero when None), XOR this pattern.
 
-    The twirl flips the bits by a mask t before the channel and its
-    readout by t after it, so a record is the ideal bits XOR the flip
-    pattern the channel draws on t XOR ideal.  Draw order: t, then the
-    channel's samples.  t is drawn straight into one column-major (M, n)
-    uint8 array in row blocks (_row_blocks): integers(0, 2, dtype=uint8)
-    spends one byte of a buffered 32-bit word per value and drops the
-    buffer at the end of a call, so calls of a multiple of 4 values give
-    the stream of one call.  The ideal bits are XORed in, the model
-    overwrites the array with its flip pattern, and the ideal bits are
-    XORed in again; no other (M, n) array is made.
+    The twirl flips the ideal bits by a mask t before the channel and its
+    readout by t after it, so the pattern is the one the channel draws on
+    t XOR ideal.  Draw order: t, then the channel's samples.  t is drawn
+    straight into the pattern's array in row blocks (_row_blocks), each
+    XORed with its rows' ideal bits: integers(0, 2, dtype=uint8) spends
+    one byte of a buffered 32-bit word per value and drops the buffer at
+    the end of a call, so calls of a multiple of 4 values give the stream
+    of one call.  The model then overwrites the array with its flip
+    pattern; no other (M, n) array is made.
     """
-    bits = np.empty(ideal.shape, dtype=np.uint8, order="F")
-    for rows in _row_blocks(len(bits)):
-        block = bits[rows]
+    flips = np.empty((shots, model.n), dtype=np.uint8, order="F")
+    for rows in _row_blocks(shots):
+        block = flips[rows]
         block[...] = rng.integers(0, 2, size=block.shape, dtype=np.uint8)
-    bits ^= ideal
-    flips = model.sample_bits(bits, rng)
-    flips ^= ideal
-    return flips
+        if digits is not None:
+            block ^= digits[rows] & 1
+    return model.sample_bits(flips, rng)
 
 
 def _check_shots(shots: int) -> None:
@@ -230,14 +241,15 @@ def run_calibration(model: ChainCrosstalkModel, shots: int, seed: int) -> Calibr
     """Collect twirled calibration records from the all-zeros state.
 
     Per shot: draw t uniformly; the ideal readout is t itself (the flip
-    layer maps |0...0> to |t>); sample the noisy readout; XOR with t.
-    Draw order: the full (shots, n) t matrix, then the channel's samples.
-    At most MAX_SHOTS shots, which keeps the spectrum's sums exact.
+    layer maps |0...0> to |t>); sample the noisy readout; XOR with t.  The
+    ideal bits are zero, so a record is the twirl's flip pattern
+    (_twirl_flips).  Draw order: the full (shots, n) t matrix, then the
+    channel's samples.  At most MAX_SHOTS shots, which keeps the
+    spectrum's sums exact.
     """
     _check_shots(shots)
     rng = np.random.default_rng(seed)
-    zeros = np.broadcast_to(np.uint8(0), (shots, model.n))
-    return CalibrationDataset(model.n, _twirled_readout(zeros, model, rng), seed=seed)
+    return CalibrationDataset(model.n, _twirl_flips(model, shots, rng), seed=seed)
 
 
 def _cell_codes(digits: np.ndarray, qubits: Sequence[int], base: int) -> np.ndarray:
@@ -255,6 +267,24 @@ def _cell_codes(digits: np.ndarray, qubits: Sequence[int], base: int) -> np.ndar
     return codes
 
 
+def _dense_tally(
+    digits: np.ndarray, qubits: Sequence[int], base: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Count of every code in [0, base^len(qubits)) over the rows of
+    `digits` coded on `qubits` (_cell_codes), a row standing for `weights`
+    records (one when None): int64 counts, or float64 sums of the weights.
+    The rows are coded and bincounted one block at a time, in blocks of
+    at least _TALLY_ROWS rows and of the code space, so no record-sized
+    code or intp array is made and a block's table costs no more than its
+    rows."""
+    space = base ** len(qubits)
+    tally = np.zeros(space, dtype=np.int64 if weights is None else np.float64)
+    for rows in _row_blocks(len(digits), max(_TALLY_ROWS, space)):
+        block_weights = None if weights is None else weights[rows]
+        tally += np.bincount(_cell_codes(digits[rows], qubits, base), block_weights, minlength=space)
+    return tally
+
+
 def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct entries of an int array over [0, size), ascending, and the
     index of each entry among them: a flag table instead of a sort."""
@@ -266,7 +296,7 @@ def _dense_ids(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _tree_chunk(shots: int, n: int, k: int) -> int:
     """Shots per chunk of the outcome-tree descent: the larger of the root
     rule's _TREE_AMPLITUDES // max(2^n, k) and the largest chunk whose
-    worst-case level fits in half the dataset's M * 2n bytes.  Level q
+    worst-case level fits in the dataset's M * n bytes.  Level q
     holds two complex tables of up to min(chunk, k^(n-q) 2^(n-1-q)) pairs
     of 2^(q+1) amplitudes, and flag tables of k entries (a bool and an
     int64 count) per node, of which there are min(chunk, (2k)^(n-1-q));
@@ -287,24 +317,28 @@ def _tree_chunk(shots: int, n: int, k: int) -> int:
 
 
 def _tree_outcomes(
-    amplitudes: np.ndarray, gates: np.ndarray, settings: np.ndarray, born: np.ndarray
+    amplitudes: np.ndarray, gates: np.ndarray, settings: np.ndarray, variates
 ) -> np.ndarray:
-    """Ideal outcome bits of every shot, column-major (M, n) uint8: the
-    inverse CDF of its setting's Born distribution at its variate, drawn
-    one qubit at a time.
+    """Ideal outcome value of every shot, an (M,) array in shot order of
+    the narrowest unsigned dtype that holds 2^n - 1: the inverse CDF of
+    its setting's Born distribution at its variate, drawn one qubit at a
+    time.  `variates(M)` gives the M variates; it is called once the
+    shots' sort order is made, so that lexsort's intp result and the
+    variates are never held together.
 
     Outcome values ascend with qubit n-1 as the top bit, so the draw walks
     down the outcome tree from qubit n-1.  A node at level q holds the
     2^(q+1) amplitudes left once the bits above q are fixed; rotating its
     top qubit by the shot's gate gives p0, the squared norm of the bit-0
     half, and the shot takes bit 1 iff its residual variate (starting at
-    u * <psi|psi>) is >= p0, which it then loses; the decisions go into
-    column q in sorted order, and each column is put in shot order at the
-    end.  Gates on the lower qubits leave these marginals as they are, so
-    no full rotated table is built.  Shots sorted by setting (qubit n-1
-    first) share their nodes while their (setting, bit) prefixes agree;
-    a level gathers its parents from the last level's rotation, which it
-    frees before rotating them, and _tree_chunk sizes the chunks of shots.
+    u * <psi|psi>) is >= p0, which it then loses; each level shifts the
+    decision into the shot's value as its new low bit, and a chunk's values
+    are put in shot order by one scatter.  Gates on the lower qubits leave
+    these marginals as they are, so no full rotated table is built.  Shots
+    sorted by setting (qubit n-1 first) share their nodes while their
+    (setting, bit) prefixes agree; a level gathers its parents from the
+    last level's rotation, which it frees before rotating them, and
+    _tree_chunk sizes the chunks of shots.
     """
     shots, n = settings.shape
     k = len(gates)
@@ -313,12 +347,14 @@ def _tree_outcomes(
     # heap below it
     order = np.empty(shots, dtype=np.uint32)
     order[:] = np.lexsort(settings.T)
-    bits = np.empty((shots, n), dtype=np.uint8, order="F")  # row i: shot order[i]
+    born = variates(shots)
+    values = np.empty(shots, dtype=np.min_scalar_type((1 << n) - 1))
     norm = np.vdot(amplitudes, amplitudes).real
     chunk = _tree_chunk(shots, n, k)
     for start in range(0, shots, chunk):
         rows = order[start : start + chunk]
         resid = born[rows] * norm
+        value = np.zeros(len(rows), dtype=values.dtype)
         node = np.zeros(len(rows), dtype=np.intp)
         rotated, children = amplitudes, np.zeros(1, dtype=np.intp)  # the root
         for q in range(n - 1, -1, -1):
@@ -332,13 +368,12 @@ def _tree_outcomes(
             p0 = p0[pair]
             bit = resid >= p0
             np.subtract(resid, p0, out=resid, where=bit)
-            bits[start : start + len(rows), q] = bit
+            value <<= 1
+            value |= bit
             if q:
                 children, node = _dense_ids(2 * pair + bit, 2 * len(pairs))
-    for q in range(n):  # back to shot order: one scatter per column, not per level
-        column = bits[:, q]
-        column[order] = column.copy()
-    return bits
+        values[rows] = value
+    return values
 
 
 def run_tomography(
@@ -363,9 +398,13 @@ def run_tomography(
     P(< x) <= u * total < P(<= x).  It is drawn qubit by qubit down the
     outcome tree (see _tree_outcomes), so no shot needs its setting's
     full 2^n table and shots with a common setting prefix share work; it
-    writes the column-major (M, n) uint8 bits the readout step takes; the
-    read-out bits are folded into the setting matrix.  Any direction set is
-    collected (parse_config and the estimators refuse one that is not
+    gives each shot's ideal outcome value.  The setting matrix becomes the
+    records' digit array (a widened copy past k = 128): shifted to 2*setting,
+    with each ideal bit ORed in, then XORed with the twirl's flip pattern
+    (_twirl_flips).  So a run holds the settings, one (M,) array each of
+    the sort order, the variates and the values, and a chunk of the tree,
+    then the digits and the flip pattern.  Any direction set is collected
+    (parse_config and the estimators refuse one that is not
     informationally complete).  At most MAX_SHOTS shots.
     """
     _check_shots(shots)
@@ -378,13 +417,15 @@ def run_tomography(
     rng = np.random.default_rng(seed)
     settings = np.asfortranarray(rng.integers(0, k, size=(shots, n), dtype=np.uint8))
     gates = np.array([rotation_gate(d) for d in directions])
-    # the Born variates, freed before the readout; _tree_outcomes draws nothing
-    ideal = _tree_outcomes(state.amplitudes, gates, settings, rng.random(shots))
-    bits = _twirled_readout(ideal, model, rng)
-    # digits 2*setting + bit, in the settings' array (a copy past k = 128)
+    values = _tree_outcomes(state.amplitudes, gates, settings, rng.random)
+    # digits 2*setting + ideal bit, in the settings' array (a copy past k = 128)
     digits = settings.astype(np.min_scalar_type(2 * k - 1), copy=False)
+    del settings
     digits <<= 1
-    digits |= bits
+    for q in range(n):
+        digits[:, q] |= (values >> q) & 1
+    del values
+    digits ^= _twirl_flips(model, shots, rng, digits)
     return TomographyDataset(n, directions, digits, seed=seed)
 
 
@@ -395,22 +436,21 @@ def _record_cells(
 
     A row of `digits` holds a record's digit 2*setting + bit on every
     qubit and stands for `weights` records (one when None).  Rows are
-    coded on the support at base 2k (_cell_codes) and tallied by bincount,
-    over np.unique's inverse when the code space exceeds the row count.
-    Weighted sums are float64 but exact, as no dataset exceeds MAX_SHOTS
-    < 2^53 records.  Returns, in code order, each observed cell's digits
-    on the support as a column-major (cells, d) table of the digits' dtype
-    (read off the codes by Python-int powers, so uint64 codes keep their
-    low digits) and its int64 record count.
+    coded on the support at base 2k (_cell_codes) and tallied in row
+    blocks (_dense_tally), or by bincount over np.unique's inverse when
+    the code space exceeds the row count.  Weighted sums are float64 but
+    exact, as no dataset exceeds MAX_SHOTS < 2^53 records.  Returns, in
+    code order, each observed cell's digits on the support as a
+    column-major (cells, d) table of the digits' dtype (read off the codes
+    by Python-int powers, so uint64 codes keep their low digits) and its
+    int64 record count.
     """
-    space = base ** len(support)
-    codes = _cell_codes(digits, support, base)
-    if space <= len(digits):
-        tally = np.bincount(codes, weights, minlength=space)
+    if base ** len(support) <= len(digits):
+        tally = _dense_tally(digits, support, base, weights)
         codes = np.flatnonzero(tally)
         tally = tally[codes]
     else:
-        codes, inverse = np.unique(codes, return_inverse=True)
+        codes, inverse = np.unique(_cell_codes(digits, support, base), return_inverse=True)
         tally = np.bincount(inverse, weights)
     cells = np.empty((len(codes), len(support)), digits.dtype, order="F")
     for j in range(len(support)):

@@ -2186,8 +2186,10 @@ class TestCli:
     def test_an_out_of_the_wrong_kind_is_a_usage_error(
         self, config_file, tmp_path, monkeypatch, command
     ):
-        # a dataset or report is a file, so a directory is refused; the
-        # experiment writes a directory, so an existing file is refused
+        # a dataset or report is a file, so a directory is refused, and so
+        # is a file in a directory that does not exist; the experiment
+        # writes a directory, so an existing file is refused; an empty path
+        # is refused for all four, as no write could succeed
         out = tmp_path / "out"
         if command == "experiment":
             out.write_text("kept\n", encoding="utf-8")
@@ -2198,6 +2200,11 @@ class TestCli:
         self._refused_before_any_work(tmp_path, monkeypatch, [*args, "--out", str(out)], "--out")
         if command == "experiment":
             assert out.read_text(encoding="utf-8") == "kept\n"
+        else:
+            unreachable = str(tmp_path / "missing" / "out.txt")
+            self._refused_before_any_work(tmp_path, monkeypatch, [*args, "--out", unreachable],
+                                          "--out")
+        self._refused_before_any_work(tmp_path, monkeypatch, [*args, "--out", ""], "--out")
 
 
 class TestReadme:

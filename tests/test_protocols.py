@@ -228,6 +228,25 @@ class TestRunCalibration:
         for w in range(1 << n):
             assert g[w] == parity_counts(cal, BitString(n, w)) @ [1.0, -1.0] / records
 
+    def test_the_outcome_count_holds_one_row_block(self):
+        # 200,000 x 12 outcome bits: their codes and np.bincount's intp copy
+        # of them, 10 bytes a record, peaked at 1.94 MiB under tracemalloc;
+        # counted in row blocks they peak at 0.69 MiB.  A warm-up count runs
+        # untraced (numpy's first calls)
+        n, records = 12, 200_000
+        rng = np.random.default_rng(3)
+        CalibrationDataset(n, rng.integers(0, 2, (1000, n))).outcome_counts
+        cal = CalibrationDataset(n, rng.integers(0, 2, (records, n)))
+        tracemalloc.start()
+        try:
+            counts = cal.outcome_counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == records
+        assert np.array_equal(counts, np.bincount(pack_bits(cal.outcomes), minlength=1 << n))
+        assert peak < 8 * records
+
     def test_spectrum_above_the_qubit_cap_is_a_capability_error(self):
         cal = CalibrationDataset(13, np.zeros((4, 13), dtype=np.uint8))
         with pytest.raises(CapabilityError):
@@ -247,9 +266,10 @@ class TestRunCalibration:
 
 
 class TestTwirledReadout:
-    """The readout step against the one-call oracle: one (M, n) mask draw,
-    the model's oracle sampler on the masked bits, then the XORs, at shot
-    counts around noise._BLOCK_ROWS = B."""
+    """The readout step (the twirl's flip pattern, XORed into the ideal
+    bits) against the one-call oracle: one (M, n) mask draw, the model's
+    oracle sampler on the masked bits, then the XORs, at shot counts
+    around noise._BLOCK_ROWS = B."""
 
     @pytest.mark.parametrize(
         "shots",
@@ -265,14 +285,16 @@ class TestTwirledReadout:
             model, oracle = ChainCrosstalkModel(n, p10, p01, 0.5), chain_sample_bits
         else:
             model, oracle = IndependentFlipModel(n, p10, p01), independent_sample_bits
-        drawn = np.random.default_rng(shots).integers(0, 2, (shots, n), dtype=np.uint8)
+        drawn = np.random.default_rng(shots).integers(0, 6, (shots, n), dtype=np.uint8)
         zeros = np.broadcast_to(np.uint8(0), (shots, n))  # calibration's ideal bits
-        for ideal in (zeros, np.asfortranarray(drawn)):
+        for digits in (None, np.asfortranarray(drawn)):  # ideal bits: zero, or the low bits
+            ideal = zeros if digits is None else drawn & 1
             rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-            records = protocols._twirled_readout(ideal, model, rng)
+            flips = protocols._twirl_flips(model, shots, rng, digits)
+            assert flips.dtype == np.uint8 and flips.flags.f_contiguous
+            records = ideal ^ flips
             masks = oracle_rng.integers(0, 2, size=(shots, n), dtype=np.uint8)
             expected = oracle(model, masks ^ ideal, oracle_rng) ^ masks
-            assert records.dtype == np.uint8 and records.flags.f_contiguous
             assert np.array_equal(records, expected)
             assert rng.random() == oracle_rng.random()  # both drew the same count
 
@@ -350,10 +372,28 @@ class TestRunTomography:
         assert data.digits.dtype == np.uint8 and data.digits.nbytes == shots * n
         assert kept < shots * n + 2**16
 
+    def test_a_run_holds_its_settings_and_one_array_a_shot(self):
+        # 200,000 x 12 records are 2.3 MiB of digits.  With the Born draw's
+        # (M, n) bit matrix and the readout's mask beside the settings, a
+        # run peaked at 7.2 MiB under tracemalloc; with each shot's outcome
+        # value, its variate and its sort order instead it peaks at 5.3 MiB,
+        # below M * (2n + 8) bytes.  A warm-up run goes untraced
+        n, shots = 12, 200_000
+        state, model = random_circuit_state(n, 20, seed=0), ChainCrosstalkModel(n, 0.07, 0.05, 0.5)
+        run_tomography(state, pauli_directions(), model, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            data = run_tomography(state, pauli_directions(), model, shots, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == shots
+        assert peak < shots * (2 * n + 8)
+
     def test_past_128_directions_the_digits_widen_to_uint16(self):
-        """The readout bits are folded into a widened copy of the uint8
-        setting draw: the derived arrays equal the draws run_tomography
-        makes, in its order."""
+        """The ideal bits and the readout's flips are folded into a widened
+        copy of the uint8 setting draw: the derived arrays equal the draws
+        run_tomography makes, in its order."""
         rng = np.random.default_rng(8)
         vectors = rng.normal(size=(130, 3))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -364,10 +404,12 @@ class TestRunTomography:
         rng = np.random.default_rng(4)
         settings = np.asfortranarray(rng.integers(0, 130, size=(2000, 3), dtype=np.uint8))
         gates = np.array([rotation_gate(d) for d in directions])
-        ideal = protocols._tree_outcomes(state.amplitudes, gates, settings, rng.random(2000))
+        values = protocols._tree_outcomes(state.amplitudes, gates, settings, rng.random)
+        ideal = np.asfortranarray((values[:, None] >> np.arange(3)) & 1, dtype=np.uint8)
         assert (settings >= 128).any()  # digits past 255
         assert np.array_equal(data.setting_indices, settings)
-        assert np.array_equal(data.outcomes, protocols._twirled_readout(ideal, model, rng))
+        flips = protocols._twirl_flips(model, 2000, rng, ideal)
+        assert np.array_equal(data.outcomes, ideal ^ flips)
 
     def test_directions_beyond_uint8_indices_are_a_capability_error(self):
         vectors = np.random.default_rng(4).normal(size=(300, 3))
@@ -896,9 +938,9 @@ class TestCountTableKernel:
 
     def test_the_kernel_builds_no_record_sized_table(self):
         # 200,000 x 12 records are 2.3 MiB of digits.  A digit table built
-        # from two (M, n) arrays peaked at 4.26 MiB under tracemalloc; what
-        # is left is a support's codes and np.bincount's intp copy of them,
-        # 10 bytes a record (1.97 MiB)
+        # from two (M, n) arrays peaked at 4.26 MiB under tracemalloc, and a
+        # support's codes with np.bincount's intp copy of them, 10 bytes a
+        # record, at 1.97 MiB; codes tallied in row blocks peak at 0.70 MiB
         n, records = 12, 200_000
         rng = np.random.default_rng(1)
         data = TomographyDataset(n, pauli_directions(), rng.integers(0, 6, (records, n)))
@@ -910,7 +952,7 @@ class TestCountTableKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < records * n
+        assert peak < 8 * records
 
     def test_cell_code_overflow_is_a_capability_error(self):
         # 6 cells per qubit: a 24-qubit code fits in int64, a 25-qubit one does not
@@ -947,6 +989,16 @@ def _born_case(n, direction_set, shots, seed):
     return state, directions, setting_matrix, gates, u
 
 
+def _variates(u):
+    """The variates function _tree_outcomes calls once: u, for len(u) shots."""
+
+    def variates(shots):
+        assert shots == len(u)
+        return u
+
+    return variates
+
+
 _BORN_CASES = dict(
     n=st.integers(1, 9),
     direction_set=st.sampled_from(["pauli", "tilted", "random3", "random4"]),
@@ -966,11 +1018,11 @@ class TestTreeOutcomes:
     def test_draws_match_inverse_cdf_oracle(self, n, direction_set, shots, chunk_log2, seed):
         state, directions, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
         with mock.patch.object(protocols, "_tree_chunk", return_value=1 << chunk_log2):
-            drawn = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+            drawn = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, _variates(u))
         expected = born_outcomes(state, directions, setting_matrix, u)
-        assert drawn.dtype == np.uint8 and drawn.flags.f_contiguous
-        assert drawn.shape == (shots, n)
-        assert np.array_equal(pack_bits(drawn), expected)
+        assert drawn.dtype == np.min_scalar_type((1 << n) - 1)
+        assert drawn.shape == (shots,)
+        assert np.array_equal(drawn, expected)
 
     @settings(max_examples=60)
     @given(**_BORN_CASES)
@@ -979,10 +1031,10 @@ class TestTreeOutcomes:
         # chunk of every shot
         state, _, setting_matrix, gates, u = _born_case(n, direction_set, shots, seed)
         with mock.patch.object(protocols, "_tree_chunk", return_value=1 << chunk_log2):
-            small = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
-        default = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+            small = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, _variates(u))
+        default = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, _variates(u))
         with mock.patch.object(protocols, "_tree_chunk", return_value=shots):
-            whole = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+            whole = protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, _variates(u))
         assert np.array_equal(small, default)
         assert np.array_equal(whole, default)
 
@@ -1021,21 +1073,22 @@ class TestTreeOutcomes:
         # n=12, 10,000 shots (collect_n12's size, 256-shot chunks): a level
         # that kept the last level's rotation and nodes while rotating
         # peaked at 1.75 MiB; two tables per level and the uint32 order
-        # peak at 1.03 MiB (bits and order alone are 0.15 MiB)
+        # peaked at 1.03 MiB with an (M, n) bit matrix beside them, and at
+        # 0.94 MiB with the (M,) uint16 values instead
         n, shots = 12, 10_000
         state = random_circuit_state(n, 20, seed=0)
         gates = np.array([rotation_gate(d) for d in pauli_directions()])
         rng = np.random.default_rng(2)
         setting_matrix = np.asfortranarray(rng.integers(0, 3, size=(shots, n), dtype=np.uint8))
         u = rng.random(shots)
-        protocols._tree_outcomes(state.amplitudes, gates, setting_matrix[:1000], u[:1000])
+        protocols._tree_outcomes(state.amplitudes, gates, setting_matrix[:1000], _variates(u[:1000]))
         tracemalloc.start()
         try:
-            protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, u)
+            protocols._tree_outcomes(state.amplitudes, gates, setting_matrix, _variates(u))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 2**20
+        assert peak < 1.125 * 2**20
 
     def test_many_directions_keep_chunks_small(self):
         # 256 directions at n=3: 2^17-shot chunks held k flags and an int64
