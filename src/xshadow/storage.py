@@ -21,20 +21,23 @@ trips exactly.
 Every label is one printable ASCII character other than space, ``,``
 and ``#``, and labels do not repeat, so each kind of file has one
 fixed row width: it is written as its header, then one byte block per
-noise._BLOCK_ROWS records (noise._row_blocks), and read as one byte
-block.  Every row, the last included, ends in a bare ``\\n``.
+noise._BLOCK_ROWS records (noise._row_blocks), and read the same way:
+each row block from the file into one reused buffer, then decoded into the
+dataset's array.  Every row, the last included, ends in a bare ``\\n``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import DataFormatError
-from .noise import _row_blocks
+from .noise import _BLOCK_ROWS, _row_blocks
 from .protocols import CalibrationDataset, TomographyDataset
 from .qsim import Direction, _check_direction_labels, direction_from_label
 
@@ -123,45 +126,41 @@ def read_qubit_count(path: str, kind: str, directions: Sequence[Direction] | Non
     return n
 
 
-def _read_dataset(path: str, kind: str) -> tuple[dict[str, str], int, int | None, memoryview]:
-    """Read the dataset file at `path`, which must be of type `kind`: its
-    header (_read_header) and a view of its body.  The body is read from
-    the unbuffered file, so that it is not joined to the header reader's
-    read-ahead, which would copy it."""
-    with open(path, "rb") as fh:
-        headers, n, seed = _read_header(fh, path, kind)
-        fh.raw.seek(fh.tell())
-        body = fh.raw.readall()
-    return headers, n, seed, memoryview(body)
-
-
-def _decode_rows(
-    body: memoryview, width: int, n: int, what: str, path: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the body into rows of width - 1 bytes and a newline, the last
-    n of them bits written MSB first.  Returns the raw (M, width) rows and
-    the bits as the dataset's column-major uint8 (M, n) array, decoded in
-    row blocks (_row_blocks).  Each check runs on the whole array and
-    looks for the first bad row only once it has failed, so a valid file
-    pays for no per-row mask."""
-    raw = np.frombuffer(body, dtype=np.uint8)
-    if len(body) % width or not np.all(raw[width - 1 :: width] == ord("\n")):
-        ends = np.flatnonzero(raw == ord("\n"))
-        bad = np.flatnonzero(ends != np.arange(width - 1, width * len(ends), width))
-        row = int(bad[0]) if bad.size else len(ends)
-        raise DataFormatError(
-            f"{path}: body is not whole {what} rows: "
-            f"row {row} is not {width - 1} characters and a newline"
-        )
-    raw = raw.reshape(-1, width)
-    bits = np.empty((len(raw), n), dtype=np.uint8, order="F")  # the dataset's layout
-    digits = np.flip(raw[:, width - 1 - n : width - 1], axis=1)
-    for block in _row_blocks(len(raw)):  # transposed: inner loops run down columns
-        np.subtract(digits[block].T, ord("0"), out=bits[block].T)
-    if bits.max(initial=0) > 1:
-        row = int(np.flatnonzero((bits > 1).any(axis=1))[0])
-        raise DataFormatError(f"{path}: rows must contain only 0 and 1; row {row} does not")
-    return raw, bits
+def _read_rows(fh, path: str, width: int, n: int, what: str, step=None) -> np.ndarray:
+    """Read the rest of the regular file open in `fh`, M rows by its size, each
+    width - 1 bytes and a newline, ending in n bits MSB first: each row block
+    (_row_blocks) into one reused buffer, its bits into the dataset's column-major
+    uint8 (M, n) array, then step(first row, block, its bits).  A check runs on
+    the whole block and looks for its first bad row only once it has failed."""
+    status = os.fstat(fh.fileno())
+    if not stat.S_ISREG(status.st_mode):  # a pipe has no size to count rows by
+        raise DataFormatError(f"{path}: not a regular file")
+    records, partial = divmod(status.st_size - fh.tell(), width)
+    bits = np.empty((records, n), dtype=np.uint8, order="F")  # the dataset's layout
+    buffer = np.empty((min(records, _BLOCK_ROWS), width), dtype=np.uint8)
+    for rows in _row_blocks(records):
+        block = buffer[: len(bits[rows])]
+        if fh.readinto(block) != block.nbytes:
+            raise DataFormatError(f"{path}: file ended before its {records} rows")
+        if not np.all(block[:, -1] == ord("\n")):  # the first row with a newline out of place
+            bad = (block[:, :-1] == ord("\n")).any(axis=1) | (block[:, -1] != ord("\n"))
+            row = rows.start + int(np.flatnonzero(bad)[0])
+            break
+        digits = np.flip(block[:, width - 1 - n : width - 1], axis=1)
+        np.subtract(digits.T, ord("0"), out=bits[rows].T)  # transposed: runs down columns
+        if bits[rows].max(initial=0) > 1:
+            row = rows.start + int(np.flatnonzero((bits[rows] > 1).any(axis=1))[0])
+            raise DataFormatError(f"{path}: rows must contain only 0 and 1; row {row} does not")
+        if step is not None:
+            step(rows.start, block, bits[rows])
+    else:
+        if not partial:
+            return bits
+        row = records  # the bytes after the last whole row
+    raise DataFormatError(
+        f"{path}: body is not whole {what} rows: "
+        f"row {row} is not {width - 1} characters and a newline"
+    )
 
 
 def write_calibration(path: str, dataset: CalibrationDataset) -> None:
@@ -172,8 +171,9 @@ def write_calibration(path: str, dataset: CalibrationDataset) -> None:
 
 
 def read_calibration(path: str) -> CalibrationDataset:
-    _, n, seed, body = _read_dataset(path, CALIBRATION_TYPE)
-    _, bits = _decode_rows(body, n + 1, n, f"{n}-bit", path)
+    with open(path, "rb") as fh:
+        _, n, seed = _read_header(fh, path, CALIBRATION_TYPE)
+        bits = _read_rows(fh, path, n + 1, n, f"{n}-bit")
     return CalibrationDataset(n=n, outcomes=bits, seed=seed)
 
 
@@ -233,31 +233,31 @@ def _file_directions(
 
 
 def read_tomography(path: str, directions: Sequence[Direction] | None = None) -> TomographyDataset:
-    headers, n, seed, body = _read_dataset(path, TOMOGRAPHY_TYPE)
-    directions = _file_directions(headers, path, directions)
-    # the bits, into which each row block's label digits are then added
-    raw, digits = _decode_rows(body, 3 * n + 1, n, f"{n}-qubit", path)
-    # separator columns, compared to one byte each: no template sized by #n=
-    commas, spaces = raw[:, 1 : 2 * n - 1 : 2], raw[:, 2 * n - 1]
-    # label byte -> digit 2 * setting index, at most 182 for the 92 labels;
-    # 255 marks every other byte
-    top = 2 * len(directions) - 2
-    lookup = np.full(256, 255, dtype=np.uint8)
-    labels = "".join(d.label for d in directions).encode()
-    lookup[np.frombuffer(labels, dtype=np.uint8)] = 2 * np.arange(len(directions))
-    codes = raw[:, 0 : 2 * n : 2]
-    for block in _row_blocks(len(raw)):
-        if not (np.all(commas[block] == ord(",")) and np.all(spaces[block] == ord(" "))):
-            bad = (commas[block] != ord(",")).any(axis=1) | (spaces[block] != ord(" "))
-            row = block.start + int(np.flatnonzero(bad)[0])
-            raise DataFormatError(
-                f"{path}: row {row} must be '<labels> <bits>' with {n} comma-separated labels"
-            )
-        doubled = np.take(lookup, codes[block].T)  # transposed: runs down the columns
-        if doubled.max(initial=0) > top:  # refused before it is added: 255 + 1 wraps to 0
-            row, where = np.argwhere(doubled.T > top)[0] + (block.start, 0)
-            raise DataFormatError(f"{path}: row {row} has unknown label {chr(codes[row, where])!r}")
-        np.add(digits[block].T, doubled, out=digits[block].T)
+    with open(path, "rb") as fh:
+        headers, n, seed = _read_header(fh, path, TOMOGRAPHY_TYPE)
+        directions = _file_directions(headers, path, directions)
+        # label byte -> digit 2 * setting index (at most 182), 255 for every other byte
+        lookup = np.full(256, 255, dtype=np.uint8)
+        lookup[[ord(d.label) for d in directions]] = 2 * np.arange(len(directions))
+
+        def add_labels(start: int, block: np.ndarray, digits: np.ndarray) -> None:
+            # separators compared to one byte each: no template sized by #n=
+            commas, spaces = block[:, 1 : 2 * n - 1 : 2], block[:, 2 * n - 1]
+            if not (np.all(commas == ord(",")) and np.all(spaces == ord(" "))):
+                bad = (commas != ord(",")).any(axis=1) | (spaces != ord(" "))
+                raise DataFormatError(
+                    f"{path}: row {start + int(np.flatnonzero(bad)[0])} must be "
+                    f"'<labels> <bits>' with {n} comma-separated labels"
+                )
+            for q in range(n):  # one column at a time: np.take's intp copy is one column's
+                doubled = np.take(lookup, block[:, 2 * q])
+                if doubled.max(initial=0) == 255:  # refused before the add: 255 + 1 wraps to 0
+                    row, where = divmod(int(np.argmax(lookup[block[:, 0 : 2 * n : 2]] == 255)), n)
+                    label = chr(block[row, 2 * where])
+                    raise DataFormatError(f"{path}: row {start + row} has unknown label {label!r}")
+                np.add(digits[:, q], doubled, out=digits[:, q])
+
+        digits = _read_rows(fh, path, 3 * n + 1, n, f"{n}-qubit", add_labels)
     return TomographyDataset(n=n, directions=directions, digits=digits, seed=seed)
 
 

@@ -10,6 +10,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -569,25 +570,30 @@ class TestStorage:
             assert pathlib.Path(path).read_bytes() == one_block_file(ds)
             assert (back.seed, len(back)) == (records, records)
 
-    def test_reader_holds_its_body_one_record_array_and_a_row_block(self, tmp_path):
-        # 200,000 x 12 records: a 7.1 MiB body and 2.3 MiB of digits.  With
-        # the settings and the bits in two (M, n) arrays the read peaked at
-        # 13.3 MiB under tracemalloc; a row block's temporaries, mostly
-        # np.take's intp copy of the label bytes, are 1.9 MiB
+    def test_readers_hold_one_record_array_and_a_row_block(self, tmp_path):
+        # 200,000 x 12 records: 2.3 MiB of digits.  Reading the whole body
+        # first peaked at 11.2 MiB (tomography, a 7.1 MiB body) and 4.8 MiB
+        # (calibration, 2.5 MiB) under tracemalloc; a row block's buffer and
+        # temporaries come to 1.1-1.4 times the block's bytes
         n, records = 12, 200_000
         rng = np.random.default_rng(7)
-        path = str(tmp_path / "tomo.txt")
-        data = TomographyDataset(n, pauli_directions(), rng.integers(0, 6, (records, n)))
-        write_tomography(path, data)
-        read_tomography(path)  # numpy's first-call allocations
-        tracemalloc.start()
-        try:
-            data = read_tomography(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(data) == records
-        assert peak < os.path.getsize(path) + records * n + 16 * n * _BLOCK_ROWS
+        cal_path, tomo_path = str(tmp_path / "cal.txt"), str(tmp_path / "tomo.txt")
+        write_calibration(cal_path, CalibrationDataset(n, rng.integers(0, 2, (records, n))))
+        digits = rng.integers(0, 6, (records, n))
+        write_tomography(tomo_path, TomographyDataset(n, pauli_directions(), digits))
+        for read, path, width in (
+            (read_calibration, cal_path, n + 1),
+            (read_tomography, tomo_path, 3 * n + 1),
+        ):
+            read(path)  # numpy's first-call allocations
+            tracemalloc.start()
+            try:
+                data = read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(data) == records
+            assert peak < records * n + 2 * width * _BLOCK_ROWS, read.__name__
 
     def test_an_empty_body_reads_without_a_row_sized_by_the_header(self, tmp_path):
         # a separator template of #n= bytes, built before any row was read,
@@ -603,16 +609,40 @@ class TestStorage:
         assert (data.n, len(data)) == (10**8, 0)
         assert peak < 2**20
 
-    def test_body_is_a_view_of_the_file_bytes(self, tmp_path):
-        payload = b"#n=2\n#type=calibration\n#seed=5\n01\n10\n"
-        path = tmp_path / "cal.txt"
-        path.write_bytes(payload)
-        headers, n, seed, body = storage._read_dataset(str(path), "calibration")
-        assert headers == {"n": "2", "type": "calibration", "seed": "5"}
-        assert (n, seed) == (2, 5)
-        # a view of the one bytes object read after the header: no copy of the body
-        assert isinstance(body.obj, bytes) and body.obj == b"01\n10\n"
-        assert bytes(body) == b"01\n10\n"
+    @pytest.mark.parametrize("kind", ["cal", "tomo"])
+    def test_a_body_shorter_than_its_file_size_is_refused(
+        self, tmp_path, monkeypatch, valid_files, kind
+    ):
+        # the rows are counted from the file's size: a size one row too large
+        # must not hand over the reused buffer's stale bytes as a last row
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(valid_files[kind])
+        width = 4 if kind == "cal" else 10
+        fstat = os.fstat
+
+        def over_reported(fd):
+            status = list(fstat(fd))
+            status[stat.ST_SIZE] += width
+            return os.stat_result(status)
+
+        monkeypatch.setattr(storage.os, "fstat", over_reported)
+        reader = read_calibration if kind == "cal" else read_tomography
+        with pytest.raises(DataFormatError, match="file ended before its 9 rows"):
+            reader(str(path))
+
+    def test_a_pipe_is_refused_before_any_row_is_decoded(self, monkeypatch, valid_files):
+        def decoded(*args, **kwargs):
+            raise AssertionError("a row block of a pipe was read")
+
+        monkeypatch.setattr(storage, "_row_blocks", decoded)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, valid_files["cal"])
+            os.close(write_end)
+            with pytest.raises(DataFormatError, match="not a regular file"):
+                read_calibration(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_tomography_row_orientation(self, tmp_path):
         # qubit 0 leads the label list but trails the bitstring
@@ -905,7 +935,7 @@ class TestDirectionSetRule:
             call = lambda: write_tomography(str(path), dataset)
         elif entry == "read_tomography":
             path.write_text(f"#n=1\n#type=tomography\n#directions={','.join(labels)}\nz 0\n")
-            monkeypatch.setattr(storage, "_decode_rows", _no_work)  # refused before the body
+            monkeypatch.setattr(storage, "_read_rows", _no_work)  # refused before the body
             call, error = lambda: read_tomography(str(path)), DataFormatError
         else:
             call = lambda: _config(directions=list(labels))
@@ -928,11 +958,50 @@ _MUTATIONS = st.lists(
     min_size=1,
     max_size=4,
 )
+# (key, value) header lines: a #n= that may ask for any row width, and
+# #directions= label lists that may break the label rules
+_HEADER_MUTATIONS = st.lists(
+    st.tuples(st.just("n"), st.integers(-2, 64) | st.integers(0, 1 << 40))
+    | st.tuples(
+        st.just("directions"),
+        st.lists(st.sampled_from(_ALPHABET + [",", " ", "é"]), max_size=len(_ALPHABET)).map(
+            ",".join
+        ),
+    ),
+    max_size=2,
+)
 
 
 @pytest.fixture(scope="module")
 def storage_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("storage")
+
+
+def _mutated(payload: bytes, mutations) -> bytes:
+    """`payload` with each (kind, position, byte) of _MUTATIONS applied."""
+    payload = bytearray(payload)
+    for op, position, byte in mutations:
+        if op == "insert":
+            payload.insert(position % (len(payload) + 1), byte)
+        elif op == "replace":
+            payload[position % len(payload)] = byte
+        else:
+            del payload[position % len(payload)]
+    return bytes(payload)
+
+
+def _with_headers(payload: bytes, headers) -> bytes:
+    """`payload` with each (key, value) of _HEADER_MUTATIONS as a header line,
+    in place of the file's own #key= line or else as its first line."""
+    lines = payload.split(b"\n")
+    for key, value in headers:
+        line = f"#{key}={value}".encode()
+        owned = [i for i, old in enumerate(lines) if old.startswith(f"#{key}=".encode())]
+        if owned:
+            lines[owned[0]] = line
+        else:
+            lines.insert(0, line)
+    return b"\n".join(lines)
 
 
 def _fresh_file(directory: pathlib.Path, name: str) -> str:
@@ -1024,21 +1093,46 @@ class TestStorageProperties:
     def test_mutated_files_raise_only_data_format_errors(
         self, storage_dir, valid_files, kind, mutations
     ):
-        payload = bytearray(valid_files[kind])
-        for op, position, byte in mutations:
-            if op == "insert":
-                payload.insert(position % (len(payload) + 1), byte)
-            elif op == "replace":
-                payload[position % len(payload)] = byte
-            else:
-                del payload[position % len(payload)]
         path = _fresh_file(storage_dir, "mutated.txt")
-        pathlib.Path(path).write_bytes(bytes(payload))
+        pathlib.Path(path).write_bytes(_mutated(valid_files[kind], mutations))
         reader = read_calibration if kind == "cal" else read_tomography
         try:
             reader(path)  # a mutation may leave a valid file
         except DataFormatError:
             pass
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(("cal", "tomo")),
+        headers=_HEADER_MUTATIONS,
+        mutations=st.just([]) | _MUTATIONS,
+    )
+    @example(kind="tomo", headers=[("n", 10**8)], mutations=[])  # 190.7 MiB once
+    @example(kind="cal", headers=[("n", 1 << 40)], mutations=[])
+    @example(kind="tomo", headers=[("directions", ",".join(_ALPHABET))], mutations=[])
+    def test_readers_hold_memory_in_proportion_to_the_file(
+        self, storage_dir, valid_files, kind, headers, mutations
+    ):
+        # A reader holds the dataset's array (at most half a row's bytes), one
+        # row block's buffer and a failed check's temporaries, the largest
+        # the intp copy of the block's labels made to locate an unknown one
+        # (8/3 of a row's bytes): within 5 bytes per file byte.  64 KiB covers the header, the direction
+        # set and numpy's small allocations: 1,500 examples peaked at 16 KiB
+        # at most.  Both hold whether the reader returns or refuses the file.
+        payload = _mutated(_with_headers(valid_files[kind], headers), mutations)
+        path = _fresh_file(storage_dir, "budget.txt")
+        pathlib.Path(path).write_bytes(payload)
+        reader = read_calibration if kind == "cal" else read_tomography
+        reader(str(storage_dir / f"{kind}.txt"))  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            reader(path)
+        except DataFormatError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 5 * len(payload) + 64 * 2**10
 
 
 @pytest.fixture(scope="module")
@@ -1875,7 +1969,7 @@ class TestCli:
         def undecoded(*args, **kwargs):
             raise AssertionError("dataset body decoded")
 
-        monkeypatch.setattr(storage, "_decode_rows", undecoded)
+        monkeypatch.setattr(storage, "_read_rows", undecoded)
         report = tmp_path / "r.csv"
         result = invoke(
             ["estimate", "--config", config, "--calibration", cal_path,
@@ -1928,7 +2022,7 @@ class TestCli:
         def unread(*args, **kwargs):
             raise AssertionError("dataset body read")
 
-        monkeypatch.setattr(storage, "_read_dataset", unread)
+        monkeypatch.setattr(storage, "_read_rows", unread)
         report = tmp_path / "r.csv"
         result = invoke(
             ["estimate", "--config", config, "--calibration", cal_path,
